@@ -1,8 +1,11 @@
 """Command-line front end: verify claims, compute statistics and bijections,
 emit tables and series expansions.
 
-Exit codes: 0 all good, 1 counterexample or input outside an operation's
-domain, 2 usage error (including bound violations without the override flag).
+Exit codes: 0 all good; 1 a counterexample, or an input that a library
+operation rejects (such as a malformed permutation for stats, or a word
+outside every map's domain for biject); 2 usage error: an unknown option or
+claim, a claim parameter outside the claim's domain, or a size bound
+exceeded without the override flag.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -13,52 +16,21 @@ import argparse
 import datetime
 import json
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
-from . import bijections, oracle, regex, series, tilings
+from . import bijections, claims, oracle, regex, series, tilings
+from .claims import SAFE_N_MAX, UsageError
 from .compositions import Composition, fib
 from .errors import PermfibError, ResourceLimitError
-from .permutations import (
-    Permutation,
-    contains_descending_run,
-    descent_composition,
-    enumeration_cap,
-    inverse_letters,
-    left_peak_count,
-    letter_tuples,
-    statistics,
-)
-from .words import (
-    check_word,
-    forbidden_factors,
-    is_avoiding_block_word,
-    is_block_word,
-    iter_block_words,
-    iter_words,
-)
+from .permutations import Permutation, descent_composition, statistics
+from .words import check_word, forbidden_factors, is_avoiding_block_word, is_block_word
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 
 #: Claims runnable through ``permfib verify --claim``.
-CLAIM_NAMES = (
-    "theorem1",
-    "theorem2",
-    "theorem4",
-    "corollaries",
-    "prop6",
-    "prop7",
-    "prop8",
-    "eq1",
-    "gf3",
-    "gf5",
-    "gf-general",
-)
-
-#: Enumeration-heavy claims refuse n-max beyond this without --unsafe-large-n.
-SAFE_N_MAX = 9
+CLAIM_NAMES = tuple(claims.CLAIMS)
 
 TABLE_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -87,6 +59,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -196,6 +171,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_text(args, lines: list[str]) -> None:
+    """Text output, headed by the generation time unless --no-timestamp."""
+    stamp = _timestamp(args)
+    _emit(args, "\n".join(([f"generated-at: {stamp}"] if stamp else []) + lines))
+
+
 def _emit_json(args, payload: dict[str, Any]) -> None:
     stamp = _timestamp(args)
     if stamp is not None:
@@ -224,21 +205,16 @@ def _emit_table(args, kind: str, params: dict[str, Any], columns: list[str],
             max(len(str(col)), *(len(str(row[i])) for row in rows)) if rows else len(col)
             for i, col in enumerate(columns)
         ]
-        lines = []
-        stamp = _timestamp(args)
-        if stamp is not None:
-            lines.append(f"generated-at: {stamp}")
-        if note:
-            lines.append(f"note: {note}")
+        lines = [f"note: {note}"] if note else []
         lines.append("  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)))
         for row in rows:
             lines.append("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
-        _emit(args, "\n".join(lines))
+        _emit_text(args, lines)
 
 
-def _parse_int_list(raw: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
+def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:
-        return default
+        return None
     try:
         values = tuple(int(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
@@ -248,33 +224,24 @@ def _parse_int_list(raw: str | None, default: tuple[int, ...]) -> tuple[int, ...
     return values
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # verify
 
 
 def _cmd_verify(args) -> int:
-    try:
-        claims = _selected_claims(args.claim)
-        _check_bounds(args, claims)
-        ms_default = {"theorem1": (3, 4, 5), "prop6": (3,), "prop7": (3,), "gf-general": (3, 4)}
-        reports: list[oracle.VerificationReport] = []
-        for claim in claims:
-            runner = _CLAIM_RUNNERS[claim]
-            ms = _parse_int_list(args.m, ms_default.get(claim, (3,)))
-            reports.extend(runner(args, ms))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    reports = claims.run(
+        _selected_claims(args.claim),
+        n_max=args.n_max,
+        k_max=args.k_max,
+        ms=_parse_int_list(args.m),
+        allow_large=args.unsafe_large_n,
+    )
+    all_pass = all(r.passed for r in reports)
     include_millis = not args.no_timestamp
     if args.format == "json":
         payload = {
             "reports": [r.to_json_dict(include_millis=include_millis) for r in reports],
-            "all_pass": all(r.passed for r in reports),
+            "all_pass": all_pass,
         }
         _emit_json(args, payload)
     elif args.format == "csv":
@@ -285,9 +252,6 @@ def _cmd_verify(args) -> int:
         _emit(args, "\n".join(lines))
     else:
         lines = []
-        stamp = _timestamp(args)
-        if stamp is not None:
-            lines.append(f"generated-at: {stamp}")
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             params = ", ".join(f"{k}={v}" for k, v in r.params.items())
@@ -295,9 +259,9 @@ def _cmd_verify(args) -> int:
             lines.append(f"{status}  {r.claim}  ({params}){suffix}")
             if r.counterexample is not None:
                 lines.append(f"      counterexample: {r.counterexample}")
-        lines.append("result: " + ("all claims pass" if all(r.passed for r in reports) else "FAILURES FOUND"))
-        _emit(args, "\n".join(lines))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_COUNTEREXAMPLE
+        lines.append("result: " + ("all claims pass" if all_pass else "FAILURES FOUND"))
+        _emit_text(args, lines)
+    return EXIT_OK if all_pass else EXIT_COUNTEREXAMPLE
 
 
 def _selected_claims(raw: str) -> tuple[str, ...]:
@@ -310,252 +274,6 @@ def _selected_claims(raw: str) -> tuple[str, ...]:
         if token not in CLAIM_NAMES:
             raise UsageError(f"unknown claim {token!r}; choose from {', '.join(CLAIM_NAMES)}")
     return tokens
-
-
-def _check_bounds(args, claims: Iterable[str]) -> None:
-    heavy = {"theorem1", "theorem2", "theorem4", "corollaries", "prop6", "gf-general"}
-    if any(c in heavy for c in claims):
-        if args.n_max > SAFE_N_MAX and not args.unsafe_large_n:
-            raise UsageError(
-                f"--n-max {args.n_max} exceeds the safe bound {SAFE_N_MAX}; "
-                "pass --unsafe-large-n to proceed"
-            )
-        if args.n_max > enumeration_cap():
-            raise UsageError(
-                f"--n-max {args.n_max} exceeds the enumeration cap {enumeration_cap()} "
-                "(set PERMFIB_MAX_N to raise it)"
-            )
-    if "prop7" in claims and args.n_max > 12:
-        raise UsageError("prop7 enumerates all 3^n words; --n-max is capped at 12")
-    if "prop8" in claims and args.k_max > 12:
-        raise UsageError("prop8 enumerates tilings; --k-max is capped at 12")
-    if args.n_max < 1:
-        raise UsageError("--n-max must be >= 1")
-
-
-def _claim_theorem1(args, ms) -> list:
-    reports = []
-    for m in ms:
-        report = oracle.VerificationReport(
-            claim="theorem1", params={"m": m, "n_max": args.n_max}
-        )
-        report.passed = True
-        for n in range(1, args.n_max + 1):
-            got = oracle.count_ipk0_avoiders(n, m, allow_large=args.unsafe_large_n)
-            expected = fib(m - 1, n)
-            if got != expected:
-                report.passed = False
-                report.counterexample = {"n": n, "count": got, "fibonacci": expected}
-                break
-        reports.append(report)
-    return reports
-
-
-def _claim_theorem2(args, ms) -> list:
-    report = oracle.VerificationReport(claim="theorem2", params={"n_max": args.n_max})
-    report.passed = True
-    for n in range(1, args.n_max + 1):
-        got = oracle.count_ilpk1_avoiders(n, 3, allow_large=args.unsafe_large_n)
-        expected = fib(2, n - 1) * fib(2, n) - (n + 1) // 2
-        if got != expected:
-            report.passed = False
-            report.counterexample = {"n": n, "count": got, "closed_form": expected}
-            break
-    return [report]
-
-
-def _claim_theorem4(args, ms) -> list:
-    return [oracle.verify_descent_uniqueness(n) for n in range(1, args.n_max + 1)]
-
-
-def _claim_corollaries(args, ms) -> list:
-    return [oracle.verify_corollaries(n) for n in range(1, args.n_max + 1)]
-
-
-def _claim_prop6(args, ms) -> list:
-    reports = []
-    for m in ms:
-        report = oracle.VerificationReport(
-            claim="prop6", params={"m": m, "n_max": args.n_max}
-        )
-        report.passed = True
-        for n in range(1, args.n_max + 1):
-            words = []
-            for letters in letter_tuples(n, allow_large=args.unsafe_large_n):
-                if left_peak_count(letters) != 1:
-                    continue
-                if contains_descending_run(inverse_letters(letters), m):
-                    continue
-                words.append(bijections.block_word(Permutation(letters)))
-            target = sorted(
-                word
-                for word in iter_block_words(n)
-                if is_avoiding_block_word(word, m)
-            )
-            if len(words) != len(set(words)) or sorted(words) != target:
-                report.passed = False
-                report.counterexample = {
-                    "n": n,
-                    "encoded": len(set(words)),
-                    "expected_words": len(target),
-                }
-                break
-        reports.append(report)
-    return reports
-
-
-def _claim_prop7(args, ms) -> list:
-    reports = []
-    for m in ms:
-        dfa = regex.block_word_dfa(m)
-        report = oracle.VerificationReport(
-            claim="prop7",
-            params={
-                "m": m,
-                "n_max": args.n_max,
-                "expression": regex.format_ast(regex.block_word_regex(m)),
-            },
-        )
-        report.passed = True
-        for n in range(1, args.n_max + 1):
-            for word in iter_words(n):
-                if dfa.accepts(word) != is_avoiding_block_word(word, m):
-                    report.passed = False
-                    report.counterexample = {"word": word, "dfa": dfa.accepts(word)}
-                    break
-            if not report.passed:
-                break
-        reports.append(report)
-    return reports
-
-
-def _claim_prop8(args, ms) -> list:
-    report = oracle.VerificationReport(
-        claim="prop8",
-        params={
-            "k_max": args.k_max,
-            "expression": regex.format_ast(regex.core_regex()),
-        },
-    )
-    report.passed = True
-    dfa = regex.core_dfa()
-    for k in range(1, args.k_max + 1):
-        by_dfa = dfa.count_words(k)
-        by_tilings = sum(1 for _ in tilings.enumerate_tilings(k))
-        expected = fib(2, k - 1) * fib(2, k)
-        if not by_dfa == by_tilings == expected:
-            report.passed = False
-            report.counterexample = {
-                "k": k,
-                "dfa": by_dfa,
-                "tilings": by_tilings,
-                "fibonacci_product": expected,
-            }
-            break
-    return [report]
-
-
-def _claim_eq1(args, ms) -> list:
-    report = oracle.VerificationReport(claim="eq1", params={"n_max": args.n_max})
-    report.passed = True
-    dfa = regex.block_word_dfa(3)
-    for n in range(1, args.n_max + 1):
-        lhs = dfa.count_words(n)
-        rhs = sum((n - k) * fib(2, k - 1) * fib(2, k) for k in range(1, n))
-        if lhs != rhs:
-            report.passed = False
-            report.counterexample = {"n": n, "word_count": lhs, "double_sum": rhs}
-            break
-    return [report, oracle.verify_identity_sums(min(args.n_max * 4, 60))]
-
-
-def _claim_gf3(args, ms) -> list:
-    reports = []
-    v = series.t_substitution_inverse(3)
-    sub_report = oracle.VerificationReport(
-        claim="gf3-substitution", params={"coefficients": "1/4 1/8 5/64"}
-    )
-    sub_report.passed = v.coeffs[1:] == (Fraction(1, 4), Fraction(1, 8), Fraction(5, 64))
-    reports.append(sub_report)
-    for m in (2, 3, 4):
-        report = oracle.VerificationReport(
-            claim="gf3", params={"m": m, "x_order": 7, "t_order": 5}
-        )
-        lhs, rhs = series.ipk_gf_sides(m, 7, 5)
-        mismatch = series.first_mismatch(lhs, rhs)
-        report.passed = mismatch is None
-        if mismatch is not None:
-            n, i, left, right = mismatch
-            report.counterexample = {
-                "x_power": n,
-                "t_power": i,
-                "lhs": str(left),
-                "rhs": str(right),
-            }
-        reports.append(report)
-    return reports
-
-
-def _claim_gf5(args, ms) -> list:
-    reports = []
-    for m in (2, 3, 4):
-        report = oracle.VerificationReport(
-            claim="gf5", params={"m": m, "x_order": 7, "t_order": 5}
-        )
-        lhs, rhs = series.ilpk_gf_sides(m, 7, 5)
-        mismatch = series.first_mismatch(lhs, rhs)
-        report.passed = mismatch is None
-        if mismatch is not None:
-            n, i, left, right = mismatch
-            report.counterexample = {
-                "x_power": n,
-                "t_power": i,
-                "lhs": str(left),
-                "rhs": str(right),
-            }
-        reports.append(report)
-    return reports
-
-
-def _claim_gf_general(args, ms) -> list:
-    reports = []
-    for m in ms:
-        report = oracle.VerificationReport(
-            claim="gf-general", params={"m": m, "n_max": args.n_max}
-        )
-        report.passed = True
-        expansion = series.ilpk_one_ogf(m, args.n_max)
-        dfa = regex.block_word_dfa(m)
-        for n in range(1, args.n_max + 1):
-            coefficient = expansion.coeffs[n]
-            by_dfa = dfa.count_words(n)
-            by_oracle = oracle.count_ilpk1_avoiders(n, m, allow_large=args.unsafe_large_n)
-            if not coefficient == by_dfa == by_oracle:
-                report.passed = False
-                report.counterexample = {
-                    "n": n,
-                    "coefficient": str(coefficient),
-                    "dfa": by_dfa,
-                    "oracle": by_oracle,
-                }
-                break
-        reports.append(report)
-    return reports
-
-
-_CLAIM_RUNNERS: dict[str, Callable] = {
-    "theorem1": _claim_theorem1,
-    "theorem2": _claim_theorem2,
-    "theorem4": _claim_theorem4,
-    "corollaries": _claim_corollaries,
-    "prop6": _claim_prop6,
-    "prop7": _claim_prop7,
-    "prop8": _claim_prop8,
-    "eq1": _claim_eq1,
-    "gf3": _claim_gf3,
-    "gf5": _claim_gf5,
-    "gf-general": _claim_gf_general,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +318,8 @@ def _emit_pairs(args, kind: str, pairs: list[tuple[str, Any]]) -> None:
         lines = ["field,value"] + [f"{k},{v}" for k, v in pairs]
         _emit(args, "\n".join(lines))
     else:
-        lines = []
-        stamp = _timestamp(args)
-        if stamp is not None:
-            lines.append(f"generated-at: {stamp}")
         width = max(len(k) for k, _ in pairs)
-        for k, v in pairs:
-            lines.append(f"{k.ljust(width)}  {v}")
-        _emit(args, "\n".join(lines))
+        _emit_text(args, [f"{k.ljust(width)}  {v}" for k, v in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -777,86 +489,46 @@ def _biject_word(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        if args.kind in ("counts-thm1", "counts-thm2", "descent-matrix"):
-            if args.n_max > SAFE_N_MAX and not args.unsafe_large_n:
-                raise UsageError(
-                    f"--n-max {args.n_max} exceeds the safe bound {SAFE_N_MAX}; "
-                    "pass --unsafe-large-n"
-                )
-        if args.kind == "descent-matrix" and args.n_max > 8:
-            raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
+    ms = _parse_int_list(args.m)
+    if counted_claim is not None:
+        claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
+    if args.kind == "descent-matrix" and args.n_max > 8:
+        raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
 
+    note = None
     if args.kind == "fib":
         order = args.order if args.order is not None else 2
+        params, columns = {"order": order, "n_max": args.n_max}, ["n", "value"]
         rows = [[n, fib(order, n)] for n in range(args.n_max + 1)]
-        _emit_table(
-            args,
-            "fib",
-            {"order": order, "n_max": args.n_max},
-            ["n", "value"],
-            rows,
-            note=FIB_INDEXING_NOTE,
-        )
+        note = FIB_INDEXING_NOTE
     elif args.kind == "counts-thm1":
-        ms = _parse_int_list(args.m, (3, 4, 5))
+        ms = ms or claims.CLAIMS["theorem1"].default_ms
+        params, columns = {"m": list(ms), "n_max": args.n_max}, ["m", "n", "count", "fibonacci"]
         rows = [
-            [m, n, oracle.count_ipk0_avoiders(n, m, allow_large=args.unsafe_large_n), fib(m - 1, n)]
+            [m, n, *claims.theorem1_counts(n, m, args.unsafe_large_n)]
             for m in ms
             for n in range(1, args.n_max + 1)
         ]
-        _emit_table(
-            args,
-            "counts-thm1",
-            {"m": list(ms), "n_max": args.n_max},
-            ["m", "n", "count", "fibonacci"],
-            rows,
-        )
     elif args.kind == "counts-thm2":
+        params, columns = {"n_max": args.n_max}, ["n", "count", "closed_form"]
         rows = [
-            [
-                n,
-                oracle.count_ilpk1_avoiders(n, 3, allow_large=args.unsafe_large_n),
-                fib(2, n - 1) * fib(2, n) - (n + 1) // 2,
-            ]
+            [n, *claims.theorem2_counts(n, args.unsafe_large_n)]
             for n in range(1, args.n_max + 1)
         ]
-        _emit_table(
-            args,
-            "counts-thm2",
-            {"n_max": args.n_max},
-            ["n", "count", "closed_form"],
-            rows,
-        )
     elif args.kind == "gf-coeffs":
-        ms = _parse_int_list(args.m, (3,))
-        m = ms[0]
+        m = (ms or (3,))[0]
         truncation = args.order if args.order is not None else args.n_max
         expansion = series.ilpk_one_ogf(m, truncation)
+        params, columns = {"m": m, "order": expansion.order}, ["n", "coefficient"]
         rows = [[n, str(expansion.coeffs[n])] for n in range(expansion.order + 1)]
-        _emit_table(
-            args,
-            "gf-coeffs",
-            {"m": m, "order": expansion.order},
-            ["n", "coefficient"],
-            rows,
-        )
     else:  # descent-matrix
-        n = args.n_max
-        matrix = oracle.descent_pair_matrix(n)
-        rows = []
-        for (left, right), count in sorted(matrix.items()):
-            rows.append(["-".join(map(str, left)), "-".join(map(str, right)), count])
-        _emit_table(
-            args,
-            "descent-matrix",
-            {"n": n},
-            ["L", "M", "count"],
-            rows,
-        )
+        params, columns = {"n": args.n_max}, ["L", "M", "count"]
+        rows = [
+            ["-".join(map(str, left)), "-".join(map(str, right)), count]
+            for (left, right), count in sorted(oracle.descent_pair_matrix(args.n_max).items())
+        ]
+    _emit_table(args, args.kind, params, columns, rows, note)
     return EXIT_OK
 
 
@@ -895,13 +567,7 @@ def _cmd_series(args) -> int:
             },
         )
     else:
-        lines = []
-        stamp = _timestamp(args)
-        if stamp is not None:
-            lines.append(f"generated-at: {stamp}")
-        lines.append(f"{label}:")
-        lines.append(series.format_series(expansion, var=var))
-        _emit(args, "\n".join(lines))
+        _emit_text(args, [f"{label}:", series.format_series(expansion, var=var)])
     return EXIT_OK
 
 

@@ -55,9 +55,10 @@ class Composition:
         if not text:
             return cls(())
         try:
-            return cls(tuple(int(tok) for tok in text.replace(",", " ").split()))
+            parts = tuple(int(tok) for tok in text.replace(",", " ").split())
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse composition from {text!r}") from exc
+        return cls(parts)
 
     @property
     def n(self) -> int:

@@ -158,12 +158,8 @@ def contains_descending_run(letters: Sequence[int], m: int) -> bool:
     return False
 
 
-def letter_tuples(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
-    """All length-n letter tuples in lexicographic order, without wrapping.
-
-    This is the raw stream behind :func:`enumerate_symmetric_group`; the
-    exhaustive oracles iterate it directly to avoid per-element overhead.
-    """
+def check_enumeration_size(n: int, *, allow_large: bool = False) -> None:
+    """Refuse to enumerate S_n beyond the cap unless explicitly allowed."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     cap = enumeration_cap()
@@ -172,6 +168,15 @@ def letter_tuples(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, .
             f"enumerating S_{n} exceeds the cap of {cap}; "
             f"pass allow_large=True or set {_CAP_ENV_VAR}"
         )
+
+
+def letter_tuples(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
+    """All length-n letter tuples in lexicographic order, without wrapping.
+
+    This is the raw stream behind :func:`enumerate_symmetric_group`; the
+    exhaustive oracles iterate it directly to avoid per-element overhead.
+    """
+    check_enumeration_size(n, allow_large=allow_large)
     return itertools.permutations(range(1, n + 1))
 
 

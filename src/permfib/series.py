@@ -12,18 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
+from . import oracle
 from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
-from .permutations import (
-    contains_ascending_run,
-    contains_descending_run,
-    inverse_letters,
-    left_peak_count,
-    letter_tuples,
-    peak_count,
-)
+from .permutations import check_enumeration_size
 
 Coefficient = Union[Fraction, "TruncatedSeries"]
 
@@ -230,10 +223,6 @@ def one_series(order: int) -> TruncatedSeries:
     return from_coeffs([1], order)
 
 
-def zero_series(order: int) -> TruncatedSeries:
-    return from_coeffs([], order)
-
-
 def evaluate_polynomial(coefficients: Sequence, point: TruncatedSeries) -> TruncatedSeries:
     """Horner evaluation of an exact polynomial at a series."""
     result = point.zero_like()
@@ -382,28 +371,18 @@ def ilpk_gf_coeff_prime(m: int, j: int, k: int) -> int:
 # Enumeration-backed statistic polynomials
 
 
-@lru_cache(maxsize=None)
 def ipk_polynomial(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of sum over ascending-m-run avoiders of t^(ipk+1); 1 at n=0."""
-    if m < 2:
-        raise InvalidInputError(f"m must be >= 2, got {m}")
-    if n < 0:
-        raise InvalidInputError("n must be nonnegative")
-    if n > _ENUMERATION_ORDER_LIMIT:
-        raise ResourceLimitError(f"polynomials are enumeration backed; n <= {_ENUMERATION_ORDER_LIMIT}")
-    if n == 0:
-        return (1,)
-    counts = [0] * (n + 2)
-    for letters in letter_tuples(n):
-        if contains_ascending_run(letters, m):
-            continue
-        counts[peak_count(inverse_letters(letters)) + 1] += 1
-    return _trim(counts)
+    return _polynomial(m, n, lambda up, down, ipk, ilpk: ipk + 1 if up < m else None)
 
 
-@lru_cache(maxsize=None)
 def ilpk_polynomial(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of sum over descending-m-run avoiders of t^(ilpk); 1 at n=0."""
+    return _polynomial(m, n, lambda up, down, ipk, ilpk: ilpk if down < m else None)
+
+
+def _polynomial(m: int, n: int, power: Callable[..., Optional[int]]) -> tuple[int, ...]:
+    """Tally the S_n histogram by the power each key maps to; None skips it."""
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
     if n < 0:
@@ -412,11 +391,12 @@ def ilpk_polynomial(m: int, n: int) -> tuple[int, ...]:
         raise ResourceLimitError(f"polynomials are enumeration backed; n <= {_ENUMERATION_ORDER_LIMIT}")
     if n == 0:
         return (1,)
+    check_enumeration_size(n)
     counts = [0] * (n + 2)
-    for letters in letter_tuples(n):
-        if contains_descending_run(letters, m):
-            continue
-        counts[left_peak_count(inverse_letters(letters))] += 1
+    for key, count in oracle.sweep(n).histogram.items():
+        exponent = power(*key)
+        if exponent is not None:
+            counts[exponent] += count
     return _trim(counts)
 
 

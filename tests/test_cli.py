@@ -49,6 +49,22 @@ class TestVerify:
         assert code == 2
         assert "unknown claim" in err
 
+    def test_invalid_claim_parameters_are_usage_errors(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--claim", "theorem1", "--m", "2")
+        assert (code, out) == (2, "")
+        assert "--m must be >= 3" in err
+        # a width bound below 1 would check nothing and report PASS
+        code, out, err = run_cli(capsys, "verify", "--claim", "prop8", "--k-max", "0")
+        assert (code, out) == (2, "")
+        assert "--k-max must be in 1..12" in err
+
+    def test_millis_measure_the_work(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "prop7", "--n-max", "9", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["reports"][0]["millis"] > 0
+
     def test_json_reports_validate(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--claim", "prop8,eq1", "--format", "json",
@@ -115,6 +131,11 @@ class TestBiject:
         )
         assert code == 0
         assert "4 5 6 3 7 2 8 9 1" in out
+
+    def test_zero_part_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "biject", "--composition", "0,1")
+        assert code == 1
+        assert "parts must be >= 1" in err
 
     def test_permutation_outside_avoider_set(self, capsys):
         code, out, _ = run_cli(
