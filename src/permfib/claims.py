@@ -1,8 +1,8 @@
 """The registry of checkable claims behind ``permfib verify``.
 
-Each claim has a name, its default pattern lengths, the domain of the
-parameters it reads, whether it sweeps S_n, and a check taking explicit
-parameters that yields one report per checked case.  :func:`validate`
+Each claim has a name, its default pattern lengths, whether it sweeps S_n,
+the caps on its size parameters, and a check taking explicit parameters
+that yields one report per checked case.  :func:`validate`
 rejects bad parameters before any work starts, and :func:`run` validates,
 runs and times every report the same way.
 """
@@ -29,18 +29,20 @@ class UsageError(InvalidInputError):
 class Claim(NamedTuple):
     name: str
     check: Callable[..., Iterator[VerificationReport]]
-    #: Inclusive (low, high) bounds of the parameters the check reads;
-    #: a high of None leaves the top open.
-    domain: dict[str, tuple[int, Optional[int]]] = {}
+    #: Pattern lengths checked when none are given; empty for claims that
+    #: do not read m.  Every m a claim reads must be at least 3.
     default_ms: tuple[int, ...] = ()
+    #: Whether the check sweeps S_n for every n up to n_max.
     sweeps: bool = False
+    #: Largest n_max, and largest k_max, the check accepts; None: no cap.
+    max_n: Optional[int] = None
+    max_k: Optional[int] = None
 
 
 def theorem1_counts(n: int, m: int, allow_large: bool = False) -> tuple[int, int]:
     """Enumerated peakless-inverse m-run avoiders, and the order-(m-1)
     Fibonacci number they should equal."""
-    expected = compositions.fib(m - 1, n)
-    return oracle.count_ipk0_avoiders(n, m, allow_large=allow_large), expected
+    return oracle.count_ipk0_avoiders(n, m, allow_large=allow_large), compositions.fib(m - 1, n)
 
 
 def theorem2_counts(n: int, allow_large: bool = False) -> tuple[int, int]:
@@ -49,9 +51,7 @@ def theorem2_counts(n: int, allow_large: bool = False) -> tuple[int, int]:
     return oracle.count_ilpk1_avoiders(n, 3, allow_large=allow_large), expected
 
 
-def _report(
-    claim: str, params: dict[str, Any], counterexample: Optional[dict]
-) -> VerificationReport:
+def _report(claim: str, params: dict[str, Any], counterexample: dict | None) -> VerificationReport:
     return VerificationReport(claim, params, counterexample is None, counterexample)
 
 
@@ -206,28 +206,29 @@ def _gf_general(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
 CLAIMS: dict[str, Claim] = {
     claim.name: claim
     for claim in (
-        Claim("theorem1", _theorem1, {"m": (3, None)}, (3, 4, 5), sweeps=True),
+        Claim("theorem1", _theorem1, (3, 4, 5), sweeps=True),
         Claim("theorem2", _theorem2, sweeps=True),
         Claim("theorem4", _theorem4, sweeps=True),
         Claim("corollaries", _corollaries, sweeps=True),
-        Claim("prop6", _prop6, {"m": (3, None)}, (3,), sweeps=True),
-        Claim("prop7", _prop7, {"m": (3, None), "n_max": (1, 12)}, (3,)),
-        Claim("prop8", _prop8, {"k_max": (1, 12)}),
+        Claim("prop6", _prop6, (3,), sweeps=True),
+        Claim("prop7", _prop7, (3,), max_n=12),
+        Claim("prop8", _prop8, max_k=12),
         Claim("eq1", _eq1),
         Claim("gf3", _gf3),
         Claim("gf5", _gf5),
-        Claim("gf-general", _gf_general, {"m": (3, None)}, (3, 4), sweeps=True),
+        Claim("gf-general", _gf_general, (3, 4), sweeps=True),
     )
 }
 
 
 def validate(
-    names: Iterable[str], *, n_max: int, k_max: int = 10,
+    names: Iterable[str], *, n_max: int, k_max: Optional[int] = None,
     ms: Optional[tuple[int, ...]] = None, allow_large: bool = False,
 ) -> None:
     """Raise UsageError unless every named claim accepts these parameters.
 
-    ``ms`` of None stands for each claim's default pattern lengths.
+    ``ms`` of None stands for each claim's default pattern lengths, and
+    ``k_max`` of None for a width bound that was not given.
     """
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
@@ -245,17 +246,15 @@ def validate(
                     f"--n-max {n_max} exceeds the enumeration cap {cap} "
                     "(set PERMFIB_MAX_N to raise it)"
                 )
-        values = {"n_max": [n_max], "k_max": [k_max], "m": ms or claim.default_ms}
-        for param, (low, high) in claim.domain.items():
-            for value in values[param]:
-                if value < low or (high is not None and value > high):
-                    bound = f">= {low}" if high is None else f"in {low}..{high}"
-                    option = "--" + param.replace("_", "-")
-                    raise UsageError(f"{name}: {option} must be {bound}, got {value}")
+        if claim.default_ms and min(ms or claim.default_ms) < 3:
+            raise UsageError(f"{name}: --m must be >= 3, got {min(ms or claim.default_ms)}")
+        for option, value, high in ("--n-max", n_max, claim.max_n), ("--k-max", k_max, claim.max_k):
+            if high is not None and (value is None or not 1 <= value <= high):
+                raise UsageError(f"{name}: {option} must be in 1..{high}, got {value}")
 
 
 def run(
-    names: Iterable[str], *, n_max: int, k_max: int = 10,
+    names: Iterable[str], *, n_max: int, k_max: int,
     ms: Optional[tuple[int, ...]] = None, allow_large: bool = False,
 ) -> list[VerificationReport]:
     """Validate every named claim, then run them in order.

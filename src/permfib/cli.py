@@ -489,8 +489,8 @@ def _biject_word(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    ms = _parse_int_list(args.m) if args.kind in ("counts-thm1", "gf-coeffs") else None
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
-    ms = _parse_int_list(args.m)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
     if args.kind == "descent-matrix" and args.n_max > 8:

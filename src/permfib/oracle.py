@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Iterator, Optional
@@ -76,21 +77,49 @@ def _finish(report: VerificationReport, started: float) -> VerificationReport:
 # The shared S_n sweep
 
 
+def _shape(letters: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Longest ascending run, longest descending run, peaks and left peaks:
+    each compares adjacent letters only, so each is a function of the rise
+    pattern."""
+    up, down = (
+        max((m for m in range(2, len(letters) + 1) if contains(letters, m)), default=1)
+        for contains in (contains_ascending_run, contains_descending_run)
+    )
+    return up, down, peak_count(letters), left_peak_count(letters)
+
+
 @dataclass(frozen=True)
 class Sweep:
     """What the permutation oracles need from one pass over S_n.
 
     ``histogram`` counts permutations by (longest ascending run, longest
-    descending run, ipk, ilpk).  ``ipk0`` holds the letters of the
-    permutations whose inverse has no peak.  ``n_shaped`` holds the letters
-    of the permutations with exactly one left peak, concatenated into one
-    bytes object per length of the longest descending run of the inverse.
+    descending run, ipk, ilpk); only the methods below read its layout.
+    ``ipk0`` holds the letters of the permutations whose inverse has no
+    peak, in lexicographic order.  ``n_shaped`` holds the letters of the
+    permutations with exactly one left peak, concatenated into one bytes
+    object per longest descending run of the inverse.
     """
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
     ipk0: tuple[tuple[int, ...], ...]
     n_shaped: dict[int, bytes]
+
+    def ipk_counts(self, m: int) -> dict[int, int]:
+        """Permutations avoiding an ascending m-run, by peaks of the inverse."""
+        return self._sum((ipk, c) for (up, _, ipk, _), c in self.histogram.items() if up < m)
+
+    def ilpk_counts(self, m: int) -> dict[int, int]:
+        """Permutations avoiding a descending m-run, by left peaks of the inverse."""
+        return self._sum((ilpk, c) for (_, down, _, ilpk), c in self.histogram.items() if down < m)
+
+    @staticmethod
+    def _sum(pairs: Iterator[tuple[int, int]]) -> dict[int, int]:
+        """Total count of each statistic value."""
+        counts: dict[int, int] = {}
+        for stat, count in pairs:
+            counts[stat] = counts.get(stat, 0) + count
+        return counts
 
     def n_shaped_avoiders(self, m: int) -> Iterator[tuple[int, ...]]:
         """Letters of the one-left-peak permutations whose inverse avoids a
@@ -104,51 +133,72 @@ class Sweep:
         )
 
 
-@lru_cache(maxsize=None)
-def sweep(n: int) -> Sweep:
-    """Walk S_n once, computing each inverse once.
+def sweep(n: int, *, allow_large: bool = False) -> Sweep:
+    """The shared pass over S_n.  The pass is cached on n alone, so the
+    size caps are checked here, on every call, before the cache is read."""
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_enumeration_size(n, allow_large=allow_large)
+    return _walk(n)
 
-    The cache is keyed on n alone, so this function checks no size cap:
-    every query below checks its own caps before reading the cache.
+
+@lru_cache(maxsize=None)
+def _walk(n: int) -> Sweep:
+    """Visit each permutation of S_n once, as a tau in S_(n-1) with n
+    inserted before index j, for j = 0..n-1.
+
+    The rise pattern of such a child is fixed by tau's and by j, so the
+    children's runs and peaks are computed once per rise pattern of tau.
+    The child's inverse is tau's with the entries past j shifted up and
+    j + 1 appended: its rise pattern is tau's inverse's plus one bit,
+    whether n comes after n - 1, and its runs and peaks are computed once
+    per such pattern.  Patterns are bytes, as tuple keys cost peak RSS.
     """
     histogram: dict[tuple[int, int, int, int], int] = {}
     ipk0 = []
     n_shaped: dict[int, bytearray] = {}
-    # Runs and peaks compare adjacent letters only, so they are functions of
-    # the rise pattern and are computed once per pattern.  The patterns are
-    # bytes: tuple keys left ~0.8 MB of freed tuples behind at n = 9.
-    shapes: dict[bytes, tuple[int, int, int, int]] = {}
+    # rise pattern of tau -> the longest runs of each child, and the j of
+    # the children with one left peak
+    children: dict[bytes, tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = {}
+    inverses: dict[bytes, tuple[int, int, int, int]] = {}
 
-    def shape(rises: bytes, letters: tuple[int, ...]) -> tuple[int, int, int, int]:
-        up, down = (
-            max((m for m in range(2, n + 1) if contains(letters, m)), default=1)
-            for contains in (contains_ascending_run, contains_descending_run)
-        )
-        shapes[rises] = (up, down, peak_count(letters), left_peak_count(letters))
-        return shapes[rises]
+    def child(tau: tuple[int, ...], j: int) -> tuple[int, ...]:
+        return tau[:j] + (n,) + tau[j:]
 
-    for letters in letter_tuples(n, allow_large=True):
-        rises = bytes(map(operator.lt, letters, letters[1:]))
-        up, down, _, lpk = shapes.get(rises) or shape(rises, letters)
-        inverse = inverse_letters(letters)
+    def inverse_shape(rises: bytes, tau: tuple[int, ...], j: int) -> tuple[int, int, int, int]:
+        if rises not in inverses:
+            inverses[rises] = _shape(inverse_letters(child(tau, j)))
+        return inverses[rises]
+
+    for tau in letter_tuples(n - 1, allow_large=True):
+        rises = bytes(map(operator.lt, tau, tau[1:]))
+        if rises not in children:
+            kids = [_shape(child(tau, j)) for j in range(n)]
+            children[rises] = (
+                tuple(kid[:2] for kid in kids),
+                tuple(j for j, kid in enumerate(kids) if kid[3] == 1),
+            )
+        runs, one_left_peak = children[rises]
+        inverse = inverse_letters(tau)
         rises = bytes(map(operator.lt, inverse, inverse[1:]))
-        _, inverse_down, ipk, ilpk = shapes.get(rises) or shape(rises, inverse)
-        key = (up, down, ipk, ilpk)
-        histogram[key] = histogram.get(key, 0) + 1
-        if ipk == 0:
-            ipk0.append(letters)
-        if lpk == 1:
-            n_shaped.setdefault(inverse_down, bytearray()).extend(letters)
+        # n comes after n - 1 in the children with j >= split
+        split = inverse[-1] if tau else 0
+        shapes = [inverse_shape(rises + b"\0", tau, 0), inverse_shape(rises + b"\1", tau, n - 1)]
+        peaks = (shapes[0][2:], shapes[1][2:])
+        for j, own in enumerate(runs):
+            key = own + peaks[j >= split]
+            histogram[key] = histogram.get(key, 0) + 1
+        for after, js in enumerate((range(split), range(split, n))):
+            if shapes[after][2] == 0:
+                ipk0.extend(child(tau, j) for j in js)
+        for j in one_left_peak:
+            n_shaped.setdefault(shapes[j >= split][1], bytearray()).extend(child(tau, j))
     return Sweep(
-        n, histogram, tuple(ipk0), {run: bytes(blob) for run, blob in sorted(n_shaped.items())}
+        n,
+        histogram,
+        tuple(sorted(ipk0)),
+        {run: bytes(blob) for run, blob in sorted(n_shaped.items())},
     )
-
-
-def _checked_sweep(n: int, allow_large: bool = False) -> Sweep:
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    check_enumeration_size(n, allow_large=allow_large)
-    return sweep(n)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +215,17 @@ def _count_sweep(n: int, m: int, allow_large: bool) -> Sweep:
         raise ResourceLimitError(
             f"counting scans all of S_{n}; n <= {_COUNT_BOUND} unless allow_large is set"
         )
-    return _checked_sweep(n, allow_large)
+    return sweep(n, allow_large=allow_large)
 
 
 def count_ipk0_avoiders(n: int, m: int, *, allow_large: bool = False) -> int:
     """Permutations of n avoiding an ascending m-run whose inverse is peakless."""
-    histogram = _count_sweep(n, m, allow_large).histogram
-    return sum(c for (up, _, ipk, _), c in histogram.items() if up < m and ipk == 0)
+    return _count_sweep(n, m, allow_large).ipk_counts(m).get(0, 0)
 
 
 def count_ilpk1_avoiders(n: int, m: int = 3, *, allow_large: bool = False) -> int:
     """Permutations of n avoiding a descending m-run with ilpk exactly 1."""
-    histogram = _count_sweep(n, m, allow_large).histogram
-    return sum(c for (_, down, _, ilpk), c in histogram.items() if down < m and ilpk == 1)
+    return _count_sweep(n, m, allow_large).ilpk_counts(m).get(1, 0)
 
 
 def count_n_shaped_inverse_avoiders(n: int, m: int = 3, *, allow_large: bool = False) -> int:
@@ -203,12 +251,9 @@ def verify_descent_uniqueness(n: int) -> VerificationReport:
     and it is the one the direct construction produces."""
     started = time.monotonic()
     report = VerificationReport(claim="descent-uniqueness", params={"n": n})
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for letters in _checked_sweep(n).ipk0:
-        parts = increasing_run_lengths(letters)
-        counts[parts] = counts.get(parts, 0) + 1
-        found[parts] = letters
+    peakless = sweep(n).ipk0
+    counts = Counter(map(increasing_run_lengths, peakless))
+    found = {increasing_run_lengths(letters): letters for letters in peakless}
     for composition in enumerate_compositions(n):
         parts = composition.parts
         expected = zero_ipk_permutation(composition).letters
@@ -234,23 +279,13 @@ def verify_corollaries(n: int) -> VerificationReport:
     """
     started = time.monotonic()
     report = VerificationReport(claim="corollaries", params={"n": n})
-    alternating = 0
-    reverse_alternating = 0
-    by_des: dict[int, int] = {}
-    by_pk: dict[int, int] = {}
-    by_lpk: dict[int, int] = {}
-    for letters in _checked_sweep(n).ipk0:
-        rises = [letters[i - 1] < letters[i] for i in range(1, n)]
-        if all(r == (i % 2 == 0) for i, r in enumerate(rises)):
-            alternating += 1
-        if all(r == (i % 2 == 1) for i, r in enumerate(rises)):
-            reverse_alternating += 1
-        des = sum(1 for r in rises if not r)
-        by_des[des] = by_des.get(des, 0) + 1
-        pk = peak_count(letters)
-        by_pk[pk] = by_pk.get(pk, 0) + 1
-        lpk = left_peak_count(letters)
-        by_lpk[lpk] = by_lpk.get(lpk, 0) + 1
+    peakless = sweep(n).ipk0
+    rises = [bytes(map(operator.lt, letters, letters[1:])) for letters in peakless]
+    alternating = rises.count(bytes(i % 2 == 0 for i in range(n - 1)))
+    reverse_alternating = rises.count(bytes(i % 2 == 1 for i in range(n - 1)))
+    by_des = Counter(pattern.count(0) for pattern in rises)
+    by_pk = Counter(map(peak_count, peakless))
+    by_lpk = Counter(map(left_peak_count, peakless))
 
     def fail(name: str, k: int, got: int, expected: int) -> VerificationReport:
         report.passed = False
@@ -262,13 +297,13 @@ def verify_corollaries(n: int) -> VerificationReport:
     if reverse_alternating != 1:
         return fail("reverse-alternating", 0, reverse_alternating, 1)
     for k in range(n):
-        if by_des.get(k, 0) != math.comb(n - 1, k):
-            return fail("descents", k, by_des.get(k, 0), math.comb(n - 1, k))
+        if by_des[k] != math.comb(n - 1, k):
+            return fail("descents", k, by_des[k], math.comb(n - 1, k))
     for k in range(n + 1):
-        if by_pk.get(k, 0) != math.comb(n, 2 * k + 1):
-            return fail("peaks", k, by_pk.get(k, 0), math.comb(n, 2 * k + 1))
-        if by_lpk.get(k, 0) != math.comb(n, 2 * k):
-            return fail("left-peaks", k, by_lpk.get(k, 0), math.comb(n, 2 * k))
+        if by_pk[k] != math.comb(n, 2 * k + 1):
+            return fail("peaks", k, by_pk[k], math.comb(n, 2 * k + 1))
+        if by_lpk[k] != math.comb(n, 2 * k):
+            return fail("left-peaks", k, by_lpk[k], math.comb(n, 2 * k))
     report.passed = True
     return _finish(report, started)
 
@@ -374,9 +409,7 @@ def triangulated_counts(n: int, m: int = 3, *, allow_large: bool = False) -> dic
         "word_dfa": by_dfa,
     }
     if m == 3:
-        tiling_sum = 0
-        for k in range(1, n):
-            width_count = sum(1 for _ in tilings.enumerate_tilings(k))
-            tiling_sum += (n - k) * width_count
-        out["tiling_sum"] = tiling_sum
+        out["tiling_sum"] = sum(
+            (n - k) * sum(1 for _ in tilings.enumerate_tilings(k)) for k in range(1, n)
+        )
     return out

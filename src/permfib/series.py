@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import oracle
 from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
-from .permutations import check_enumeration_size
 
 Coefficient = Union[Fraction, "TruncatedSeries"]
 
@@ -373,16 +372,18 @@ def ilpk_gf_coeff_prime(m: int, j: int, k: int) -> int:
 
 def ipk_polynomial(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of sum over ascending-m-run avoiders of t^(ipk+1); 1 at n=0."""
-    return _polynomial(m, n, lambda up, down, ipk, ilpk: ipk + 1 if up < m else None)
+    return _polynomial(m, n, lambda swept: swept.ipk_counts(m), shift=1)
 
 
 def ilpk_polynomial(m: int, n: int) -> tuple[int, ...]:
     """Coefficients of sum over descending-m-run avoiders of t^(ilpk); 1 at n=0."""
-    return _polynomial(m, n, lambda up, down, ipk, ilpk: ilpk if down < m else None)
+    return _polynomial(m, n, lambda swept: swept.ilpk_counts(m), shift=0)
 
 
-def _polynomial(m: int, n: int, power: Callable[..., Optional[int]]) -> tuple[int, ...]:
-    """Tally the S_n histogram by the power each key maps to; None skips it."""
+def _polynomial(
+    m: int, n: int, tally: Callable[[oracle.Sweep], dict[int, int]], shift: int
+) -> tuple[int, ...]:
+    """Coefficients of t^(statistic + shift) over the permutations tallied."""
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
     if n < 0:
@@ -391,12 +392,9 @@ def _polynomial(m: int, n: int, power: Callable[..., Optional[int]]) -> tuple[in
         raise ResourceLimitError(f"polynomials are enumeration backed; n <= {_ENUMERATION_ORDER_LIMIT}")
     if n == 0:
         return (1,)
-    check_enumeration_size(n)
     counts = [0] * (n + 2)
-    for key, count in oracle.sweep(n).histogram.items():
-        exponent = power(*key)
-        if exponent is not None:
-            counts[exponent] += count
+    for power, count in tally(oracle.sweep(n)).items():
+        counts[power + shift] += count
     return _trim(counts)
 
 
@@ -440,26 +438,8 @@ def ipk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, T
         lhs_rows.append(value)
         ratio_power = ratio_power * ratio
 
-    rhs_matrix = [[Fraction(0)] * (t_order + 1) for _ in range(x_order + 1)]
-    rhs_matrix[0][0] = Fraction(1)
-    for k in range(1, t_order + 1):
-        bracket = [Fraction(0)] * (x_order + 1)
-        bracket[0] = Fraction(1)
-        if x_order >= 1:
-            bracket[1] -= 2 * k
-        j = 1
-        while j * m <= x_order:
-            bracket[j * m] += ipk_gf_coeff(m, j, k)
-            if j * m + 1 <= x_order:
-                bracket[j * m + 1] -= ipk_gf_coeff_prime(m, j, k)
-            j += 1
-        inverted = TruncatedSeries(tuple(bracket)).invert()
-        for n in range(x_order + 1):
-            rhs_matrix[n][k] += inverted.coeffs[n]
-
-    lhs = TruncatedSeries(tuple(lhs_rows))
-    rhs = TruncatedSeries(tuple(TruncatedSeries(tuple(row)) for row in rhs_matrix))
-    return lhs, rhs
+    rhs = _gf_rhs(m, x_order, t_order, [1] + [0] * x_order, 0, ipk_gf_coeff, ipk_gf_coeff_prime)
+    return TruncatedSeries(tuple(lhs_rows)), rhs
 
 
 def ilpk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -484,27 +464,32 @@ def ilpk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, 
         numerator_power = numerator_power * one_plus_t
         denominator_power = denominator_power * inv_one_minus_t
 
-    rhs_matrix = [[Fraction(0)] * (t_order + 1) for _ in range(x_order + 1)]
-    for n in range(x_order + 1):
-        rhs_matrix[n][0] += 1
+    rhs = _gf_rhs(m, x_order, t_order, [1] * (x_order + 1), 1, ilpk_gf_coeff, ilpk_gf_coeff_prime)
+    return TruncatedSeries(tuple(lhs_rows)), rhs
+
+
+def _gf_rhs(
+    m: int, x_order: int, t_order: int, constants: list[int], slope: int,
+    coeff: Callable[[int, int, int], int], coeff_prime: Callable[[int, int, int], int],
+) -> TruncatedSeries:
+    """The right side of a master identity: ``constants`` at t^0, and at
+    t^k the inverse of 1 - (2k+slope)x + sum_j (coeff x^(jm) - coeff_prime x^(jm+1))."""
+    rows = [[Fraction(c)] + [Fraction(0)] * t_order for c in constants]
     for k in range(1, t_order + 1):
         bracket = [Fraction(0)] * (x_order + 1)
         bracket[0] = Fraction(1)
         if x_order >= 1:
-            bracket[1] -= 2 * k + 1
+            bracket[1] -= 2 * k + slope
         j = 1
         while j * m <= x_order:
-            bracket[j * m] += ilpk_gf_coeff(m, j, k)
+            bracket[j * m] += coeff(m, j, k)
             if j * m + 1 <= x_order:
-                bracket[j * m + 1] -= ilpk_gf_coeff_prime(m, j, k)
+                bracket[j * m + 1] -= coeff_prime(m, j, k)
             j += 1
         inverted = TruncatedSeries(tuple(bracket)).invert()
         for n in range(x_order + 1):
-            rhs_matrix[n][k] += inverted.coeffs[n]
-
-    lhs = TruncatedSeries(tuple(lhs_rows))
-    rhs = TruncatedSeries(tuple(TruncatedSeries(tuple(row)) for row in rhs_matrix))
-    return lhs, rhs
+            rows[n][k] += inverted.coeffs[n]
+    return TruncatedSeries(tuple(TruncatedSeries(tuple(row)) for row in rows))
 
 
 def first_mismatch(

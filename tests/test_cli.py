@@ -189,6 +189,13 @@ class TestTable:
         counts = [line.split(",")[1] for line in lines[1:]]
         assert counts == ["0", "1", "4", "13", "37", "101"]
 
+    def test_m_is_parsed_only_by_kinds_that_read_it(self, capsys):
+        code, _, _ = run_cli(capsys, "table", "--kind", "fib", "--m", "x", "--n-max", "3")
+        assert code == 0
+        code, _, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--m", "x")
+        assert code == 2
+        assert "comma list of integers" in err
+
     def test_fib_row_with_note(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--kind", "fib", "--order", "2", "--n-max", "10",

@@ -63,3 +63,5 @@ def test_caps_are_checked_on_a_warm_cache(monkeypatch):
         series.ipk_polynomial(3, 6)
     with pytest.raises(ResourceLimitError):
         oracle.verify_corollaries(6)
+    with pytest.raises(ResourceLimitError):
+        oracle.sweep(6)
