@@ -228,10 +228,15 @@ def validate(
     """Raise UsageError unless every named claim accepts these parameters.
 
     ``ms`` of None stands for each claim's default pattern lengths, and
-    ``k_max`` of None for a width bound that was not given.
+    ``k_max`` of None for a width bound that was not given.  Pattern lengths
+    that no named claim reads are rejected, not ignored.
     """
+    names = tuple(names)
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
+    if ms is not None and not any(CLAIMS[name].default_ms for name in names):
+        readers = ", ".join(name for name, claim in CLAIMS.items() if claim.default_ms)
+        raise UsageError(f"--m is read only by {readers}")
     for name in names:
         claim = CLAIMS[name]
         if claim.sweeps:

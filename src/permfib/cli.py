@@ -2,9 +2,10 @@
 emit tables and series expansions.
 
 Exit codes: 0 all good; 1 a counterexample, or an input that a library
-operation rejects (such as a malformed permutation for stats, or a word
-outside every map's domain for biject); 2 usage error: an unknown option or
-claim, a claim parameter outside the claim's domain, or a size bound
+operation rejects (such as a malformed permutation for stats, a word
+outside every map's domain for biject, or a negative series order); 2 usage
+error: an unknown option or claim, a claim parameter outside the claim's
+domain or read by no selected claim, a negative --n-max, or a size bound
 exceeded without the override flag.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
@@ -13,15 +14,18 @@ Output is deterministic; the timestamp (and timing fields) disappear under
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
+import itertools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from . import bijections, claims, oracle, regex, series, tilings
 from .claims import SAFE_N_MAX, UsageError
 from .compositions import Composition, fib
-from .errors import PermfibError, ResourceLimitError
+from .errors import NotInDomainError, PermfibError, ResourceLimitError
 from .permutations import Permutation, descent_composition, statistics
 from .words import check_word, forbidden_factors, is_avoiding_block_word, is_block_word
 
@@ -58,7 +62,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        out = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -68,6 +72,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PermfibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
+    _render(args, out)
+    return out.code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,16 +158,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 
 
-def _timestamp(args) -> str | None:
-    if args.no_timestamp:
-        return None
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+class Output(NamedTuple):
+    """What a command reports: the JSON payload, the CSV columns and rows, the
+    text lines and the exit code.  :func:`_render` writes one format of it."""
+
+    json: dict[str, Any]
+    columns: list[str]
+    rows: Sequence[Sequence[Any]]
+    text: list[str]
+    code: int = EXIT_OK
 
 
-def _emit(args, text: str) -> None:
+def _render(args, out: Output) -> None:
+    """Write the chosen format of ``out`` to the sink.  Text is headed by the
+    generation time and JSON carries it as a last key, unless --no-timestamp.
+    JSON spells compositions and fractions as strings."""
+    stamp = None
+    if not args.no_timestamp:
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    if args.format == "json":
+        payload = dict(out.json, timestamp=stamp) if stamp else out.json
+        text = json.dumps(payload, indent=2, default=str)
+    elif args.format == "csv":
+        sink = io.StringIO()
+        rows = [[_csv_cell(cell) for cell in row] for row in out.rows]
+        csv.writer(sink, lineterminator="\n").writerows([out.columns, *rows])
+        text = sink.getvalue()
+    else:
+        text = "\n".join(([f"generated-at: {stamp}"] if stamp else []) + out.text)
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -171,45 +198,34 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_text(args, lines: list[str]) -> None:
-    """Text output, headed by the generation time unless --no-timestamp."""
-    stamp = _timestamp(args)
-    _emit(args, "\n".join(([f"generated-at: {stamp}"] if stamp else []) + lines))
+def _csv_cell(cell: Any) -> str:
+    """A composition's parts are joined by '-', so the cell needs no quotes."""
+    if isinstance(cell, Composition):
+        return "-".join(map(str, cell.parts))
+    return str(cell)
 
 
-def _emit_json(args, payload: dict[str, Any]) -> None:
-    stamp = _timestamp(args)
-    if stamp is not None:
-        payload["timestamp"] = stamp
-    _emit(args, json.dumps(payload, indent=2))
+def _table(kind: str, params: dict[str, Any], columns: list[str],
+           rows: list[list[Any]], note: str | None = None) -> Output:
+    widths = [max(len(str(row[i])) for row in [columns, *rows]) for i in range(len(columns))]
+    text = [f"note: {note}"] if note else []
+    text += [
+        "  ".join(str(cell).ljust(width) for cell, width in zip(row, widths))
+        for row in [columns, *rows]
+    ]
+    payload: dict[str, Any] = {"kind": kind, "params": params, "columns": columns, "rows": rows}
+    if note:
+        payload["note"] = note
+    return Output(payload, columns, rows, text)
 
 
-def _emit_table(args, kind: str, params: dict[str, Any], columns: list[str],
-                rows: list[list[Any]], note: str | None = None) -> None:
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(str(cell) for cell in row) for row in rows]
-        _emit(args, "\n".join(lines))
-    elif args.format == "json":
-        payload: dict[str, Any] = {
-            "kind": kind,
-            "params": params,
-            "columns": columns,
-            "rows": rows,
-        }
-        if note:
-            payload["note"] = note
-        _emit_json(args, payload)
-    else:
-        widths = [
-            max(len(str(col)), *(len(str(row[i])) for row in rows)) if rows else len(col)
-            for i, col in enumerate(columns)
-        ]
-        lines = [f"note: {note}"] if note else []
-        lines.append("  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)))
-        for row in rows:
-            lines.append("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
-        _emit_text(args, lines)
+def _pairs(kind: str, pairs: list[tuple[str, Any]], tiling: tilings.Tiling | None = None) -> Output:
+    """Field/value output; in text, a tiling is drawn below the fields."""
+    width = max(len(key) for key, _ in pairs)
+    text = [f"{key.ljust(width)}  {value}" for key, value in pairs]
+    if tiling is not None:
+        text += render_tiling(tiling).split("\n")
+    return Output({"kind": kind, **dict(pairs)}, ["field", "value"], pairs, text)
 
 
 def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
@@ -228,7 +244,7 @@ def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
 # verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     reports = claims.run(
         _selected_claims(args.claim),
         n_max=args.n_max,
@@ -237,31 +253,25 @@ def _cmd_verify(args) -> int:
         allow_large=args.unsafe_large_n,
     )
     all_pass = all(r.passed for r in reports)
-    include_millis = not args.no_timestamp
-    if args.format == "json":
-        payload = {
-            "reports": [r.to_json_dict(include_millis=include_millis) for r in reports],
-            "all_pass": all_pass,
-        }
-        _emit_json(args, payload)
-    elif args.format == "csv":
-        lines = ["claim,pass,params"]
-        for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in r.params.items())
-            lines.append(f"{r.claim},{str(r.passed).lower()},{params}")
-        _emit(args, "\n".join(lines))
-    else:
-        lines = []
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            params = ", ".join(f"{k}={v}" for k, v in r.params.items())
-            suffix = f"  [{r.millis} ms]" if include_millis else ""
-            lines.append(f"{status}  {r.claim}  ({params}){suffix}")
-            if r.counterexample is not None:
-                lines.append(f"      counterexample: {r.counterexample}")
-        lines.append("result: " + ("all claims pass" if all_pass else "FAILURES FOUND"))
-        _emit_text(args, lines)
-    return EXIT_OK if all_pass else EXIT_COUNTEREXAMPLE
+    timed = not args.no_timestamp
+    text = []
+    for r in reports:
+        params = ", ".join(f"{k}={v}" for k, v in r.params.items())
+        suffix = f"  [{r.millis} ms]" if timed else ""
+        text.append(f"{'PASS' if r.passed else 'FAIL'}  {r.claim}  ({params}){suffix}")
+        if r.counterexample is not None:
+            text.append(f"      counterexample: {r.counterexample}")
+    text.append("result: " + ("all claims pass" if all_pass else "FAILURES FOUND"))
+    return Output(
+        {"reports": [r.to_json_dict(include_millis=timed) for r in reports], "all_pass": all_pass},
+        ["claim", "pass", "params"],
+        [
+            [r.claim, str(r.passed).lower(), " ".join(f"{k}={v}" for k, v in r.params.items())]
+            for r in reports
+        ],
+        text,
+        EXIT_OK if all_pass else EXIT_COUNTEREXAMPLE,
+    )
 
 
 def _selected_claims(raw: str) -> tuple[str, ...]:
@@ -280,10 +290,10 @@ def _selected_claims(raw: str) -> tuple[str, ...]:
 # stats
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> Output:
     p = Permutation.from_text(args.perm)
     report = statistics(p)
-    pairs: list[tuple[str, Any]] = [
+    return _pairs("stats", [
         ("permutation", str(p)),
         ("n", p.n),
         ("des", report.des),
@@ -299,27 +309,8 @@ def _cmd_stats(args) -> int:
         ("right_valley_positions", " ".join(map(str, report.right_valley_positions))),
         ("ipk", report.ipk),
         ("ilpk", report.ilpk),
-        ("descent_composition", _composition_text(descent_composition(p), args)),
-    ]
-    _emit_pairs(args, "stats", pairs)
-    return EXIT_OK
-
-
-def _composition_text(composition: Composition, args) -> str:
-    if args.format == "csv":
-        return "-".join(str(part) for part in composition.parts)
-    return str(composition)
-
-
-def _emit_pairs(args, kind: str, pairs: list[tuple[str, Any]]) -> None:
-    if args.format == "json":
-        _emit_json(args, {"kind": kind, **{k: v for k, v in pairs}})
-    elif args.format == "csv":
-        lines = ["field,value"] + [f"{k},{v}" for k, v in pairs]
-        _emit(args, "\n".join(lines))
-    else:
-        width = max(len(k) for k, _ in pairs)
-        _emit_text(args, [f"{k.ljust(width)}  {v}" for k, v in pairs])
+        ("descent_composition", descent_composition(p)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -328,71 +319,39 @@ def _emit_pairs(args, kind: str, pairs: list[tuple[str, Any]]) -> None:
 
 def render_tiling(tiling: tilings.Tiling) -> str:
     """ASCII boxes, one text row per tiling row, seams shared."""
-    width = tiling.width
+    top, bottom = ({0, *itertools.accumulate(row)} for row in (tiling.top, tiling.bottom))
 
-    def boundaries(row: tuple[int, ...]) -> set[int]:
-        out, total = set(), 0
-        for block in row:
-            total += block
-            out.add(total)
-        out.add(0)
-        return out
-
-    top_b = boundaries(tiling.top)
-    bottom_b = boundaries(tiling.bottom)
-
-    def border(marks: set[int]) -> str:
-        chars = ["-"] * (4 * width + 1)
-        for mark in marks:
-            chars[4 * mark] = "+"
+    def line(seams: set[int], fill: str, seam: str) -> str:
+        chars = [fill] * (4 * tiling.width + 1)
+        for mark in seams:
+            chars[4 * mark] = seam
         return "".join(chars)
 
-    def cells(marks: set[int]) -> str:
-        chars = [" "] * (4 * width + 1)
-        for mark in marks:
-            chars[4 * mark] = "|"
-        return "".join(chars)
-
-    return "\n".join(
-        [
-            border(top_b),
-            cells(top_b),
-            border(top_b | bottom_b),
-            cells(bottom_b),
-            border(bottom_b),
-        ]
-    )
+    return "\n".join([
+        line(top, "-", "+"),
+        line(top, " ", "|"),
+        line(top | bottom, "-", "+"),
+        line(bottom, " ", "|"),
+        line(bottom, "-", "+"),
+    ])
 
 
-def _cmd_biject(args) -> int:
+def _cmd_biject(args) -> Output:
     if args.composition is not None:
-        return _biject_composition(args)
+        composition = Composition.from_text(args.composition)
+        p = bijections.zero_ipk_permutation(composition)
+        return _pairs("biject-composition", [
+            ("composition", composition),
+            ("zero_ipk_permutation", str(p)),
+            ("descent_composition", descent_composition(p)),
+            ("ipk", statistics(p).ipk),
+        ])
     if args.perm is not None:
-        return _biject_permutation(args)
-    return _biject_word(args)
+        return _biject_permutation(Permutation.from_text(args.perm))
+    return _biject_word(check_word(args.word))
 
 
-def _biject_composition(args) -> int:
-    composition = Composition.from_text(args.composition)
-    p = bijections.zero_ipk_permutation(composition)
-    pairs = [
-        ("composition", _composition_text(composition, args)),
-        ("zero_ipk_permutation", str(p)),
-        ("descent_composition", _composition_text(descent_composition(p), args)),
-        ("ipk", statistics(p).ipk),
-    ]
-    _emit_pairs(args, "biject-composition", pairs)
-    return EXIT_OK
-
-
-def _biject_permutation(args) -> int:
-    p = Permutation.from_text(args.perm)
-    if not bijections.is_n_shaped(p):
-        print(
-            f"error: lpk != 1: not an N-shaped permutation: {p}",
-            file=sys.stderr,
-        )
-        return EXIT_COUNTEREXAMPLE
+def _biject_permutation(p: Permutation) -> Output:
     split = bijections.canonical_decomposition(p)
     word = bijections.block_word(p)
     pairs: list[tuple[str, Any]] = [
@@ -402,24 +361,16 @@ def _biject_permutation(args) -> int:
         ("gamma", " ".join(map(str, split.gamma))),
         ("word", word),
     ]
-    render: tilings.Tiling | None = None
-    if is_avoiding_block_word(word, 3):
-        j, k, core = regex.split_block_word(word)
-        triple = bijections.permutation_to_tiling_triple(p)
-        pairs += _word_chain_pairs(j, k, core, triple.tiling)
-        render = triple.tiling
-    else:
-        pairs.append(
-            (
-                "notice",
-                "word has a forbidden factor (inverse contains a descending "
-                "3-run); no tiling triple",
-            )
-        )
-    _emit_pairs(args, "biject-permutation", pairs)
-    if args.format == "text" and render is not None:
-        _emit_tiling_render(args, render)
-    return EXIT_OK
+    if not is_avoiding_block_word(word, 3):
+        pairs.append((
+            "notice",
+            "word has a forbidden factor (inverse contains a descending "
+            "3-run); no tiling triple",
+        ))
+        return _pairs("biject-permutation", pairs)
+    j, k, core = regex.split_block_word(word)
+    tiling = bijections.permutation_to_tiling_triple(p).tiling
+    return _pairs("biject-permutation", pairs + _word_chain_pairs(j, k, core, tiling), tiling)
 
 
 def _word_chain_pairs(j, k, core, tiling) -> list[tuple[str, Any]]:
@@ -433,62 +384,45 @@ def _word_chain_pairs(j, k, core, tiling) -> list[tuple[str, Any]]:
     ]
 
 
-def _emit_tiling_render(args, tiling: tilings.Tiling) -> None:
-    if args.output:
-        return
-    sys.stdout.write(render_tiling(tiling) + "\n")
-
-
-def _biject_word(args) -> int:
-    word = check_word(args.word)
-    sections: list[tuple[str, Any]] = [("word", word)]
-    handled = False
-    render: tilings.Tiling | None = None
+def _biject_word(word: str) -> Output:
+    """Every chain the word belongs to; the last tiling found is drawn."""
+    pairs: list[tuple[str, Any]] = [("word", word)]
+    tiling: tilings.Tiling | None = None
     if regex.block_word_dfa(3).accepts(word):
-        handled = True
         j, k, core = regex.split_block_word(word)
         tiling = tilings.word_to_tiling(core)
-        p = bijections.word_to_permutation(word)
-        sections.append(("decoded_permutation", str(p)))
-        sections += _word_chain_pairs(j, k, core, tiling)
-        render = tiling
+        pairs.append(("decoded_permutation", str(bijections.word_to_permutation(word))))
+        pairs += _word_chain_pairs(j, k, core, tiling)
     if regex.core_dfa().accepts(word):
-        handled = True
-        segments = regex.core_segments(word)
         tiling = tilings.word_to_tiling(word)
-        sections.append(("z_segments", "|".join(segments)))
-        sections.append(("z_tiling_top", " ".join(map(str, tiling.top))))
-        sections.append(("z_tiling_bottom", " ".join(map(str, tiling.bottom))))
-        render = tiling
-    if not handled and is_block_word(word):
-        handled = True
-        p = bijections.word_to_permutation(word)
-        sections.append(("decoded_permutation", str(p)))
-        sections.append(
+        pairs += [
+            ("z_segments", "|".join(regex.core_segments(word))),
+            ("z_tiling_top", " ".join(map(str, tiling.top))),
+            ("z_tiling_bottom", " ".join(map(str, tiling.bottom))),
+        ]
+    if tiling is None:
+        if not is_block_word(word):
+            raise NotInDomainError(
+                f"{word!r} is not a block word, a full avoiding block word, or a core word"
+            )
+        pairs += [
+            ("decoded_permutation", str(bijections.word_to_permutation(word))),
             (
                 "notice",
                 "encodes an N-shaped permutation but contains a factor from "
                 f"{forbidden_factors(3)}; no tiling",
-            )
-        )
-    if not handled:
-        print(
-            f"error: {word!r} is not a block word, a full avoiding block word, "
-            "or a core word",
-            file=sys.stderr,
-        )
-        return EXIT_COUNTEREXAMPLE
-    _emit_pairs(args, "biject-word", sections)
-    if args.format == "text" and render is not None:
-        _emit_tiling_render(args, render)
-    return EXIT_OK
+            ),
+        ]
+    return _pairs("biject-word", pairs, tiling)
 
 
 # ---------------------------------------------------------------------------
 # table
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Output:
+    if args.n_max < 0:
+        raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
     ms = _parse_int_list(args.m) if args.kind in ("counts-thm1", "gf-coeffs") else None
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
@@ -528,15 +462,14 @@ def _cmd_table(args) -> int:
             ["-".join(map(str, left)), "-".join(map(str, right)), count]
             for (left, right), count in sorted(oracle.descent_pair_matrix(args.n_max).items())
         ]
-    _emit_table(args, args.kind, params, columns, rows, note)
-    return EXIT_OK
+    return _table(args.kind, params, columns, rows, note)
 
 
 # ---------------------------------------------------------------------------
 # series
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Output:
     if args.kind == "substitution-inverse":
         expansion = series.t_substitution_inverse(args.order)
         label = "v with 4v/(1+v)^2 = t"
@@ -549,26 +482,18 @@ def _cmd_series(args) -> int:
         expansion = series.ilpk_one_ogf(args.m, args.order)
         label = "x^2(x^(m-2)-1)/((1-x)^2(x^(m+1)-3x^m+3x-1))"
         var = "x"
-
-    if args.format == "csv":
-        lines = ["n,coefficient"] + [
-            f"{i},{c}" for i, c in enumerate(expansion.coeffs)
-        ]
-        _emit(args, "\n".join(lines))
-    elif args.format == "json":
-        _emit_json(
-            args,
-            {
-                "kind": args.kind,
-                "m": args.m,
-                "order": expansion.order,
-                "label": label,
-                "coefficients": [str(c) for c in expansion.coeffs],
-            },
-        )
-    else:
-        _emit_text(args, [f"{label}:", series.format_series(expansion, var=var)])
-    return EXIT_OK
+    return Output(
+        {
+            "kind": args.kind,
+            "m": args.m,
+            "order": expansion.order,
+            "label": label,
+            "coefficients": expansion.coeffs,
+        },
+        ["n", "coefficient"],
+        list(enumerate(expansion.coeffs)),
+        [f"{label}:", series.format_series(expansion, var=var)],
+    )
 
 
 if __name__ == "__main__":

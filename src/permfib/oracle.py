@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,11 +65,6 @@ class VerificationReport:
         if include_millis:
             out["millis"] = self.millis
         return out
-
-
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.millis = int((time.monotonic() - started) * 1000)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +243,6 @@ def count_block_words_by_definition(n: int, m: int = 3) -> int:
 def verify_descent_uniqueness(n: int) -> VerificationReport:
     """Each descent composition owns exactly one peakless-inverse permutation,
     and it is the one the direct construction produces."""
-    started = time.monotonic()
     report = VerificationReport(claim="descent-uniqueness", params={"n": n})
     peakless = sweep(n).ipk0
     counts = Counter(map(increasing_run_lengths, peakless))
@@ -265,10 +258,10 @@ def verify_descent_uniqueness(n: int) -> VerificationReport:
                 "enumerated": " ".join(map(str, found.get(parts, ()))),
                 "constructed": " ".join(map(str, expected)),
             }
-            return _finish(report, started)
+            return report
     report.passed = True
     report.params["classes"] = len(counts)
-    return _finish(report, started)
+    return report
 
 
 def verify_corollaries(n: int) -> VerificationReport:
@@ -277,7 +270,6 @@ def verify_corollaries(n: int) -> VerificationReport:
     exactly one alternating and one reverse-alternating; C(n-1, k) with k
     descents; C(n, 2k+1) with k peaks; C(n, 2k) with k left peaks.
     """
-    started = time.monotonic()
     report = VerificationReport(claim="corollaries", params={"n": n})
     peakless = sweep(n).ipk0
     rises = [bytes(map(operator.lt, letters, letters[1:])) for letters in peakless]
@@ -290,7 +282,7 @@ def verify_corollaries(n: int) -> VerificationReport:
     def fail(name: str, k: int, got: int, expected: int) -> VerificationReport:
         report.passed = False
         report.counterexample = {"identity": name, "k": k, "got": got, "expected": expected}
-        return _finish(report, started)
+        return report
 
     if alternating != 1:
         return fail("alternating", 0, alternating, 1)
@@ -305,7 +297,7 @@ def verify_corollaries(n: int) -> VerificationReport:
         if by_lpk[k] != math.comb(n, 2 * k):
             return fail("left-peaks", k, by_lpk[k], math.comb(n, 2 * k))
     report.passed = True
-    return _finish(report, started)
+    return report
 
 
 def descent_pair_matrix(
@@ -336,7 +328,6 @@ def _is_hook(parts: tuple[int, ...]) -> bool:
 
 def verify_hook_row_sums(n: int) -> VerificationReport:
     """Every row of the descent-pair matrix puts total weight 1 on hooks."""
-    started = time.monotonic()
     report = VerificationReport(claim="hook-row-sums", params={"n": n})
     matrix = descent_pair_matrix(n)
     row_totals: dict[tuple[int, ...], int] = {}
@@ -350,16 +341,15 @@ def verify_hook_row_sums(n: int) -> VerificationReport:
                 "composition": str(composition),
                 "hook_weight": row_totals.get(composition.parts, 0),
             }
-            return _finish(report, started)
+            return report
     report.passed = True
-    return _finish(report, started)
+    return report
 
 
 def verify_identity_sums(n_max: int) -> VerificationReport:
     """Pure-arithmetic identities: the double Fibonacci sum telescopes to
     f(n-1) f(n) - floor((n+1)/2), equals its reindexed form, and the odd
     hockey-stick identity for binomials."""
-    started = time.monotonic()
     report = VerificationReport(claim="identity-sums", params={"n_max": n_max})
     if n_max > 60:
         raise InvalidInputError("n_max is capped at 60")
@@ -379,7 +369,7 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
                 "closed_form": closed,
                 "reindexed": reindexed,
             }
-            return _finish(report, started)
+            return report
         for k in range(n + 1):
             hockey = sum(math.comb(j, 2 * k) for j in range(n))
             if hockey != math.comb(n, 2 * k + 1):
@@ -390,9 +380,9 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
                     "sum": hockey,
                     "binomial": math.comb(n, 2 * k + 1),
                 }
-                return _finish(report, started)
+                return report
     report.passed = True
-    return _finish(report, started)
+    return report
 
 
 def triangulated_counts(n: int, m: int = 3, *, allow_large: bool = False) -> dict[str, int]:

@@ -206,6 +206,8 @@ def from_coeffs(values: Sequence, order: int | None = None) -> TruncatedSeries:
     coeffs = [Fraction(v) for v in values]
     if order is None:
         order = max(len(coeffs) - 1, 0)
+    if order < 0:
+        raise InvalidInputError(f"order must be >= 0, got {order}")
     if len(coeffs) < order + 1:
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs[: order + 1]))

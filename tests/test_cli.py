@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -57,6 +58,19 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--claim", "prop8", "--k-max", "0")
         assert (code, out) == (2, "")
         assert "--k-max must be in 1..12" in err
+
+    def test_m_read_by_no_selected_claim_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "theorem2", "--m", "4", "--n-max", "5"
+        )
+        assert (code, out) == (2, "")
+        assert "--m is read only by" in err
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "all", "--m", "4", "--n-max", "4",
+            "--no-timestamp",
+        )
+        assert code == 0
+        assert "PASS  theorem1  (m=4, n_max=4)" in out
 
     def test_millis_measure_the_work(self, capsys):
         code, out, _ = run_cli(
@@ -171,6 +185,27 @@ class TestBiject:
     def test_unhandled_word(self, capsys):
         code, _, err = run_cli(capsys, "biject", "--word", "bbb")
         assert code == 1
+        assert err == (
+            "error: 'bbb' is not a block word, a full avoiding block word, or a core word\n"
+        )
+
+    def test_output_file_holds_the_tiling_picture(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        argv = ("biject", "--word", "aac", "--no-timestamp")
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (0, "")
+        assert "+---+" in target.read_text()
+        _, stdout, _ = run_cli(capsys, *argv)
+        assert target.read_text() == stdout
+
+    def test_csv_quotes_a_cell_holding_commas(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "biject", "--word", "aacbbaca", "--format", "csv", "--no-timestamp"
+        )
+        assert code == 0
+        records = list(csv.reader(out.splitlines()))
+        assert all(len(record) == 2 for record in records)
+        assert records[-1][0] == "notice" and "'bba', 'bbb'" in records[-1][1]
 
     def test_exactly_one_input_required(self, capsys):
         code, _, _ = run_cli(capsys, "biject")
@@ -237,6 +272,14 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table", "--kind", "bogus")
         assert code == 2
 
+    def test_negative_sizes_are_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--kind", "fib", "--n-max", "-5")
+        assert (code, out) == (2, "")
+        assert "--n-max must be >= 0" in err
+        code, out, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--order", "-2")
+        assert (code, out) == (1, "")
+        assert "order must be >= 0" in err
+
 
 class TestSeriesCommand:
     def test_substitution_inverse_text(self, capsys):
@@ -258,6 +301,11 @@ class TestSeriesCommand:
         assert [line.split(",")[1] for line in lines[1:]] == [
             "1", "1", "2", "3", "5", "8", "13",
         ]
+
+    def test_negative_order_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "series", "--kind", "ilpk-ogf", "--order", "-3")
+        assert (code, out) == (1, "")
+        assert "order must be >= 0" in err
 
 
 class TestDeterminismAndOutput:

@@ -108,6 +108,13 @@ class TestBasicOperations:
             == "0 + 1/4*t + 1/8*t^2"
         )
 
+    def test_negative_order_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="order must be >= 0"):
+            from_coeffs([1, 2], -1)
+        with pytest.raises(InvalidInputError):
+            ilpk_one_ogf(3, -3)
+        assert from_coeffs([1, 2], 0).coeffs == (1,)
+
     def test_nested_coefficients(self):
         # series in x whose coefficients are series in t
         inner_one = one_series(2)
