@@ -5,8 +5,9 @@ Exit codes: 0 all good; 1 a counterexample, or an input that a library
 operation rejects (such as a malformed permutation for stats, a word
 outside every map's domain for biject, or a negative series order); 2 usage
 error: an unknown option or claim, a claim parameter outside the claim's
-domain or read by no selected claim, a negative --n-max, or a size bound
-exceeded without the override flag.
+domain or read by no selected claim, a negative --n-max, a size bound
+exceeded without the override flag, or a series order above
+series.MAX_SERIES_ORDER (5,000), which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -427,8 +428,11 @@ def _cmd_table(args) -> Output:
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
-    if args.kind == "descent-matrix" and args.n_max > 8:
-        raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
+    if args.kind == "descent-matrix":
+        if args.n_max < 1:
+            raise UsageError("--n-max must be >= 1")
+        if args.n_max > 8:
+            raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
 
     note = None
     if args.kind == "fib":

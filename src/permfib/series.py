@@ -21,6 +21,11 @@ Coefficient = Union[Fraction, "TruncatedSeries"]
 
 _ENUMERATION_ORDER_LIMIT = 9
 
+#: Largest order the closed-form expansions accept.  At this order their
+#: numerators and denominators reach about 3,000 digits, below the
+#: 4,300-digit limit of Python's int-to-str conversion that printing uses.
+MAX_SERIES_ORDER = 5000
+
 
 def _coeff_zero(like: Coefficient) -> Coefficient:
     if isinstance(like, TruncatedSeries):
@@ -32,6 +37,12 @@ def _coeff_one(like: Coefficient) -> Coefficient:
     if isinstance(like, TruncatedSeries):
         return like.one_like()
     return Fraction(1)
+
+
+def _terms(coeffs: Sequence[Coefficient]) -> list[tuple[int, Coefficient]]:
+    """The (index, coefficient) pairs of the nonzero coefficients, in order."""
+    zero = _coeff_zero(coeffs[0])
+    return [(i, c) for i, c in enumerate(coeffs) if c != zero]
 
 
 def _coeff_invert(value: Coefficient) -> Coefficient:
@@ -48,6 +59,13 @@ class TruncatedSeries:
 
     Binary operations between two series treat both operands as series in
     the same variable; plain ints and Fractions act as constants.
+
+    The kernels loop over nonzero coefficients only.  With nnz(s) the number
+    of nonzero coefficients of s and N the order of the result, ``a * b``
+    costs at most min(nnz(a) * nnz(b), min(nnz(a), nnz(b)) * (N + 1))
+    coefficient products, and ``invert`` and ``sqrt`` cost at most
+    N * nnz(self).  The rational generating functions have at most seven
+    nonzero terms in any operand, so their expansions are linear in N.
     """
 
     coeffs: tuple[Coefficient, ...]
@@ -116,13 +134,15 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             a, b = self._paired(other)
-            zero = _coeff_zero(a[0])
-            out = []
-            for n in range(len(a)):
-                acc = zero
-                for i in range(n + 1):
-                    acc = acc + a[i] * b[n - i]
-                out.append(acc)
+            sparse, dense = sorted((_terms(a), _terms(b)), key=len)
+            size = len(a)
+            # adding the two zeros truncates a nested zero as a product would
+            out = [_coeff_zero(a[0]) + _coeff_zero(b[0])] * size
+            for i, x in sparse:
+                for j, y in dense:
+                    if i + j >= size:
+                        break
+                    out[i + j] = out[i + j] + x * y
             return TruncatedSeries(tuple(out))
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(tuple(c * other for c in self.coeffs))
@@ -164,25 +184,36 @@ class TruncatedSeries:
         b0 = _coeff_invert(a[0])
         out = [b0]
         zero = _coeff_zero(b0)
+        tail = _terms(a)[1:]  # a[0] is nonzero, having been inverted
         for n in range(1, len(a)):
             acc = zero
-            for i in range(1, n + 1):
-                acc = acc + a[i] * out[n - i]
+            for i, c in tail:
+                if i > n:
+                    break
+                acc = acc + c * out[n - i]
             out.append(-(b0 * acc))
         return TruncatedSeries(tuple(out))
 
     def sqrt(self) -> "TruncatedSeries":
-        """Square root of a series with constant term 1."""
+        """Square root of a series with constant term 1.
+
+        The root s of a solves 2·a·s' = a'·s.  Read at t^(n-1) this is
+        2n·s_n = sum over i >= 1 of a_i·(3i - 2n)·s_(n-i), one term per
+        nonzero a_i (Knuth, TAOCP Vol. 2, §4.7).
+        """
         a = self.coeffs
         if a[0] != _coeff_one(a[0]):
             raise SingularSeriesError("sqrt requires constant term 1")
-        out: list[Coefficient] = [_coeff_one(a[0])]
-        half = Fraction(1, 2)
+        out: list[Coefficient] = [a[0]]
+        zero = _coeff_zero(a[0])
+        tail = _terms(a)[1:]
         for n in range(1, len(a)):
-            acc = a[n]
-            for i in range(1, n):
-                acc = acc - out[i] * out[n - i]
-            out.append(acc * half)
+            acc = zero
+            for i, c in tail:
+                if i > n:
+                    break
+                acc = acc + c * (3 * i - 2 * n) * out[n - i]
+            out.append(acc * Fraction(1, 2 * n))
         return TruncatedSeries(tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -275,6 +306,7 @@ def t_substitution_inverse(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise InvalidInputError("order must be >= 1")
+    _check_order_cap(order)
     root = (one_series(order + 1) - variable(order + 1)).sqrt()
     numerator = one_series(order + 1) - root
     assert numerator.coeffs[0] == 0
@@ -287,6 +319,7 @@ def fibonacci_ogf(m: int, order: int) -> TruncatedSeries:
     """Expansion of (1-x)/(1-2x+x^m): counts order-(m-1) Fibonacci numbers."""
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
+    _check_order_cap(order)
     denominator = [0] * (m + 1)
     denominator[0] = 1
     denominator[1] = -2
@@ -303,6 +336,7 @@ def ilpk_one_ogf(m: int, order: int) -> TruncatedSeries:
     """
     if m < 3:
         raise InvalidInputError(f"m must be >= 3, got {m}")
+    _check_order_cap(order)
     numerator = [0] * (m + 1)
     numerator[2] -= 1
     numerator[m] += 1
@@ -313,6 +347,11 @@ def ilpk_one_ogf(m: int, order: int) -> TruncatedSeries:
     factor[m + 1] += 1
     denominator = _poly_mul([1, -2, 1], factor)
     return rational_series(numerator, denominator, order)
+
+
+def _check_order_cap(order: int) -> None:
+    if order > MAX_SERIES_ORDER:
+        raise ResourceLimitError(f"series order {order} exceeds the cap {MAX_SERIES_ORDER}")
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

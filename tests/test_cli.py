@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from permfib import oracle
+from permfib.compositions import fib
 from permfib.cli import TABLE_SCHEMA, main, render_tiling
 from permfib.tilings import word_to_tiling
 
@@ -280,6 +283,12 @@ class TestTable:
         assert (code, out) == (1, "")
         assert "order must be >= 0" in err
 
+    @pytest.mark.parametrize("kind", ["counts-thm1", "counts-thm2", "descent-matrix"])
+    def test_n_max_zero_is_a_usage_error(self, capsys, kind):
+        code, out, err = run_cli(capsys, "table", "--kind", kind, "--n-max", "0")
+        assert (code, out) == (2, "")
+        assert "--n-max must be >= 1" in err
+
 
 class TestSeriesCommand:
     def test_substitution_inverse_text(self, capsys):
@@ -306,6 +315,29 @@ class TestSeriesCommand:
         code, out, err = run_cli(capsys, "series", "--kind", "ilpk-ogf", "--order", "-3")
         assert (code, out) == (1, "")
         assert "order must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--kind", "ilpk-ogf"],
+            ["series", "--kind", "fib-ogf"],
+            ["series", "--kind", "substitution-inverse"],
+            ["table", "--kind", "gf-coeffs"],
+        ],
+    )
+    def test_order_above_the_cap_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--order", "5001")
+        assert (code, out) == (2, "")
+        assert err == "error: series order 5001 exceeds the cap 5000\n"
+
+    def test_order_at_the_cap_is_printed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "series", "--kind", "ilpk-ogf", "--order", "5000", "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 5002
+        assert rows[-1] == ["5000", str(fib(2, 4999) * fib(2, 5000) - 2500)]
 
 
 class TestDeterminismAndOutput:

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import dense_invert, dense_mul, dense_sqrt
 from permfib import oracle, regex
 from permfib.compositions import fib
 from permfib.permutations import contains_ascending_run, letter_tuples
@@ -70,6 +72,95 @@ class TestRingLaws:
         assert (a * b).coeffs == (Fraction(1), Fraction(3))
 
 
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def sparse_series(draw, max_order=30, leading_zeros=False):
+    """A series whose nonzero coefficients sit at random positions."""
+    order = draw(st.integers(0, max_order))
+    support = draw(st.sets(st.integers(0, order)))
+    coeffs = [draw(nonzero_rationals) if i in support else Fraction(0) for i in range(order + 1)]
+    if leading_zeros:
+        lead = draw(st.integers(0, order + 1))
+        coeffs[:lead] = [Fraction(0)] * lead
+    return TruncatedSeries(tuple(coeffs))
+
+
+@st.composite
+def nested_series(draw):
+    """A series in x over series in t, rows built as series._gf_rhs builds them:
+    every row a list of t_order + 1 Fractions, most of them zero."""
+    x_order = draw(st.integers(0, 5))
+    t_order = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(x_order + 1):
+        row = [Fraction(0)] * (t_order + 1)
+        for k in draw(st.sets(st.integers(0, t_order))):
+            row[k] = draw(nonzero_rationals)
+        rows.append(row)
+    return TruncatedSeries(tuple(TruncatedSeries(tuple(row)) for row in rows))
+
+
+def with_constant(s, value):
+    """s with its constant coefficient replaced by the constant ``value``."""
+    value = Fraction(value)
+    first = s.coeffs[0]
+    if isinstance(first, TruncatedSeries):
+        value = first.zero_like().add_constant(value)
+    return TruncatedSeries((value,) + s.coeffs[1:])
+
+
+class TestKernelsAgainstDenseReference:
+    """The sparse kernels against the schoolbook loops in tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_series(), sparse_series())
+    @example(from_coeffs([3]), from_coeffs([0, 2, 5]))
+    @example(from_coeffs([0, 1]), from_coeffs([0, 1]))
+    def test_mul(self, a, b):
+        assert a * b == dense_mul(a, b)
+        assert (a * b).order == min(a.order, b.order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_series(leading_zeros=True), sparse_series(leading_zeros=True))
+    def test_mul_with_leading_zeros(self, a, b):
+        assert a * b == dense_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_series(), nonzero_rationals)
+    @example(from_coeffs([0]), Fraction(2))
+    @example(from_coeffs([0, 3]), Fraction(-1))
+    def test_invert(self, s, constant):
+        s = with_constant(s, constant)
+        assert s.invert() == dense_invert(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_series())
+    @example(from_coeffs([0]))
+    @example(from_coeffs([0, Fraction(-3, 7)]))
+    def test_sqrt(self, s):
+        s = with_constant(s, 1)
+        assert s.sqrt() == dense_sqrt(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_series(), nested_series())
+    def test_nested_mul(self, a, b):
+        assert a * b == dense_mul(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_series(), nonzero_rationals)
+    def test_nested_invert(self, s, constant):
+        s = with_constant(s, constant)
+        assert s.invert() == dense_invert(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_series())
+    def test_nested_sqrt(self, s):
+        s = with_constant(s, 1)
+        assert s.sqrt() == dense_sqrt(s)
+
+
 class TestBasicOperations:
     def test_geometric_series(self):
         assert from_coeffs([1, -1], 5).invert() == from_coeffs([1] * 6)
@@ -135,6 +226,12 @@ class TestSubstitution:
             Fraction(1, 8),
             Fraction(5, 64),
         )
+
+    def test_inverse_is_catalan_over_powers_of_four(self):
+        v = t_substitution_inverse(2000)
+        assert v.coeffs[0] == 0
+        for n in range(1, 2001):
+            assert v.coeffs[n] == Fraction(math.comb(2 * n, n) // (n + 1), 4**n)
 
     def test_defining_property(self):
         for order in (1, 3, 6, 10):
@@ -212,17 +309,16 @@ class TestClosedFormExpansions:
         assert [c for c in fibonacci_ogf(3, 6).coeffs] == [1, 1, 2, 3, 5, 8, 13]
         assert [c for c in fibonacci_ogf(4, 6).coeffs] == [1, 1, 2, 4, 7, 13, 24]
         for m in (2, 3, 4, 5):
-            assert fibonacci_ogf(m, 12).coeffs[0] == 1
-            for n in range(13):
-                assert fibonacci_ogf(m, 12).coeffs[n] == fib(m - 1, n)
+            expansion = fibonacci_ogf(m, 2000)
+            assert list(expansion.coeffs) == [fib(m - 1, n) for n in range(2001)]
 
     def test_ilpk_one_ogf_small_coefficients(self):
         expansion = ilpk_one_ogf(3, 6)
         assert list(expansion.coeffs[1:]) == [0, 1, 4, 13, 37, 101]
 
     def test_ilpk_one_ogf_closed_form(self):
-        expansion = ilpk_one_ogf(3, 20)
-        for n in range(1, 21):
+        expansion = ilpk_one_ogf(3, 2000)
+        for n in range(1, 2001):
             assert expansion.coeffs[n] == fib(2, n - 1) * fib(2, n) - (n + 1) // 2
 
     def test_low_coefficients_vanish(self):
