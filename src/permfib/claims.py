@@ -108,21 +108,41 @@ def _prop6(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 
 
 def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
+    """The DFA of the block-word expression accepts exactly the avoiding
+    block words, at every length up to n_max.
+
+    The definition rejects every word outside block form, so two checks per
+    length cover all 3^n words: the DFA agrees with the definition on every
+    block word, and the number of block words it accepts equals its path
+    count ``count_words(n)``, so it accepts no other word.  A disagreement
+    is reported as the first block word in ``iter_block_words`` order (run
+    lengths first, then the middle), not the lexicographically first word;
+    a count mismatch as the first non-block word of ``language(n)``, which
+    is found only after every block word of that length agrees.
+    """
     for m in ms:
         dfa = regex.block_word_dfa(m)
         counterexample = next(
-            (
-                {"word": word, "dfa": dfa.accepts(word)}
-                for n in range(1, n_max + 1)
-                for word in words.iter_words(n)
-                if dfa.accepts(word) != words.is_avoiding_block_word(word, m)
-            ),
-            None,
+            filter(None, (_prop7_mismatch(dfa, m, n) for n in range(1, n_max + 1))), None
         )
         expression = regex.format_ast(regex.block_word_regex(m))
         yield _report(
             "prop7", {"m": m, "n_max": n_max, "expression": expression}, counterexample
         )
+
+
+def _prop7_mismatch(dfa: regex.Dfa, m: int, n: int) -> Optional[dict]:
+    accepted = 0
+    for word in words.iter_block_words(n):
+        verdict = dfa.accepts(word)
+        if verdict != words.is_avoiding_block_word(word, m):
+            return {"word": word, "dfa": verdict}
+        accepted += verdict
+    if accepted == dfa.count_words(n):
+        return None
+    # The word is None only if the block-word walk or the path count is wrong.
+    stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
+    return {"word": stray, "dfa": True}
 
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import oracle
 from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
@@ -320,10 +320,7 @@ def fibonacci_ogf(m: int, order: int) -> TruncatedSeries:
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
     _check_order_cap(order)
-    denominator = [0] * (m + 1)
-    denominator[0] = 1
-    denominator[1] = -2
-    denominator[m] += 1
+    denominator = _truncated_terms(((0, 1), (1, -2), (m, 1)), order)
     return rational_series([1, -1], denominator, order)
 
 
@@ -337,15 +334,11 @@ def ilpk_one_ogf(m: int, order: int) -> TruncatedSeries:
     if m < 3:
         raise InvalidInputError(f"m must be >= 3, got {m}")
     _check_order_cap(order)
-    numerator = [0] * (m + 1)
-    numerator[2] -= 1
-    numerator[m] += 1
-    factor = [0] * (m + 2)
-    factor[0] = -1
-    factor[1] = 3
-    factor[m] -= 3
-    factor[m + 1] += 1
-    denominator = _poly_mul([1, -2, 1], factor)
+    numerator = _truncated_terms(((2, -1), (m, 1)), order)
+    factor = ((0, -1), (1, 3), (m, -3), (m + 1, 1))
+    denominator = _truncated_terms(
+        ((i + e, x * c) for i, x in enumerate((1, -2, 1)) for e, c in factor), order
+    )
     return rational_series(numerator, denominator, order)
 
 
@@ -354,11 +347,16 @@ def _check_order_cap(order: int) -> None:
         raise ResourceLimitError(f"series order {order} exceeds the cap {MAX_SERIES_ORDER}")
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def _truncated_terms(terms: Iterable[tuple[int, int]], order: int) -> list[int]:
+    """Coefficient list of the sum of c*x^e over the (e, c) terms with e <= order.
+
+    Terms above x^order cannot reach an expansion truncated there, so the
+    list is no longer than the largest exponent kept, whatever m is.
+    """
+    kept = [(exponent, c) for exponent, c in terms if exponent <= order]
+    out = [0] * (1 + max((exponent for exponent, _ in kept), default=-1))
+    for exponent, c in kept:
+        out[exponent] += c
     return out
 
 

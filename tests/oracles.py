@@ -137,3 +137,41 @@ def dense_sqrt(s: TruncatedSeries) -> TruncatedSeries:
             acc = acc - _times(out[i], out[n - i])
         out.append(acc * Fraction(1, 2))
     return TruncatedSeries(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Dense closed-form expansions: numerator and denominator held as full lists
+# of length about m, expanded by the schoolbook kernels above.  They stand as
+# a reference for series.fibonacci_ogf and series.ilpk_one_ogf.
+
+
+def dense_fibonacci_ogf(m: int, order: int) -> TruncatedSeries:
+    denominator = [0] * (m + 1)
+    denominator[0] = 1
+    denominator[1] = -2
+    denominator[m] += 1
+    return _dense_rational([1, -1], denominator, order)
+
+
+def dense_ilpk_one_ogf(m: int, order: int) -> TruncatedSeries:
+    numerator = [0] * (m + 1)
+    numerator[2] -= 1
+    numerator[m] += 1
+    factor = [0] * (m + 2)
+    factor[0] = -1
+    factor[1] = 3
+    factor[m] -= 3
+    factor[m + 1] += 1
+    denominator = [0] * (len(factor) + 2)
+    for i, x in enumerate((1, -2, 1)):
+        for j, y in enumerate(factor):
+            denominator[i + j] += x * y
+    return _dense_rational(numerator, denominator, order)
+
+
+def _dense_rational(numerator: list, denominator: list, order: int) -> TruncatedSeries:
+    def padded(values: list) -> TruncatedSeries:
+        values = [Fraction(v) for v in values] + [Fraction(0)] * (order + 1)
+        return TruncatedSeries(tuple(values[: order + 1]))
+
+    return dense_mul(padded(numerator), dense_invert(padded(denominator)))

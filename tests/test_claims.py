@@ -2,7 +2,7 @@
 
 import pytest
 
-from permfib import claims
+from permfib import claims, regex
 
 
 def test_pattern_lengths_no_named_claim_reads_are_rejected():
@@ -10,3 +10,37 @@ def test_pattern_lengths_no_named_claim_reads_are_rejected():
         claims.validate(("theorem2", "prop8"), n_max=5, k_max=8, ms=(4,))
     claims.validate(("theorem2", "theorem1"), n_max=5, ms=(4,))
     claims.validate(("theorem2",), n_max=5)
+
+
+def _prop7(monkeypatch, dfa, m):
+    """Run prop7 at one m with ``dfa`` standing in for the block-word DFA."""
+    monkeypatch.setattr(regex, "block_word_dfa", lambda _m: dfa)
+    (report,) = claims._prop7(ms=(m,), n_max=6)
+    return report
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_prop7_passes_at_every_bound(m):
+    for n_max in range(1, 9):
+        (report,) = claims._prop7(ms=(m,), n_max=n_max)
+        assert report.passed, (m, n_max, report.counterexample)
+
+
+def test_prop7_catches_a_dfa_that_accepts_a_forbidden_factor(monkeypatch):
+    report = _prop7(monkeypatch, regex.block_word_dfa(4), 3)
+    assert not report.passed
+    assert report.counterexample == {"word": "cba", "dfa": True}
+
+
+def test_prop7_catches_a_dfa_that_rejects_an_avoiding_word(monkeypatch):
+    report = _prop7(monkeypatch, regex.block_word_dfa(3), 4)
+    assert not report.passed
+    assert report.counterexample == {"word": "cba", "dfa": False}
+
+
+def test_prop7_catches_a_dfa_that_accepts_a_word_outside_block_form(monkeypatch):
+    # The core language contains "c", which no block word of length 1 is,
+    # so only the count check can see it.
+    report = _prop7(monkeypatch, regex.core_dfa(), 3)
+    assert not report.passed
+    assert report.counterexample == {"word": "c", "dfa": True}

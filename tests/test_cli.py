@@ -330,6 +330,19 @@ class TestSeriesCommand:
         assert (code, out) == (2, "")
         assert err == "error: series order 5001 exceeds the cap 5000\n"
 
+    @pytest.mark.parametrize(
+        "kind, expected", [("fib-ogf", ["1", "1", "2", "4"]), ("ilpk-ogf", ["0", "0", "1", "5"])]
+    )
+    def test_work_does_not_grow_with_m(self, capsys, kind, expected):
+        # The x^m terms lie beyond the order, leaving 1/(1-2x) and
+        # x^2/((1-x)^2 (1-3x)); a list of length m would need gigabytes.
+        code, out, err = run_cli(
+            capsys, "series", "--kind", kind, "--m", "1000000000", "--order", "3",
+            "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == expected
+
     def test_order_at_the_cap_is_printed(self, capsys):
         code, out, err = run_cli(
             capsys, "series", "--kind", "ilpk-ogf", "--order", "5000", "--format", "csv"

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import dense_invert, dense_mul, dense_sqrt
+from oracles import (
+    dense_fibonacci_ogf,
+    dense_ilpk_one_ogf,
+    dense_invert,
+    dense_mul,
+    dense_sqrt,
+)
 from permfib import oracle, regex
 from permfib.compositions import fib
 from permfib.permutations import contains_ascending_run, letter_tuples
@@ -311,6 +317,13 @@ class TestClosedFormExpansions:
         for m in (2, 3, 4, 5):
             expansion = fibonacci_ogf(m, 2000)
             assert list(expansion.coeffs) == [fib(m - 1, n) for n in range(2001)]
+
+    def test_expansions_match_dense_reference(self):
+        for order in range(16):
+            for m in range(2, 13):
+                assert fibonacci_ogf(m, order) == dense_fibonacci_ogf(m, order), (m, order)
+            for m in range(3, 13):
+                assert ilpk_one_ogf(m, order) == dense_ilpk_one_ogf(m, order), (m, order)
 
     def test_ilpk_one_ogf_small_coefficients(self):
         expansion = ilpk_one_ogf(3, 6)

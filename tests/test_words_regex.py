@@ -5,6 +5,7 @@ from permfib import regex
 from permfib.errors import InvalidInputError, NotInLanguageError
 from permfib.words import (
     avoids_factor,
+    check_word,
     forbidden_factors,
     is_avoiding_block_word,
     is_block_word,
@@ -38,6 +39,17 @@ class TestFactors:
                 for v in ("a", "ba", "cba"):
                     windows = [w[i : i + len(v)] for i in range(len(w) - len(v) + 1)]
                     assert avoids_factor(w, v) == (v not in windows)
+
+
+class TestCheckWord:
+    @pytest.mark.parametrize("word", ["dabc", "abdc", "abcd", "abé", "aBc", "a c"])
+    def test_symbol_outside_the_alphabet_rejected(self, word):
+        with pytest.raises(InvalidInputError, match="only letters a, b, c"):
+            check_word(word)
+
+    @pytest.mark.parametrize("word", ["", "a", "cab", "abcabc"])
+    def test_words_over_the_alphabet_returned(self, word):
+        assert check_word(word) is word
 
 
 class TestBlockWordForm:
