@@ -10,12 +10,11 @@ runs and times every report the same way.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import bijections, compositions, oracle, permutations, regex, series, tilings, words
 from .errors import InvalidInputError
-from .oracle import VerificationReport
+from .oracle import VerificationReport, first_disagreement, report
 
 #: Claims that sweep S_n refuse n-max beyond this without allow_large.
 SAFE_N_MAX = 9
@@ -39,39 +38,30 @@ class Claim(NamedTuple):
     max_k: Optional[int] = None
 
 
-def theorem1_counts(n: int, m: int, allow_large: bool = False) -> tuple[int, int]:
-    """Enumerated peakless-inverse m-run avoiders, and the order-(m-1)
-    Fibonacci number they should equal."""
-    return oracle.count_ipk0_avoiders(n, m, allow_large=allow_large), compositions.fib(m - 1, n)
+def theorem1_counts(n: int, m: int, allow_large: bool = False) -> dict[str, int]:
+    """At n: the enumerated peakless-inverse m-run avoiders, and the
+    order-(m-1) Fibonacci number they should equal."""
+    count = oracle.count_ipk0_avoiders(n, m, allow_large=allow_large)
+    return {"n": n, "count": count, "fibonacci": compositions.fib(m - 1, n)}
 
 
-def theorem2_counts(n: int, allow_large: bool = False) -> tuple[int, int]:
-    """Enumerated ilpk-one 3-run avoiders, and f(n-1) f(n) - floor((n+1)/2)."""
+def theorem2_counts(n: int, allow_large: bool = False) -> dict[str, int]:
+    """At n: the enumerated ilpk-one 3-run avoiders, and
+    f(n-1) f(n) - floor((n+1)/2)."""
+    count = oracle.count_ilpk1_avoiders(n, 3, allow_large=allow_large)
     expected = compositions.fib(2, n - 1) * compositions.fib(2, n) - (n + 1) // 2
-    return oracle.count_ilpk1_avoiders(n, 3, allow_large=allow_large), expected
-
-
-def _report(claim: str, params: dict[str, Any], counterexample: dict | None) -> VerificationReport:
-    return VerificationReport(claim, params, counterexample is None, counterexample)
-
-
-def _count_mismatch(expected_key: str, n_max: int, counts: Callable, *args) -> Optional[dict]:
-    for n in range(1, n_max + 1):
-        got, expected = counts(n, *args)
-        if got != expected:
-            return {"n": n, "count": got, expected_key: expected}
-    return None
+    return {"n": n, "count": count, "closed_form": expected}
 
 
 def _theorem1(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
     for m in ms:
-        counterexample = _count_mismatch("fibonacci", n_max, theorem1_counts, m, allow_large)
-        yield _report("theorem1", {"m": m, "n_max": n_max}, counterexample)
+        cases = (theorem1_counts(n, m, allow_large) for n in range(1, n_max + 1))
+        yield report("theorem1", {"m": m, "n_max": n_max}, first_disagreement(cases, "n"))
 
 
 def _theorem2(*, n_max, allow_large, **_) -> Iterator[VerificationReport]:
-    counterexample = _count_mismatch("closed_form", n_max, theorem2_counts, allow_large)
-    yield _report("theorem2", {"n_max": n_max}, counterexample)
+    cases = (theorem2_counts(n, allow_large) for n in range(1, n_max + 1))
+    yield report("theorem2", {"n_max": n_max}, first_disagreement(cases, "n"))
 
 
 def _theorem4(*, n_max, **_) -> Iterator[VerificationReport]:
@@ -104,7 +94,7 @@ def _prop6(*, ms, n_max, **_) -> Iterator[VerificationReport]:
                     "expected_words": len(target),
                 }
                 break
-        yield _report("prop6", {"m": m, "n_max": n_max}, counterexample)
+        yield report("prop6", {"m": m, "n_max": n_max}, counterexample)
 
 
 def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
@@ -126,9 +116,7 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
             filter(None, (_prop7_mismatch(dfa, m, n) for n in range(1, n_max + 1))), None
         )
         expression = regex.format_ast(regex.block_word_regex(m))
-        yield _report(
-            "prop7", {"m": m, "n_max": n_max, "expression": expression}, counterexample
-        )
+        yield report("prop7", {"m": m, "n_max": n_max, "expression": expression}, counterexample)
 
 
 def _prop7_mismatch(dfa: regex.Dfa, m: int, n: int) -> Optional[dict]:
@@ -147,35 +135,33 @@ def _prop7_mismatch(dfa: regex.Dfa, m: int, n: int) -> Optional[dict]:
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:
     dfa = regex.core_dfa()
-    counterexample = None
-    for k in range(1, k_max + 1):
-        by_dfa = dfa.count_words(k)
-        by_tilings = sum(1 for _ in tilings.enumerate_tilings(k))
-        expected = compositions.fib(2, k - 1) * compositions.fib(2, k)
-        if not by_dfa == by_tilings == expected:
-            counterexample = {
-                "k": k,
-                "dfa": by_dfa,
-                "tilings": by_tilings,
-                "fibonacci_product": expected,
-            }
-            break
+    cases = (
+        {
+            "k": k,
+            "dfa": dfa.count_words(k),
+            "tilings": sum(1 for _ in tilings.enumerate_tilings(k)),
+            "fibonacci_product": compositions.fib(2, k - 1) * compositions.fib(2, k),
+        }
+        for k in range(1, k_max + 1)
+    )
+    counterexample = first_disagreement(cases, "k")
     expression = regex.format_ast(regex.core_regex())
-    yield _report("prop8", {"k_max": k_max, "expression": expression}, counterexample)
+    yield report("prop8", {"k_max": k_max, "expression": expression}, counterexample)
 
 
 def _eq1(*, n_max, **_) -> Iterator[VerificationReport]:
     dfa = regex.block_word_dfa(3)
-    counterexample = None
-    for n in range(1, n_max + 1):
-        lhs = dfa.count_words(n)
-        rhs = sum(
-            (n - k) * compositions.fib(2, k - 1) * compositions.fib(2, k) for k in range(1, n)
-        )
-        if lhs != rhs:
-            counterexample = {"n": n, "word_count": lhs, "double_sum": rhs}
-            break
-    yield _report("eq1", {"n_max": n_max}, counterexample)
+    cases = (
+        {
+            "n": n,
+            "word_count": dfa.count_words(n),
+            "double_sum": sum(
+                (n - k) * compositions.fib(2, k - 1) * compositions.fib(2, k) for k in range(1, n)
+            ),
+        }
+        for n in range(1, n_max + 1)
+    )
+    yield report("eq1", {"n_max": n_max}, first_disagreement(cases, "n"))
     yield oracle.verify_identity_sums(min(n_max * 4, 60))
 
 
@@ -186,16 +172,13 @@ def _gf_reports(claim: str, sides: Callable) -> Iterator[VerificationReport]:
         if mismatch is not None:
             n, i, left, right = mismatch
             counterexample = {"x_power": n, "t_power": i, "lhs": str(left), "rhs": str(right)}
-        yield _report(claim, {"m": m, "x_order": 7, "t_order": 5}, counterexample)
+        yield report(claim, {"m": m, "x_order": 7, "t_order": 5}, counterexample)
 
 
 def _gf3(**_) -> Iterator[VerificationReport]:
-    v = series.t_substitution_inverse(3)
-    yield VerificationReport(
-        "gf3-substitution",
-        {"coefficients": "1/4 1/8 5/64"},
-        v.coeffs[1:] == (Fraction(1, 4), Fraction(1, 8), Fraction(5, 64)),
-    )
+    got = " ".join(map(str, series.t_substitution_inverse(3).coeffs[1:]))
+    counterexample = first_disagreement([{"got": got, "expected": "1/4 1/8 5/64"}])
+    yield report("gf3-substitution", {"coefficients": "1/4 1/8 5/64"}, counterexample)
     yield from _gf_reports("gf3", series.ipk_gf_sides)
 
 
@@ -207,20 +190,19 @@ def _gf_general(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
     for m in ms:
         expansion = series.ilpk_one_ogf(m, n_max)
         dfa = regex.block_word_dfa(m)
-        counterexample = None
-        for n in range(1, n_max + 1):
-            coefficient = expansion.coeffs[n]
-            by_dfa = dfa.count_words(n)
-            by_oracle = oracle.count_ilpk1_avoiders(n, m, allow_large=allow_large)
-            if not coefficient == by_dfa == by_oracle:
-                counterexample = {
-                    "n": n,
-                    "coefficient": str(coefficient),
-                    "dfa": by_dfa,
-                    "oracle": by_oracle,
-                }
-                break
-        yield _report("gf-general", {"m": m, "n_max": n_max}, counterexample)
+        cases = (
+            {
+                "n": n,
+                "coefficient": expansion.coeffs[n],
+                "dfa": dfa.count_words(n),
+                "oracle": oracle.count_ilpk1_avoiders(n, m, allow_large=allow_large),
+            }
+            for n in range(1, n_max + 1)
+        )
+        counterexample = first_disagreement(cases, "n")
+        if counterexample is not None:
+            counterexample["coefficient"] = str(counterexample["coefficient"])
+        yield report("gf-general", {"m": m, "n_max": n_max}, counterexample)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -293,11 +275,11 @@ def run(
     for name in names:
         claim = CLAIMS[name]
         started = time.monotonic()
-        for report in claim.check(
+        for r in claim.check(
             ms=ms or claim.default_ms, n_max=n_max, k_max=k_max, allow_large=allow_large
         ):
             now = time.monotonic()
-            report.millis = int((now - started) * 1000)
+            r.millis = int((now - started) * 1000)
             started = now
-            reports.append(report)
+            reports.append(r)
     return reports

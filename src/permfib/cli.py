@@ -5,9 +5,11 @@ Exit codes: 0 all good; 1 a counterexample, or an input that a library
 operation rejects (such as a malformed permutation for stats, a word
 outside every map's domain for biject, or a negative series order); 2 usage
 error: an unknown option or claim, a claim parameter outside the claim's
-domain or read by no selected claim, a negative --n-max, a size bound
-exceeded without the override flag, or a series order above
-series.MAX_SERIES_ORDER (5,000), which has no override.
+domain or read by no selected claim, a table or series option that the
+chosen --kind does not read (see KIND_READS), more than one --m for
+table --kind gf-coeffs, a negative --n-max, a size bound exceeded without
+the override flag, or a series order above series.MAX_SERIES_ORDER (5,000),
+which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -150,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("substitution-inverse", "fib-ogf", "ilpk-ogf"),
     )
-    ser.add_argument("--m", type=int, default=3)
+    ser.add_argument("--m", type=int, default=None, help="pattern length (default 3)")
     ser.add_argument("--order", type=int, default=8)
     common(ser)
     ser.set_defaults(func=_cmd_series)
@@ -421,10 +423,36 @@ def _biject_word(word: str) -> Output:
 # table
 
 
+#: The options beyond --n-max that each table or series kind reads; giving
+#: a kind any other is a usage error.
+KIND_READS: dict[str, tuple[str, ...]] = {
+    "fib": ("--order",),
+    "counts-thm1": ("--m", "--unsafe-large-n"),
+    "counts-thm2": ("--unsafe-large-n",),
+    "gf-coeffs": ("--m", "--order"),
+    "descent-matrix": (),
+    "substitution-inverse": ("--order",),
+    "fib-ogf": ("--m", "--order"),
+    "ilpk-ogf": ("--m", "--order"),
+}
+
+
+def _reject_unread(kind: str, given: dict[str, bool]) -> None:
+    """Raise UsageError for a given option that ``kind`` does not read."""
+    for option, present in given.items():
+        if present and option not in KIND_READS[kind]:
+            raise UsageError(f"--kind {kind} does not read {option}")
+
+
 def _cmd_table(args) -> Output:
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
-    ms = _parse_int_list(args.m) if args.kind in ("counts-thm1", "gf-coeffs") else None
+    _reject_unread(args.kind, {
+        "--m": args.m is not None,
+        "--order": args.order is not None,
+        "--unsafe-large-n": args.unsafe_large_n,
+    })
+    ms = _parse_int_list(args.m)
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
@@ -433,6 +461,8 @@ def _cmd_table(args) -> Output:
             raise UsageError("--n-max must be >= 1")
         if args.n_max > 8:
             raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
+    if args.kind == "gf-coeffs" and ms is not None and len(ms) > 1:
+        raise UsageError(f"--kind gf-coeffs reads one --m, got {args.m!r}")
 
     note = None
     if args.kind == "fib":
@@ -444,18 +474,18 @@ def _cmd_table(args) -> Output:
         ms = ms or claims.CLAIMS["theorem1"].default_ms
         params, columns = {"m": list(ms), "n_max": args.n_max}, ["m", "n", "count", "fibonacci"]
         rows = [
-            [m, n, *claims.theorem1_counts(n, m, args.unsafe_large_n)]
+            [m, *claims.theorem1_counts(n, m, args.unsafe_large_n).values()]
             for m in ms
             for n in range(1, args.n_max + 1)
         ]
     elif args.kind == "counts-thm2":
         params, columns = {"n_max": args.n_max}, ["n", "count", "closed_form"]
         rows = [
-            [n, *claims.theorem2_counts(n, args.unsafe_large_n)]
+            list(claims.theorem2_counts(n, args.unsafe_large_n).values())
             for n in range(1, args.n_max + 1)
         ]
     elif args.kind == "gf-coeffs":
-        m = (ms or (3,))[0]
+        m = ms[0] if ms else 3
         truncation = args.order if args.order is not None else args.n_max
         expansion = series.ilpk_one_ogf(m, truncation)
         params, columns = {"m": m, "order": expansion.order}, ["n", "coefficient"]
@@ -474,22 +504,24 @@ def _cmd_table(args) -> Output:
 
 
 def _cmd_series(args) -> Output:
+    _reject_unread(args.kind, {"--m": args.m is not None})
+    params = {} if args.kind == "substitution-inverse" else {"m": 3 if args.m is None else args.m}
     if args.kind == "substitution-inverse":
         expansion = series.t_substitution_inverse(args.order)
         label = "v with 4v/(1+v)^2 = t"
         var = "t"
     elif args.kind == "fib-ogf":
-        expansion = series.fibonacci_ogf(args.m, args.order)
+        expansion = series.fibonacci_ogf(params["m"], args.order)
         label = "(1-x)/(1-2x+x^m)"
         var = "x"
     else:
-        expansion = series.ilpk_one_ogf(args.m, args.order)
+        expansion = series.ilpk_one_ogf(params["m"], args.order)
         label = "x^2(x^(m-2)-1)/((1-x)^2(x^(m+1)-3x^m+3x-1))"
         var = "x"
     return Output(
         {
             "kind": args.kind,
-            "m": args.m,
+            **params,
             "order": expansion.order,
             "label": label,
             "coefficients": expansion.coeffs,

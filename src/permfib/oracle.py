@@ -12,7 +12,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from . import regex, tilings
 from .bijections import zero_ipk_permutation
@@ -65,6 +65,27 @@ class VerificationReport:
         if include_millis:
             out["millis"] = self.millis
         return out
+
+
+def report(
+    claim: str, params: dict[str, Any], counterexample: Optional[dict[str, Any]]
+) -> VerificationReport:
+    """The report of a check: it passes exactly when there is no counterexample."""
+    return VerificationReport(claim, params, counterexample is None, counterexample)
+
+
+def first_disagreement(cases: Iterable[dict[str, Any]], *index: str) -> Optional[dict[str, Any]]:
+    """The first case whose values are not all equal, or None.
+
+    A case maps the ``index`` keys (such as n or k) to where it lies, and
+    every other key to one pipeline's value there.  Cases are read lazily,
+    so none after the first disagreement is computed.
+    """
+    for case in cases:
+        values = [value for key, value in case.items() if key not in index]
+        if any(value != values[0] for value in values[1:]):
+            return case
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +264,6 @@ def count_block_words_by_definition(n: int, m: int = 3) -> int:
 def verify_descent_uniqueness(n: int) -> VerificationReport:
     """Each descent composition owns exactly one peakless-inverse permutation,
     and it is the one the direct construction produces."""
-    report = VerificationReport(claim="descent-uniqueness", params={"n": n})
     peakless = sweep(n).ipk0
     counts = Counter(map(increasing_run_lengths, peakless))
     found = {increasing_run_lengths(letters): letters for letters in peakless}
@@ -251,17 +271,13 @@ def verify_descent_uniqueness(n: int) -> VerificationReport:
         parts = composition.parts
         expected = zero_ipk_permutation(composition).letters
         if counts.get(parts, 0) != 1 or found.get(parts) != expected:
-            report.passed = False
-            report.counterexample = {
+            return report("descent-uniqueness", {"n": n}, {
                 "composition": str(composition),
                 "ipk0_count": counts.get(parts, 0),
                 "enumerated": " ".join(map(str, found.get(parts, ()))),
                 "constructed": " ".join(map(str, expected)),
-            }
-            return report
-    report.passed = True
-    report.params["classes"] = len(counts)
-    return report
+            })
+    return report("descent-uniqueness", {"n": n, "classes": len(counts)}, None)
 
 
 def verify_corollaries(n: int) -> VerificationReport:
@@ -270,34 +286,25 @@ def verify_corollaries(n: int) -> VerificationReport:
     exactly one alternating and one reverse-alternating; C(n-1, k) with k
     descents; C(n, 2k+1) with k peaks; C(n, 2k) with k left peaks.
     """
-    report = VerificationReport(claim="corollaries", params={"n": n})
     peakless = sweep(n).ipk0
     rises = [bytes(map(operator.lt, letters, letters[1:])) for letters in peakless]
-    alternating = rises.count(bytes(i % 2 == 0 for i in range(n - 1)))
-    reverse_alternating = rises.count(bytes(i % 2 == 1 for i in range(n - 1)))
     by_des = Counter(pattern.count(0) for pattern in rises)
     by_pk = Counter(map(peak_count, peakless))
     by_lpk = Counter(map(left_peak_count, peakless))
 
-    def fail(name: str, k: int, got: int, expected: int) -> VerificationReport:
-        report.passed = False
-        report.counterexample = {"identity": name, "k": k, "got": got, "expected": expected}
-        return report
+    def case(identity: str, k: int, got: int, expected: int) -> dict[str, Any]:
+        return {"identity": identity, "k": k, "got": got, "expected": expected}
 
-    if alternating != 1:
-        return fail("alternating", 0, alternating, 1)
-    if reverse_alternating != 1:
-        return fail("reverse-alternating", 0, reverse_alternating, 1)
-    for k in range(n):
-        if by_des[k] != math.comb(n - 1, k):
-            return fail("descents", k, by_des[k], math.comb(n - 1, k))
-    for k in range(n + 1):
-        if by_pk[k] != math.comb(n, 2 * k + 1):
-            return fail("peaks", k, by_pk[k], math.comb(n, 2 * k + 1))
-        if by_lpk[k] != math.comb(n, 2 * k):
-            return fail("left-peaks", k, by_lpk[k], math.comb(n, 2 * k))
-    report.passed = True
-    return report
+    def cases() -> Iterator[dict[str, Any]]:
+        for identity, parity in ("alternating", 0), ("reverse-alternating", 1):
+            yield case(identity, 0, rises.count(bytes(i % 2 == parity for i in range(n - 1))), 1)
+        for k in range(n):
+            yield case("descents", k, by_des[k], math.comb(n - 1, k))
+        for k in range(n + 1):
+            yield case("peaks", k, by_pk[k], math.comb(n, 2 * k + 1))
+            yield case("left-peaks", k, by_lpk[k], math.comb(n, 2 * k))
+
+    return report("corollaries", {"n": n}, first_disagreement(cases(), "identity", "k"))
 
 
 def descent_pair_matrix(
@@ -328,61 +335,38 @@ def _is_hook(parts: tuple[int, ...]) -> bool:
 
 def verify_hook_row_sums(n: int) -> VerificationReport:
     """Every row of the descent-pair matrix puts total weight 1 on hooks."""
-    report = VerificationReport(claim="hook-row-sums", params={"n": n})
     matrix = descent_pair_matrix(n)
     row_totals: dict[tuple[int, ...], int] = {}
     for (left, right), count in matrix.items():
         if _is_hook(right):
             row_totals[left] = row_totals.get(left, 0) + count
     for composition in enumerate_compositions(n):
-        if row_totals.get(composition.parts, 0) != 1:
-            report.passed = False
-            report.counterexample = {
-                "composition": str(composition),
-                "hook_weight": row_totals.get(composition.parts, 0),
-            }
-            return report
-    report.passed = True
-    return report
+        weight = row_totals.get(composition.parts, 0)
+        if weight != 1:
+            return report(
+                "hook-row-sums", {"n": n}, {"composition": str(composition), "hook_weight": weight}
+            )
+    return report("hook-row-sums", {"n": n}, None)
 
 
 def verify_identity_sums(n_max: int) -> VerificationReport:
     """Pure-arithmetic identities: the double Fibonacci sum telescopes to
     f(n-1) f(n) - floor((n+1)/2), equals its reindexed form, and the odd
     hockey-stick identity for binomials."""
-    report = VerificationReport(claim="identity-sums", params={"n_max": n_max})
     if n_max > 60:
         raise InvalidInputError("n_max is capped at 60")
-    for n in range(1, n_max + 1):
-        double = sum(fib(2, k - 1) * fib(2, k) for i in range(1, n) for k in range(1, i + 1))
-        closed = fib(2, n - 1) * fib(2, n) - (n + 1) // 2
-        reindexed = sum(
-            fib(2, k - 1) * fib(2, k)
-            for k in range(1, n)
-            for _ in range(n - k)
-        )
-        if double != closed or double != reindexed:
-            report.passed = False
-            report.counterexample = {
-                "n": n,
-                "double_sum": double,
-                "closed_form": closed,
-                "reindexed": reindexed,
-            }
-            return report
-        for k in range(n + 1):
-            hockey = sum(math.comb(j, 2 * k) for j in range(n))
-            if hockey != math.comb(n, 2 * k + 1):
-                report.passed = False
-                report.counterexample = {
-                    "n": n,
-                    "k": k,
-                    "sum": hockey,
-                    "binomial": math.comb(n, 2 * k + 1),
-                }
-                return report
-    report.passed = True
-    return report
+
+    def cases() -> Iterator[dict[str, Any]]:
+        for n in range(1, n_max + 1):
+            double = sum(fib(2, k - 1) * fib(2, k) for i in range(1, n) for k in range(1, i + 1))
+            closed = fib(2, n - 1) * fib(2, n) - (n + 1) // 2
+            reindexed = sum(fib(2, k - 1) * fib(2, k) for k in range(1, n) for _ in range(n - k))
+            yield {"n": n, "double_sum": double, "closed_form": closed, "reindexed": reindexed}
+            for k in range(n + 1):
+                hockey = sum(math.comb(j, 2 * k) for j in range(n))
+                yield {"n": n, "k": k, "sum": hockey, "binomial": math.comb(n, 2 * k + 1)}
+
+    return report("identity-sums", {"n_max": n_max}, first_disagreement(cases(), "n", "k"))
 
 
 def triangulated_counts(n: int, m: int = 3, *, allow_large: bool = False) -> dict[str, int]:

@@ -9,6 +9,7 @@ orders truncate to the smaller order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -533,23 +534,23 @@ def _gf_rhs(
 
 def first_mismatch(
     lhs: TruncatedSeries, rhs: TruncatedSeries
-) -> tuple[int, int, Fraction, Fraction] | None:
-    """Lowest (x power, t power) where two bivariate series differ."""
-    for n in range(min(lhs.order, rhs.order) + 1):
-        left_row, right_row = lhs.coeffs[n], rhs.coeffs[n]
-        for i in range(min(left_row.order, right_row.order) + 1):
-            if left_row.coeffs[i] != right_row.coeffs[i]:
-                return n, i, left_row.coeffs[i], right_row.coeffs[i]
+) -> tuple[int, int, Fraction | None, Fraction | None] | None:
+    """Lowest (x power, t power) where two bivariate series differ.  A
+    coefficient past one side's order reads as None there, so series of
+    different orders never agree."""
+    for n, rows in enumerate(itertools.zip_longest(lhs.coeffs, rhs.coeffs)):
+        left_row, right_row = (() if row is None else row.coeffs for row in rows)
+        for i, (left, right) in enumerate(itertools.zip_longest(left_row, right_row)):
+            if left != right:
+                return n, i, left, right
     return None
 
 
 def verify_ipk_gf(m: int, x_order: int, t_order: int) -> bool:
     """True when both sides of the ipk identity agree to the given orders."""
-    lhs, rhs = ipk_gf_sides(m, x_order, t_order)
-    return lhs == rhs
+    return first_mismatch(*ipk_gf_sides(m, x_order, t_order)) is None
 
 
 def verify_ilpk_gf(m: int, x_order: int, t_order: int) -> bool:
     """True when both sides of the ilpk identity agree to the given orders."""
-    lhs, rhs = ilpk_gf_sides(m, x_order, t_order)
-    return lhs == rhs
+    return first_mismatch(*ilpk_gf_sides(m, x_order, t_order)) is None

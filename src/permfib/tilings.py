@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .errors import InvalidInputError
 from . import regex
+from .compositions import descent_set
 
 
 @dataclass(frozen=True)
@@ -143,21 +144,10 @@ def word_to_tiling(word: str) -> Tiling:
     return Tiling(top, bottom)
 
 
-def _boundaries(row: tuple[int, ...]) -> list[int]:
-    out = []
-    total = 0
-    for block in row[:-1]:
-        total += block
-        out.append(total)
-    return out
-
-
 def tiling_to_word(tiling: Tiling) -> str:
     """Invert :func:`word_to_tiling` by cutting at full-height seams."""
     width = tiling.width
-    seams = sorted(
-        set(_boundaries(tiling.top)) & set(_boundaries(tiling.bottom))
-    )
+    seams = sorted(set(descent_set(tiling.top)) & set(descent_set(tiling.bottom)))
     cuts = [0] + seams + [width]
     segments = []
     top_iter = list(tiling.top)

@@ -9,6 +9,7 @@ a pattern length m >= 3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -61,8 +62,12 @@ def is_block_word(word: str) -> bool:
     return block_word_split(word) is not None
 
 
+@functools.lru_cache(maxsize=32)
 def forbidden_factors(m: int = 3) -> tuple[str, str, str, str]:
     """The four factors whose absence marks an inverse m...21 avoider.
+
+    The tuples of the last 32 values of m are cached; an m below 3 raises
+    on every call.
 
     >>> forbidden_factors(3)
     ('bba', 'bbb', 'cba', 'cbb')

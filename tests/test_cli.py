@@ -3,10 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import permfib
 from permfib import oracle
 from permfib.compositions import fib
 from permfib.cli import TABLE_SCHEMA, main, render_tiling
@@ -228,8 +230,8 @@ class TestTable:
         assert counts == ["0", "1", "4", "13", "37", "101"]
 
     def test_m_is_parsed_only_by_kinds_that_read_it(self, capsys):
-        code, _, _ = run_cli(capsys, "table", "--kind", "fib", "--m", "x", "--n-max", "3")
-        assert code == 0
+        code, _, err = run_cli(capsys, "table", "--kind", "fib", "--m", "x", "--n-max", "3")
+        assert (code, err) == (2, "usage error: --kind fib does not read --m\n")
         code, _, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--m", "x")
         assert code == 2
         assert "comma list of integers" in err
@@ -290,7 +292,39 @@ class TestTable:
         assert "--n-max must be >= 1" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "counts-thm2", "--m", "4"], "--kind counts-thm2 does not read --m"),
+            (
+                ["--kind", "descent-matrix", "--order", "5"],
+                "--kind descent-matrix does not read --order",
+            ),
+            (["--kind", "fib", "--unsafe-large-n"], "--kind fib does not read --unsafe-large-n"),
+            (["--kind", "counts-thm1", "--order", "3"], "--kind counts-thm1 does not read --order"),
+            (["--kind", "gf-coeffs", "--m", "3,4"], "--kind gf-coeffs reads one --m, got '3,4'"),
+        ],
+    )
+    def test_options_the_kind_does_not_read_are_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "table", *argv, "--n-max", "3")
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
 class TestSeriesCommand:
+    def test_m_is_rejected_where_unread_and_reported_where_read(self, capsys):
+        code, out, err = run_cli(
+            capsys, "series", "--kind", "substitution-inverse", "--m", "7", "--order", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "usage error: --kind substitution-inverse does not read --m\n"
+        for kind, m in ("substitution-inverse", None), ("fib-ogf", 3), ("ilpk-ogf", 5):
+            argv = ["--m", str(m)] if m is not None else []
+            code, out, _ = run_cli(
+                capsys, "series", "--kind", kind, *argv, "--order", "2", "--format", "json",
+            )
+            assert code == 0
+            assert json.loads(out).get("m") == m
+
     def test_substitution_inverse_text(self, capsys):
         code, out, _ = run_cli(
             capsys, "series", "--kind", "substitution-inverse", "--order", "3",
@@ -384,6 +418,7 @@ class TestDeterminismAndOutput:
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "permfib", "verify", "--claim", "prop8", "--no-timestamp"],
+        cwd=Path(permfib.__file__).resolve().parents[1],
         capture_output=True,
         text=True,
         timeout=120,

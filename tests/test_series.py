@@ -380,6 +380,14 @@ class TestMasterIdentities:
         broken = TruncatedSeries(tuple(rows))
         assert first_mismatch(broken, rhs) == (2, 1, row[1], row[1] - 1)
 
+    def test_sides_of_different_orders_disagree(self):
+        lhs, rhs = ipk_gf_sides(3, 5, 3)
+        fewer_x = TruncatedSeries(lhs.coeffs[:3])
+        assert first_mismatch(fewer_x, rhs) == (3, 0, None, rhs.coeffs[3].coeffs[0])
+        fewer_t = TruncatedSeries((lhs.coeffs[0].truncate(2), *lhs.coeffs[1:]))
+        assert first_mismatch(fewer_t, rhs) == (0, 3, None, rhs.coeffs[0].coeffs[3])
+        assert first_mismatch(rhs, fewer_t) == (0, 3, rhs.coeffs[0].coeffs[3], None)
+
     def test_order_preconditions(self):
         with pytest.raises(InvalidInputError):
             verify_ipk_gf(3, 9, 5)

@@ -67,6 +67,12 @@ class TestBlockWordForm:
         with pytest.raises(InvalidInputError):
             forbidden_factors(2)
 
+    def test_forbidden_factors_are_built_once_per_m(self):
+        assert forbidden_factors(5) is forbidden_factors(5)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="m must be >= 3, got 2"):
+                forbidden_factors(2)
+
     def test_avoiding_examples(self):
         assert is_avoiding_block_word("aacbcccaaabbcacaaccc", 3)
         assert not is_avoiding_block_word("acba", 3)  # form holds, factor cba present
