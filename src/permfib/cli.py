@@ -437,6 +437,17 @@ KIND_READS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: The least --m that each kind reading it accepts: the domain of the claim
+#: or closed form behind it.
+KIND_MIN_M: dict[str, int] = {"counts-thm1": 3, "gf-coeffs": 3, "fib-ogf": 2, "ilpk-ogf": 3}
+
+
+def _check_m(kind: str, ms: Sequence[int]) -> None:
+    """Raise UsageError for a pattern length below the domain of ``kind``."""
+    if min(ms) < KIND_MIN_M[kind]:
+        raise UsageError(f"--kind {kind}: --m must be >= {KIND_MIN_M[kind]}, got {min(ms)}")
+
+
 def _reject_unread(kind: str, given: dict[str, bool]) -> None:
     """Raise UsageError for a given option that ``kind`` does not read."""
     for option, present in given.items():
@@ -453,6 +464,8 @@ def _cmd_table(args) -> Output:
         "--unsafe-large-n": args.unsafe_large_n,
     })
     ms = _parse_int_list(args.m)
+    if ms is not None:
+        _check_m(args.kind, ms)
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
@@ -505,6 +518,8 @@ def _cmd_table(args) -> Output:
 
 def _cmd_series(args) -> Output:
     _reject_unread(args.kind, {"--m": args.m is not None})
+    if args.m is not None:
+        _check_m(args.kind, (args.m,))
     params = {} if args.kind == "substitution-inverse" else {"m": 3 if args.m is None else args.m}
     if args.kind == "substitution-inverse":
         expansion = series.t_substitution_inverse(args.order)

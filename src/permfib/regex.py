@@ -3,9 +3,12 @@
 Supports literals, concatenation, union, star, plus, and bounded repetition
 (expanded structurally, no counter states).  Compilation goes through a
 Thompson NFA and the subset construction; the resulting DFA is total over
-the alphabet.  A direct recursive matcher and an exact parse counter serve
-as independent cross-checks, and the two canonical decompositions used by
-the bijections (greedy segmentation of core words, suffix split of full
+the alphabet.  A reference matcher and an exact parse counter serve as
+independent cross-checks: they never build an automaton, but evaluate the
+syntax tree forward on the set of positions reached so far (a bitset for
+the matcher, a map from position to number of derivations for the counter),
+in one pass over the tree per word.  The two canonical decompositions used
+by the bijections (greedy segmentation of core words, suffix split of full
 block words) live here as well.
 """
 
@@ -167,125 +170,144 @@ def block_word_regex(m: int = 3) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Reference matcher (backtracking over end positions) and parse counting
+# Reference matcher and parse counting (forward position-set evaluation)
+#
+# Both walk the syntax tree once per word, pushing the whole set of reached
+# positions through each node (Baeza-Yates & Gonnet, "A new approach to text
+# searching", CACM 35, 1992, run on the tree rather than on an automaton).
 
 
-def match_ends(node: Node, word: str, start: int, _memo=None) -> frozenset[int]:
-    """All positions where a match of ``node`` beginning at ``start`` may end."""
-    if _memo is None:
-        _memo = {}
-    key = (id(node), start)
-    if key in _memo:
-        return _memo[key]
-    ends: frozenset[int]
-    if isinstance(node, Lit):
-        ok = start < len(word) and word[start] == node.symbol
-        ends = frozenset((start + 1,)) if ok else frozenset()
-    elif isinstance(node, Concat):
-        current = {start}
-        for part in node.parts:
-            current = {e for s in current for e in match_ends(part, word, s, _memo)}
-        ends = frozenset(current)
-    elif isinstance(node, Union):
-        ends = frozenset(
-            e for option in node.options for e in match_ends(option, word, start, _memo)
-        )
-    elif isinstance(node, (Star, Plus)):
-        # positions reachable by one or more inner matches, then close up
-        frontier = set(match_ends(node.inner, word, start, _memo))
-        many = set(frontier)
-        while frontier:
-            frontier = {
-                e
-                for s in frontier
-                for e in match_ends(node.inner, word, s, _memo)
-                if e not in many
-            }
-            many |= frontier
-        if isinstance(node, Star):
-            many.add(start)
-        ends = frozenset(many)
-    elif isinstance(node, Repeat):
-        current = {start}
-        reached = {start}
-        for _ in range(node.most):
-            current = {e for s in current for e in match_ends(node.inner, word, s, _memo)}
-            reached |= current
-        ends = frozenset(reached)
-    else:
-        raise TypeError(f"not a regex node: {node!r}")
-    _memo[key] = ends
-    return ends
+def match_ends(node: Node, word: str, start: int) -> frozenset[int]:
+    """All positions where a match of ``node`` beginning at ``start`` may end.
+
+    Forward position-set evaluation from the bitset ``1 << start``, at the
+    cost given in :func:`ast_matches`.
+    """
+    check_word(word)
+    if start < 0:
+        raise InvalidInputError(f"start must be >= 0, got {start}")
+    ends = _ends(node, 1 << start, _symbol_masks(word))
+    return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
 
 
 def ast_matches(node: Node, word: str) -> bool:
-    """Backtracking reference matcher, independent of the DFA pipeline."""
+    """Reference matcher, independent of the DFA pipeline.
+
+    Forward position-set evaluation: the positions reached so far form one
+    int bitset, and each node maps the set of its start positions to the set
+    of its end positions in one visit.  A word of length n is one pass over
+    the tree; a visit of a star or plus runs its body at most n + 1 times,
+    so the cost is O(|AST| · (n + 1)^d) big-int operations for star nesting
+    depth d (d = 2 for the expressions of this package).
+
+    >>> ast_matches(core_regex(), "aacbc"), ast_matches(core_regex(), "aab")
+    (True, False)
+    """
     check_word(word)
-    return len(word) in match_ends(node, word, 0)
+    return bool(_ends(node, 1, _symbol_masks(word)) >> len(word) & 1)
+
+
+def _symbol_masks(word: str) -> dict[str, int]:
+    """Bit i of ``masks[x]`` is set when ``word[i] == x``."""
+    masks = dict.fromkeys(ALPHABET, 0)
+    for position, symbol in enumerate(word):
+        masks[symbol] |= 1 << position
+    return masks
+
+
+def _ends(node: Node, starts: int, masks: dict[str, int]) -> int:
+    """End positions of ``node`` matched from any position in ``starts``."""
+    if isinstance(node, Lit):
+        return (starts & masks[node.symbol]) << 1
+    if isinstance(node, Concat):
+        for part in node.parts:
+            if not starts:
+                break
+            starts = _ends(part, starts, masks)
+        return starts
+    if isinstance(node, Union):
+        ends = 0
+        for option in node.options:
+            ends |= _ends(option, starts, masks)
+        return ends
+    if isinstance(node, (Star, Plus)):
+        # positions reachable by one or more inner matches
+        reached = 0
+        frontier = starts
+        while frontier:
+            frontier = _ends(node.inner, frontier, masks) & ~reached
+            reached |= frontier
+        return reached | starts if isinstance(node, Star) else reached
+    if isinstance(node, Repeat):
+        reached = current = starts
+        for _ in range(node.most):
+            current = _ends(node.inner, current, masks)
+            reached |= current
+        return reached
+    raise TypeError(f"not a regex node: {node!r}")
 
 
 def count_parses(node: Node, word: str) -> int:
     """Number of distinct derivations of ``word``; 1 means unambiguous.
 
+    Forward position-set evaluation, as in :func:`ast_matches`, on a sparse
+    map {position: derivations so far} in place of the bitset.  The number
+    of parses is linear in the start weights, so one pass over the tree per
+    word is exact, at the matcher's cost in dictionary updates.
+
     Star and plus require a non-nullable inner expression so that the count
-    is finite; every expression in this package satisfies that.
+    is finite; every expression in this package satisfies that.  A star or
+    plus with a nullable body raises :class:`InvalidInputError` when the
+    evaluation reaches it.
     """
     check_word(word)
-    memo: dict[tuple[int, int], dict[int, int]] = {}
-    ways = _parse_ways(node, word, 0, memo)
-    return ways.get(len(word), 0)
+    return _ways(node, {0: 1}, word).get(len(word), 0)
 
 
-def _parse_ways(node: Node, word: str, start: int, memo) -> dict[int, int]:
-    key = (id(node), start)
-    if key in memo:
-        return memo[key]
-    out: dict[int, int] = {}
+def _ways(node: Node, starts: dict[int, int], word: str) -> dict[int, int]:
+    """{end: derivations} of ``node`` from the weighted start map ``starts``."""
     if isinstance(node, Lit):
-        if start < len(word) and word[start] == node.symbol:
-            out[start + 1] = 1
-    elif isinstance(node, Concat):
-        current = {start: 1}
+        n, symbol = len(word), node.symbol
+        out = {}
+        for s, ways in starts.items():
+            if s < n and word[s] == symbol:
+                out[s + 1] = ways
+        return out
+    if isinstance(node, Concat):
         for part in node.parts:
-            step: dict[int, int] = {}
-            for s, ways in current.items():
-                for e, inner_ways in _parse_ways(part, word, s, memo).items():
-                    step[e] = step.get(e, 0) + ways * inner_ways
-            current = step
-        out = current
-    elif isinstance(node, Union):
+            if not starts:
+                break
+            starts = _ways(part, starts, word)
+        return starts
+    if isinstance(node, Union):
+        out: dict[int, int] = {}
         for option in node.options:
-            for e, ways in _parse_ways(option, word, start, memo).items():
-                out[e] = out.get(e, 0) + ways
-    elif isinstance(node, (Star, Plus)):
-        if _parse_ways(node.inner, word, start, memo).get(start):
+            _add_into(out, _ways(option, starts, word))
+        return out
+    if isinstance(node, (Star, Plus)):
+        out = dict(starts) if isinstance(node, Star) else {}
+        frontier = _ways(node.inner, starts, word)
+        # Ends never lie left of their start, so the leftmost start comes
+        # back in one step only through an empty match of the body.
+        if starts and min(starts) in frontier:
             raise InvalidInputError("parse counting requires a non-nullable star/plus body")
-        out = {start: 1} if isinstance(node, Star) else {}
-        frontier = {start: 1}
         while frontier:
-            step: dict[int, int] = {}
-            for s, ways in frontier.items():
-                for e, inner_ways in _parse_ways(node.inner, word, s, memo).items():
-                    if e > s:
-                        step[e] = step.get(e, 0) + ways * inner_ways
-            for e, ways in step.items():
-                out[e] = out.get(e, 0) + ways
-            frontier = step
-    elif isinstance(node, Repeat):
-        current = {start: 1}
-        out = {start: 1}
+            _add_into(out, frontier)
+            frontier = _ways(node.inner, frontier, word)
+        return out
+    if isinstance(node, Repeat):
+        out = dict(starts)
+        current = starts
         for _ in range(node.most):
-            step = {}
-            for s, ways in current.items():
-                for e, inner_ways in _parse_ways(node.inner, word, s, memo).items():
-                    step[e] = step.get(e, 0) + ways * inner_ways
-            for e, ways in step.items():
-                out[e] = out.get(e, 0) + ways
-            current = step
-    else:
-        raise TypeError(f"not a regex node: {node!r}")
-    memo[key] = out
-    return out
+            current = _ways(node.inner, current, word)
+            _add_into(out, current)
+        return out
+    raise TypeError(f"not a regex node: {node!r}")
+
+
+def _add_into(out: dict[int, int], step: dict[int, int]) -> None:
+    for position, ways in step.items():
+        out[position] = out.get(position, 0) + ways
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from permfib import regex
+from permfib.errors import InvalidInputError
 from permfib.series import TruncatedSeries
 
 
@@ -175,3 +177,110 @@ def _dense_rational(numerator: list, denominator: list, order: int) -> Truncated
         return TruncatedSeries(tuple(values[: order + 1]))
 
     return dense_mul(padded(numerator), dense_invert(padded(denominator)))
+
+
+# ---------------------------------------------------------------------------
+# Top-down memoised regex references: one start position at a time, memo
+# keyed by (node, start).  They stand as a reference for the forward
+# position-set evaluation of regex.match_ends, ast_matches and count_parses.
+
+
+def memo_match_ends(node, word: str, start: int, memo=None) -> frozenset[int]:
+    if memo is None:
+        memo = {}
+    key = (id(node), start)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, regex.Lit):
+        ok = start < len(word) and word[start] == node.symbol
+        ends = frozenset((start + 1,)) if ok else frozenset()
+    elif isinstance(node, regex.Concat):
+        current = {start}
+        for part in node.parts:
+            current = {e for s in current for e in memo_match_ends(part, word, s, memo)}
+        ends = frozenset(current)
+    elif isinstance(node, regex.Union):
+        ends = frozenset(
+            e for option in node.options for e in memo_match_ends(option, word, start, memo)
+        )
+    elif isinstance(node, (regex.Star, regex.Plus)):
+        frontier = set(memo_match_ends(node.inner, word, start, memo))
+        many = set(frontier)
+        while frontier:
+            frontier = {
+                e
+                for s in frontier
+                for e in memo_match_ends(node.inner, word, s, memo)
+                if e not in many
+            }
+            many |= frontier
+        if isinstance(node, regex.Star):
+            many.add(start)
+        ends = frozenset(many)
+    elif isinstance(node, regex.Repeat):
+        current = {start}
+        reached = {start}
+        for _ in range(node.most):
+            current = {e for s in current for e in memo_match_ends(node.inner, word, s, memo)}
+            reached |= current
+        ends = frozenset(reached)
+    else:
+        raise TypeError(f"not a regex node: {node!r}")
+    memo[key] = ends
+    return ends
+
+
+def memo_count_parses(node, word: str) -> int:
+    return _memo_parse_ways(node, word, 0, {}).get(len(word), 0)
+
+
+def _memo_parse_ways(node, word: str, start: int, memo) -> dict[int, int]:
+    key = (id(node), start)
+    if key in memo:
+        return memo[key]
+    out: dict[int, int] = {}
+    if isinstance(node, regex.Lit):
+        if start < len(word) and word[start] == node.symbol:
+            out[start + 1] = 1
+    elif isinstance(node, regex.Concat):
+        current = {start: 1}
+        for part in node.parts:
+            step: dict[int, int] = {}
+            for s, ways in current.items():
+                for e, inner_ways in _memo_parse_ways(part, word, s, memo).items():
+                    step[e] = step.get(e, 0) + ways * inner_ways
+            current = step
+        out = current
+    elif isinstance(node, regex.Union):
+        for option in node.options:
+            for e, ways in _memo_parse_ways(option, word, start, memo).items():
+                out[e] = out.get(e, 0) + ways
+    elif isinstance(node, (regex.Star, regex.Plus)):
+        if _memo_parse_ways(node.inner, word, start, memo).get(start):
+            raise InvalidInputError("parse counting requires a non-nullable star/plus body")
+        out = {start: 1} if isinstance(node, regex.Star) else {}
+        frontier = {start: 1}
+        while frontier:
+            step = {}
+            for s, ways in frontier.items():
+                for e, inner_ways in _memo_parse_ways(node.inner, word, s, memo).items():
+                    if e > s:
+                        step[e] = step.get(e, 0) + ways * inner_ways
+            for e, ways in step.items():
+                out[e] = out.get(e, 0) + ways
+            frontier = step
+    elif isinstance(node, regex.Repeat):
+        current = {start: 1}
+        out = {start: 1}
+        for _ in range(node.most):
+            step = {}
+            for s, ways in current.items():
+                for e, inner_ways in _memo_parse_ways(node.inner, word, s, memo).items():
+                    step[e] = step.get(e, 0) + ways * inner_ways
+            for e, ways in step.items():
+                out[e] = out.get(e, 0) + ways
+            current = step
+    else:
+        raise TypeError(f"not a regex node: {node!r}")
+    memo[key] = out
+    return out

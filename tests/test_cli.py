@@ -365,6 +365,22 @@ class TestSeriesCommand:
         assert err == "error: series order 5001 exceeds the cap 5000\n"
 
     @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["table", "--kind", "gf-coeffs", "--n-max", "3"], 3),
+            (["table", "--kind", "counts-thm1", "--n-max", "3"], 3),
+            (["series", "--kind", "ilpk-ogf"], 3),
+            (["series", "--kind", "fib-ogf"], 2),
+        ],
+    )
+    def test_m_below_the_domain_is_a_usage_error(self, capsys, argv, low):
+        code, out, err = run_cli(capsys, *argv, "--m", str(low - 1))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --kind {argv[2]}: --m must be >= {low}, got {low - 1}\n"
+        code, out, err = run_cli(capsys, *argv, "--m", str(low))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
         "kind, expected", [("fib-ogf", ["1", "1", "2", "4"]), ("ilpk-ogf", ["0", "0", "1", "5"])]
     )
     def test_work_does_not_grow_with_m(self, capsys, kind, expected):
