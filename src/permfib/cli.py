@@ -2,14 +2,14 @@
 emit tables and series expansions.
 
 Exit codes: 0 all good; 1 a counterexample, or an input that a library
-operation rejects (such as a malformed permutation for stats, a word
-outside every map's domain for biject, or a negative series order); 2 usage
-error: an unknown option or claim, a claim parameter outside the claim's
-domain or read by no selected claim, a table or series option that the
-chosen --kind does not read (see KIND_READS), more than one --m for
-table --kind gf-coeffs, a negative --n-max, a size bound exceeded without
-the override flag, or a series order above series.MAX_SERIES_ORDER (5,000),
-which has no override.
+operation rejects (such as a malformed permutation for stats, or a word
+outside every map's domain for biject); 2 usage error: an unknown option or
+claim, a claim parameter outside the claim's domain or read by no selected
+claim, a table or series option that the chosen --kind does not read or a
+--m or --order below the least value that the kind reads (see KIND_READS),
+more than one --m for table --kind gf-coeffs, a negative --n-max, a size
+bound exceeded without the override flag, or a series order above
+series.MAX_SERIES_ORDER (5,000), which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -423,49 +423,52 @@ def _biject_word(word: str) -> Output:
 # table
 
 
-#: The options beyond --n-max that each table or series kind reads; giving
-#: a kind any other is a usage error.
-KIND_READS: dict[str, tuple[str, ...]] = {
-    "fib": ("--order",),
-    "counts-thm1": ("--m", "--unsafe-large-n"),
-    "counts-thm2": ("--unsafe-large-n",),
-    "gf-coeffs": ("--m", "--order"),
-    "descent-matrix": (),
-    "substitution-inverse": ("--order",),
-    "fib-ogf": ("--m", "--order"),
-    "ilpk-ogf": ("--m", "--order"),
+#: The options beyond --n-max that each table or series kind reads, each
+#: with its least value (None for a flag); giving a kind any other option is
+#: a usage error.  The least --m is the domain of the claim or closed form
+#: behind the kind.
+KIND_READS: dict[str, dict[str, int | None]] = {
+    "fib": {"--order": 1},
+    "counts-thm1": {"--m": 3, "--unsafe-large-n": None},
+    "counts-thm2": {"--unsafe-large-n": None},
+    "gf-coeffs": {"--m": 3, "--order": 0},
+    "descent-matrix": {},
+    "substitution-inverse": {"--order": 1},
+    "fib-ogf": {"--m": 2, "--order": 0},
+    "ilpk-ogf": {"--m": 3, "--order": 0},
 }
 
 
-#: The least --m that each kind reading it accepts: the domain of the claim
-#: or closed form behind it.
-KIND_MIN_M: dict[str, int] = {"counts-thm1": 3, "gf-coeffs": 3, "fib-ogf": 2, "ilpk-ogf": 3}
+def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
+    """The options given to ``kind``, comma lists parsed into tuples.
 
-
-def _check_m(kind: str, ms: Sequence[int]) -> None:
-    """Raise UsageError for a pattern length below the domain of ``kind``."""
-    if min(ms) < KIND_MIN_M[kind]:
-        raise UsageError(f"--kind {kind}: --m must be >= {KIND_MIN_M[kind]}, got {min(ms)}")
-
-
-def _reject_unread(kind: str, given: dict[str, bool]) -> None:
-    """Raise UsageError for a given option that ``kind`` does not read."""
-    for option, present in given.items():
-        if present and option not in KIND_READS[kind]:
+    An option not given is None.  Raises UsageError for a given option that
+    ``kind`` does not read, before any value is parsed, and then for a value
+    below its least.
+    """
+    reads = KIND_READS[kind]
+    given = {option: value for option, value in given.items() if value is not None}
+    for option in given:
+        if option not in reads:
             raise UsageError(f"--kind {kind} does not read {option}")
+    for option, value in given.items():
+        if isinstance(value, str):
+            given[option] = value = _parse_int_list(value)
+        least = reads[option]
+        lowest = min(value) if isinstance(value, tuple) else value
+        if least is not None and lowest < least:
+            raise UsageError(f"--kind {kind}: {option} must be >= {least}, got {lowest}")
+    return given
 
 
 def _cmd_table(args) -> Output:
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
-    _reject_unread(args.kind, {
-        "--m": args.m is not None,
-        "--order": args.order is not None,
-        "--unsafe-large-n": args.unsafe_large_n,
-    })
-    ms = _parse_int_list(args.m)
-    if ms is not None:
-        _check_m(args.kind, ms)
+    ms = _read_options(args.kind, {
+        "--m": args.m,
+        "--order": args.order,
+        "--unsafe-large-n": args.unsafe_large_n or None,
+    }).get("--m")
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
@@ -517,9 +520,7 @@ def _cmd_table(args) -> Output:
 
 
 def _cmd_series(args) -> Output:
-    _reject_unread(args.kind, {"--m": args.m is not None})
-    if args.m is not None:
-        _check_m(args.kind, (args.m,))
+    _read_options(args.kind, {"--m": args.m, "--order": args.order})
     params = {} if args.kind == "substitution-inverse" else {"m": 3 if args.m is None else args.m}
     if args.kind == "substitution-inverse":
         expansion = series.t_substitution_inverse(args.order)

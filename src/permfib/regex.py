@@ -1,15 +1,15 @@
 """A small exact regex engine over the alphabet {a, b, c}.
 
 Supports literals, concatenation, union, star, plus, and bounded repetition
-(expanded structurally, no counter states).  Compilation goes through a
-Thompson NFA and the subset construction; the resulting DFA is total over
-the alphabet.  A reference matcher and an exact parse counter serve as
-independent cross-checks: they never build an automaton, but evaluate the
-syntax tree forward on the set of positions reached so far (a bitset for
-the matcher, a map from position to number of derivations for the counter),
-in one pass over the tree per word.  The two canonical decompositions used
-by the bijections (greedy segmentation of core words, suffix split of full
-block words) live here as well.
+(expanded structurally, no counter states).  Compilation goes through the
+position automaton, which has no empty moves, and the subset construction;
+the resulting DFA is total over the alphabet.  A reference matcher and an
+exact parse counter serve as independent cross-checks: they never build an
+automaton, but evaluate the syntax tree forward on the set of positions
+reached so far (a bitset for the matcher, a map from position to number of
+derivations for the counter), in one pass over the tree per word.  The
+two canonical decompositions used by the bijections (greedy segmentation of
+core words, suffix split of full block words) live here as well.
 """
 
 from __future__ import annotations
@@ -311,68 +311,54 @@ def _add_into(out: dict[int, int], step: dict[int, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Thompson NFA and subset construction
+# Position automaton and subset construction
+#
+# The position (Glushkov) automaton has one state per literal occurrence plus
+# a start marker, and no empty moves (Glushkov, "The abstract theory of
+# automata", Russian Math. Surveys 16, 1961).
 
 
-class _NfaBuilder:
-    def __init__(self) -> None:
-        self.epsilon: list[list[int]] = []
-        self.symbol: list[dict[str, list[int]]] = []
+def _positions(
+    node: Node, symbols: list[str], follow: list[set[int]]
+) -> tuple[bool, set[int], set[int]]:
+    """(nullable, first, last) of ``node``, numbering its literal occurrences.
 
-    def new_state(self) -> int:
-        self.epsilon.append([])
-        self.symbol.append({})
-        return len(self.epsilon) - 1
-
-    def add_epsilon(self, src: int, dst: int) -> None:
-        self.epsilon[src].append(dst)
-
-    def add_symbol(self, src: int, symbol: str, dst: int) -> None:
-        self.symbol[src].setdefault(symbol, []).append(dst)
-
-    def build(self, node: Node) -> tuple[int, int]:
-        if isinstance(node, Lit):
-            s, t = self.new_state(), self.new_state()
-            self.add_symbol(s, node.symbol, t)
-            return s, t
-        if isinstance(node, Concat):
-            s, t = self.new_state(), self.new_state()
-            current = s
-            for part in node.parts:
-                ps, pt = self.build(part)
-                self.add_epsilon(current, ps)
-                current = pt
-            self.add_epsilon(current, t)
-            return s, t
-        if isinstance(node, Union):
-            s, t = self.new_state(), self.new_state()
-            for option in node.options:
-                os_, ot = self.build(option)
-                self.add_epsilon(s, os_)
-                self.add_epsilon(ot, t)
-            return s, t
-        if isinstance(node, Star):
-            s, t = self.new_state(), self.new_state()
-            is_, it = self.build(node.inner)
-            self.add_epsilon(s, is_)
-            self.add_epsilon(s, t)
-            self.add_epsilon(it, is_)
-            self.add_epsilon(it, t)
-            return s, t
-        if isinstance(node, Plus):
-            return self.build(seq(node.inner, star(node.inner)))
-        if isinstance(node, Repeat):
-            # chain of optional copies: stop after any prefix of them
-            s, t = self.new_state(), self.new_state()
-            self.add_epsilon(s, t)
-            current = s
-            for _ in range(node.most):
-                is_, it = self.build(node.inner)
-                self.add_epsilon(current, is_)
-                self.add_epsilon(it, t)
-                current = it
-            return s, t
-        raise TypeError(f"not a regex node: {node!r}")
+    Each literal gets the next position, with its symbol appended to
+    ``symbols``; ``follow[p]`` collects the positions that may come right
+    after position p.
+    """
+    if isinstance(node, Lit):
+        symbols.append(node.symbol)
+        follow.append(set())
+        return False, {len(symbols) - 1}, {len(symbols) - 1}
+    if isinstance(node, (Concat, Repeat)):
+        # a Repeat is a chain of copies that may stop after any prefix of them
+        parts = node.parts if isinstance(node, Concat) else (node.inner,) * node.most
+        nullable, first, last, ends = True, set(), set(), set()
+        for part in parts:
+            part_nullable, part_first, part_last = _positions(part, symbols, follow)
+            for p in last:
+                follow[p] |= part_first
+            if nullable:
+                first |= part_first
+            last = last | part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+            ends |= last
+        return (True, first, ends) if isinstance(node, Repeat) else (nullable, first, last)
+    if isinstance(node, Union):
+        nullable, first, last = False, set(), set()
+        for option in node.options:
+            option_nullable, option_first, option_last = _positions(option, symbols, follow)
+            nullable |= option_nullable
+            first |= option_first
+            last |= option_last
+        return nullable, first, last
+    if isinstance(node, (Star, Plus)):
+        nullable, first, last = _positions(node.inner, symbols, follow)
+        for p in last:
+            follow[p] |= first
+        return nullable or isinstance(node, Star), first, last
+    raise TypeError(f"not a regex node: {node!r}")
 
 
 @dataclass(frozen=True)
@@ -386,9 +372,6 @@ class Dfa:
     @property
     def states(self) -> int:
         return len(self.table)
-
-    def step(self, state: int, symbol: str) -> int:
-        return self.table[state][ALPHABET.index(symbol)]
 
     def accepts(self, word: str) -> bool:
         check_word(word)
@@ -446,41 +429,30 @@ class Dfa:
 
 
 def compile_ast(node: Node) -> Dfa:
-    """Compile via Thompson NFA and the subset construction; total DFA."""
-    builder = _NfaBuilder()
-    start, accept = builder.build(node)
+    """Compile via the position automaton and the subset construction.
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            s = stack.pop()
-            for t in builder.epsilon[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-    initial = closure(frozenset((start,)))
+    Position 0 is the start marker; a subset of positions accepts when it
+    holds a last position, or is the start and the expression is nullable.
+    The DFA is total: the empty subset is its dead state.
+    """
+    symbols, follow = [""], [set()]
+    nullable, first, last = _positions(node, symbols, follow)
+    follow[0] = first
+    final = last | {0} if nullable else last
+    initial = frozenset((0,))
     index: dict[frozenset[int], int] = {initial: 0}
     order = [initial]
     table: list[tuple[int, ...]] = []
-    position = 0
-    while position < len(order):
-        subset = order[position]
+    for subset in order:
         row = []
         for symbol in ALPHABET:
-            moved = frozenset(
-                t for s in subset for t in builder.symbol[s].get(symbol, ())
-            )
-            target = closure(moved)
+            target = frozenset(q for p in subset for q in follow[p] if symbols[q] == symbol)
             if target not in index:
                 index[target] = len(order)
                 order.append(target)
             row.append(index[target])
         table.append(tuple(row))
-        position += 1
-    accepting = frozenset(i for subset, i in index.items() if accept in subset)
+    accepting = frozenset(i for i, subset in enumerate(order) if not subset.isdisjoint(final))
     return Dfa(table=tuple(table), start=0, accepting=accepting)
 
 

@@ -37,6 +37,14 @@ class TestVerify:
         assert code == 0
         assert "classes=256" in out
 
+    def test_prop7_compiles_a_long_padding_repetition(self, capsys):
+        # b^{≤997} twice: the compiler must not recurse once per copy
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "prop7", "--m", "1000", "--n-max", "4", "--no-timestamp"
+        )
+        assert code == 0
+        assert "PASS" in out
+
     def test_bound_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claim", "theorem1", "--n-max", "99")
         assert code == 2
@@ -282,7 +290,7 @@ class TestTable:
         assert (code, out) == (2, "")
         assert "--n-max must be >= 0" in err
         code, out, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--order", "-2")
-        assert (code, out) == (1, "")
+        assert (code, out) == (2, "")
         assert "order must be >= 0" in err
 
     @pytest.mark.parametrize("kind", ["counts-thm1", "counts-thm2", "descent-matrix"])
@@ -347,8 +355,25 @@ class TestSeriesCommand:
 
     def test_negative_order_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "series", "--kind", "ilpk-ogf", "--order", "-3")
-        assert (code, out) == (1, "")
+        assert (code, out) == (2, "")
         assert "order must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "command, kind, least",
+        [
+            ("table", "fib", 1),
+            ("table", "gf-coeffs", 0),
+            ("series", "substitution-inverse", 1),
+            ("series", "fib-ogf", 0),
+            ("series", "ilpk-ogf", 0),
+        ],
+    )
+    def test_order_below_its_least_is_a_usage_error(self, capsys, command, kind, least):
+        code, out, err = run_cli(capsys, command, "--kind", kind, "--order", str(least - 1))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --kind {kind}: --order must be >= {least}, got {least - 1}\n"
+        code, out, err = run_cli(capsys, command, "--kind", kind, "--order", str(least))
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
         "argv",

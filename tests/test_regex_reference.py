@@ -1,8 +1,10 @@
 """The forward reference matcher and parse counter against the top-down
 memoised references in ``oracles``, and against the DFA pipeline only
-through the results they report."""
+through the results they report; the compiled DFA against the reference
+matcher on arbitrary syntax trees."""
 
 import contextlib
+import itertools
 import signal
 
 import pytest
@@ -71,6 +73,19 @@ def test_forward_evaluation_agrees_with_the_memoised_reference(node, word):
             assert regex.count_parses(node, word) == expected
 
 
+WORDS_UP_TO_5 = [
+    "".join(letters) for n in range(6) for letters in itertools.product("abc", repeat=n)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(syntax_trees)
+def test_compiled_dfa_agrees_with_the_reference_on_arbitrary_trees(node):
+    dfa = regex.compile_ast(node)
+    for word in WORDS_UP_TO_5:
+        assert dfa.accepts(word) == regex.ast_matches(node, word), word
+
+
 def test_nullable_body_raises_only_when_reached():
     nullable = regex.star(regex.up_to(regex.lit("a"), 1))
     with pytest.raises(InvalidInputError, match="non-nullable"):
@@ -100,7 +115,7 @@ def test_reference_does_not_use_the_automaton_pipeline(monkeypatch, node, word, 
     def unavailable(*args, **kwargs):
         raise AssertionError("the reference must not build an automaton")
 
-    for name in ("compile_ast", "_NfaBuilder", "Dfa", "core_dfa", "block_word_dfa"):
+    for name in ("compile_ast", "_positions", "Dfa", "core_dfa", "block_word_dfa"):
         monkeypatch.setattr(regex, name, unavailable)
     assert regex.ast_matches(node, word) is matches
     assert regex.count_parses(node, word) == parses
