@@ -26,7 +26,7 @@ from .permutations import (
 )
 from .regex import reassemble_block_word, split_block_word
 from .tilings import Tiling, tiling_to_word, word_to_tiling
-from .words import block_word_split, forbidden_factors, is_avoiding_block_word
+from .words import forbidden_factors, is_avoiding_block_word, is_block_word
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def word_to_permutation(word: str) -> Permutation:
     Values whose letter is a are sorted increasingly, then the b values
     decreasingly, then the c values increasingly.
     """
-    if block_word_split(word) is None:
+    if not is_block_word(word):
         raise NotInDomainError(
             f"not of the form a^i c u a c^j, so not an encoding: {word!r}"
         )
@@ -149,8 +149,6 @@ def permutation_to_tiling_triple(p: Permutation) -> TilingTriple:
     >>> (triple.j, triple.k, triple.tiling.serialize())
     (0, 1, '1\\n1')
     """
-    if not is_n_shaped(p):
-        raise NotInDomainError(f"lpk != 1: not an N-shaped permutation: {p}")
     word = block_word(p)
     if not is_avoiding_block_word(word, 3):
         raise NotInDomainError(

@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list from: all, " + ", ".join(CLAIM_NAMES),
     )
     verify.add_argument("--n-max", type=int, default=7)
-    verify.add_argument("--k-max", type=int, default=10, help="width bound for prop8")
+    verify.add_argument("--k-max", type=int, help="width bound for prop8 (default 10)")
     verify.add_argument("--m", default=None, help="comma list of pattern lengths")
     verify.add_argument(
         "--unsafe-large-n",
@@ -248,10 +248,18 @@ def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
 
 
 def _cmd_verify(args) -> Output:
+    names = _selected_claims(args.claim)
+    for option, given, reads in (
+        ("--k-max", args.k_max is not None, lambda claim: claim.max_k is not None),
+        ("--unsafe-large-n", args.unsafe_large_n, lambda claim: claim.sweeps),
+    ):
+        if given and not any(reads(claims.CLAIMS[name]) for name in names):
+            readers = ", ".join(claim.name for claim in claims.CLAIMS.values() if reads(claim))
+            raise UsageError(f"{option} is read only by {readers}")
     reports = claims.run(
-        _selected_claims(args.claim),
+        names,
         n_max=args.n_max,
-        k_max=args.k_max,
+        k_max=10 if args.k_max is None else args.k_max,
         ms=_parse_int_list(args.m),
         allow_large=args.unsafe_large_n,
     )

@@ -20,8 +20,6 @@ from .compositions import enumerate_compositions, fib
 from .errors import InvalidInputError, ResourceLimitError
 from .permutations import (
     check_enumeration_size,
-    contains_ascending_run,
-    contains_descending_run,
     increasing_run_lengths,
     inverse_letters,
     left_peak_count,
@@ -96,10 +94,8 @@ def _shape(letters: tuple[int, ...]) -> tuple[int, int, int, int]:
     """Longest ascending run, longest descending run, peaks and left peaks:
     each compares adjacent letters only, so each is a function of the rise
     pattern."""
-    up, down = (
-        max((m for m in range(2, len(letters) + 1) if contains(letters, m)), default=1)
-        for contains in (contains_ascending_run, contains_descending_run)
-    )
+    up = max(increasing_run_lengths(letters))
+    down = max(increasing_run_lengths([-letter for letter in letters]))
     return up, down, peak_count(letters), left_peak_count(letters)
 
 

@@ -528,6 +528,8 @@ def reassemble_block_word(j: int, k: int, core: str, n: int) -> str:
     """Inverse of :func:`split_block_word` for a target total length n."""
     if len(core) != k:
         raise InvalidInputError(f"core has length {len(core)}, expected k={k}")
+    if j < 0:
+        raise InvalidInputError(f"the c-run length j must be >= 0, got {j}")
     runs = n - j - k
     if runs < 1:
         raise InvalidInputError(f"need at least one a between core and c-run (n={n}, j={j}, k={k})")

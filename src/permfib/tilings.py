@@ -1,7 +1,7 @@
 """Two-row monomino/domino tilings and their correspondence with core words.
 
-A tiling here is a pair of rows of width k, each row a sequence of block
-lengths 1 (monomino) or 2 (horizontal domino), with a monomino in the
+A tiling here is a pair of rows of width k, each row a composition of k
+into parts 1 (monomino) and 2 (horizontal domino), with a monomino in the
 top-left corner.  Cutting at every full-height vertical seam decomposes a
 tiling into indecomposable segments, and those segments are in one-to-one
 correspondence with the segments of a core word:
@@ -12,17 +12,20 @@ correspondence with the segments of a core word:
     a..ab (width w) -> top row 2,2,...    bottom row 1,2,2,...
 
 In the brick-offset segments the rows interlock, so the right edge is a
-monomino in exactly one row, determined by the parity of w.
+monomino in exactly one row, determined by the parity of w.  Decoding cuts
+a tiling at its seams and checks each piece against :func:`segment_rows`,
+so the table above is stated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvalidInputError
 from . import regex
-from .compositions import descent_set
+from .compositions import enumerate_compositions
 
 
 @dataclass(frozen=True)
@@ -72,40 +75,22 @@ class Tiling:
         return cls(rows[0], rows[1])
 
 
-def row_tilings(k: int) -> Iterator[tuple[int, ...]]:
-    """All monomino/domino rows of width k, lexicographically by block list."""
-    if k < 0:
-        raise InvalidInputError("width must be nonnegative")
-    if k == 0:
-        yield ()
-        return
-    for first in (1, 2):
-        if first <= k:
-            for rest in row_tilings(k - first):
-                yield (first,) + rest
-
-
 def enumerate_tilings(k: int) -> Iterator[Tiling]:
     """All width-k tilings with a top-left monomino, (top, bottom) lex order."""
     if k < 1:
         raise InvalidInputError(f"width must be >= 1, got {k}")
-    for top in row_tilings(k):
-        if top[0] != 1:
-            continue
-        for bottom in row_tilings(k):
-            yield Tiling(top, bottom)
+    rows = [composition.parts for composition in enumerate_compositions(k, max_part=2)]
+    for top in rows:
+        if top[0] == 1:
+            for bottom in rows:
+                yield Tiling(top, bottom)
 
 
-def _monomino_first_row(width: int) -> tuple[int, ...]:
-    if width % 2 == 1:
-        return (1,) + (2,) * ((width - 1) // 2)
-    return (1,) + (2,) * ((width - 2) // 2) + (1,)
-
-
-def _domino_first_row(width: int) -> tuple[int, ...]:
-    if width % 2 == 0:
-        return (2,) * (width // 2)
-    return (2,) * ((width - 1) // 2) + (1,)
+def _brick_row(first: int, width: int) -> tuple[int, ...]:
+    """A leading block of ``first`` cells, then dominoes, then a monomino
+    if one cell is left."""
+    dominoes, left = divmod(width - first, 2)
+    return (first,) + (2,) * dominoes + (1,) * left
 
 
 def segment_rows(segment: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -123,9 +108,8 @@ def segment_rows(segment: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     width = len(segment)
     if width < 2 or set(segment[:-1]) != {"a"} or segment[-1] not in "bc":
         raise InvalidInputError(f"not a segment shape (c, bc, a..ab, a..ac): {segment!r}")
-    if segment.endswith("c"):
-        return _monomino_first_row(width), _domino_first_row(width)
-    return _domino_first_row(width), _monomino_first_row(width)
+    top_first = 1 if segment.endswith("c") else 2
+    return _brick_row(top_first, width), _brick_row(3 - top_first, width)
 
 
 def word_to_tiling(word: str) -> Tiling:
@@ -145,44 +129,35 @@ def word_to_tiling(word: str) -> Tiling:
 
 
 def tiling_to_word(tiling: Tiling) -> str:
-    """Invert :func:`word_to_tiling` by cutting at full-height seams."""
-    width = tiling.width
-    seams = sorted(set(descent_set(tiling.top)) & set(descent_set(tiling.bottom)))
-    cuts = [0] + seams + [width]
-    segments = []
-    top_iter = list(tiling.top)
-    bottom_iter = list(tiling.bottom)
+    """Invert :func:`word_to_tiling` by cutting at full-height seams.
 
-    def take(row: list[int], span: int) -> tuple[int, ...]:
-        out = []
-        while span > 0:
-            block = row.pop(0)
-            out.append(block)
-            span -= block
-        if span != 0:
-            raise InvalidInputError("seam cuts through a block")
-        return tuple(out)
+    Each piece is named by the segment whose rows it must be: a..ac when
+    its top row starts with a monomino, a..ab when its bottom row does, bc
+    otherwise.
 
-    for left, right in zip(cuts, cuts[1:]):
-        span = right - left
-        seg_top = take(top_iter, span)
-        seg_bottom = take(bottom_iter, span)
-        segments.append(_classify_segment(seg_top, seg_bottom, span))
-    word = "".join(segments)
+    >>> tiling_to_word(Tiling((1, 2, 1, 2), (2, 1, 1, 2)))
+    'aaccbc'
+    """
+    seams = set(accumulate(tiling.top)) & set(accumulate(tiling.bottom))
+    word = ""
+    for top, bottom in zip(_cut(tiling.top, seams), _cut(tiling.bottom, seams)):
+        a_run = "a" * (sum(top) - 1)
+        segment = a_run + "c" if top[0] == 1 else a_run + "b" if bottom[0] == 1 else "bc"
+        if segment_rows(segment) != (top, bottom):
+            raise InvalidInputError(
+                f"not an indecomposable segment shape: top={top} bottom={bottom}"
+            )
+        word += segment
     if not regex.core_dfa().accepts(word):
         raise InvalidInputError(f"tiling does not decode to a core word: {word!r}")
     return word
 
 
-def _classify_segment(top: tuple[int, ...], bottom: tuple[int, ...], width: int) -> str:
-    if width == 1:
-        return "c"
-    if top == (2,) and bottom == (2,):
-        return "bc"
-    if top[0] == 1 and top == _monomino_first_row(width) and bottom == _domino_first_row(width):
-        return "a" * (width - 1) + "c"
-    if bottom[0] == 1 and bottom == _monomino_first_row(width) and top == _domino_first_row(width):
-        return "a" * (width - 1) + "b"
-    raise InvalidInputError(
-        f"not an indecomposable segment shape: top={top} bottom={bottom}"
-    )
+def _cut(row: tuple[int, ...], seams: set[int]) -> list[tuple[int, ...]]:
+    """The pieces of ``row`` between consecutive seams."""
+    pieces, start = [], 0
+    for end, edge in enumerate(accumulate(row), start=1):
+        if edge in seams:
+            pieces.append(row[start:end])
+            start = end
+    return pieces

@@ -34,32 +34,15 @@ def avoids_factor(word: str, factor: str) -> bool:
     return factor not in word
 
 
-def block_word_split(word: str) -> tuple[int, int] | None:
-    """Return (i, j) for the a^i c u a c^j form, or None if the form fails.
+def is_block_word(word: str) -> bool:
+    """True for words of the form a^i c u a c^j.
 
     The maximal leading a-run and maximal trailing c-run are forced: the
-    mandatory c terminates the former and the mandatory a the latter.
+    mandatory c ends the former and the mandatory a the latter, so what
+    lies between the runs must start with c and end with a.
     """
-    check_word(word)
-    n = len(word)
-    i = 0
-    while i < n and word[i] == "a":
-        i += 1
-    if i >= n or word[i] != "c":
-        return None
-    j = 0
-    while j < n and word[n - 1 - j] == "c":
-        j += 1
-    if j >= n or word[n - 1 - j] != "a":
-        return None
-    if i + 1 >= n - j:
-        return None
-    return i, j
-
-
-def is_block_word(word: str) -> bool:
-    """True for words of the form a^i c u a c^j."""
-    return block_word_split(word) is not None
+    middle = check_word(word).lstrip("a").rstrip("c")
+    return middle[:1] == "c" and middle[-1:] == "a"
 
 
 @functools.lru_cache(maxsize=32)

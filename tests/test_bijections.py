@@ -206,6 +206,11 @@ class TestTilings:
         for k in range(1, 11):
             assert sum(1 for _ in enumerate_tilings(k)) == fib(2, k - 1) * fib(2, k)
 
+    def test_enumeration_is_lexicographic_by_top_then_bottom(self):
+        for k in range(1, 8):
+            rows = [(tiling.top, tiling.bottom) for tiling in enumerate_tilings(k)]
+            assert rows == sorted(set(rows))
+
     def test_bijection_with_core_words(self):
         for k in range(1, 9):
             mapped = {word_to_tiling(z) for z in regex.core_dfa().language(k)}

@@ -85,6 +85,31 @@ class TestVerify:
         assert code == 0
         assert "PASS  theorem1  (m=4, n_max=4)" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--claim", "theorem2", "--k-max", "-5", "--n-max", "3"], "--k-max is read only by"),
+            (["--claim", "eq1,gf3", "--k-max", "4"], "--k-max is read only by prop8"),
+            (
+                ["--claim", "prop7", "--unsafe-large-n"],
+                "--unsafe-large-n is read only by theorem1, theorem2, theorem4, corollaries, "
+                "prop6, gf-general",
+            ),
+        ],
+    )
+    def test_option_read_by_no_selected_claim_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_k_max_and_unsafe_large_n_need_one_selected_reader(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "prop8,theorem2", "--k-max", "3", "--n-max", "3",
+            "--unsafe-large-n", "--no-timestamp",
+        )
+        assert code == 0
+        assert "PASS  prop8  (k_max=3," in out
+
     def test_millis_measure_the_work(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--claim", "prop7", "--n-max", "9", "--format", "json"

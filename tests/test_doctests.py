@@ -10,6 +10,7 @@ import permfib.permutations
 import permfib.regex
 import permfib.series
 import permfib.tilings
+import permfib.words
 
 
 @pytest.mark.parametrize(
@@ -21,6 +22,7 @@ import permfib.tilings
         permfib.regex,
         permfib.series,
         permfib.tilings,
+        permfib.words,
     ],
     ids=lambda module: module.__name__,
 )

@@ -237,6 +237,11 @@ class TestSplitBlockWord:
                 assert core.accepts(z)
                 assert regex.reassemble_block_word(j, k, z, n) == word
 
+    def test_reassemble_rejects_a_negative_c_run(self):
+        # a negative c-run would make the word longer than n
+        with pytest.raises(InvalidInputError, match="j must be >= 0"):
+            regex.reassemble_block_word(-1, 1, "c", 3)
+
     def test_full_regex_unambiguous(self):
         expression = regex.block_word_regex(3)
         dfa = regex.block_word_dfa(3)
