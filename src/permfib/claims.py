@@ -1,10 +1,10 @@
 """The registry of checkable claims behind ``permfib verify``.
 
-Each claim has a name, its default pattern lengths, whether it sweeps S_n,
-the caps on its size parameters, and a check taking explicit parameters
-that yields one report per checked case.  :func:`validate`
-rejects bad parameters before any work starts, and :func:`run` validates,
-runs and times every report the same way.
+Each claim has a name, its default pattern lengths, whether it reads n_max
+and whether it sweeps S_n, the caps on its size parameters, and a check
+taking explicit parameters that yields one report per checked case.
+:func:`validate` rejects bad parameters before any work starts, and
+:func:`run` validates, runs and times every report the same way.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class Claim(NamedTuple):
     #: Pattern lengths checked when none are given; empty for claims that
     #: do not read m.  Every m a claim reads must be at least 3.
     default_ms: tuple[int, ...] = ()
+    #: Whether the check reads n_max.
+    reads_n_max: bool = False
     #: Whether the check sweeps S_n for every n up to n_max.
     sweeps: bool = False
     #: Largest n_max, and largest k_max, the check accepts; None: no cap.
@@ -208,17 +210,17 @@ def _gf_general(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
 CLAIMS: dict[str, Claim] = {
     claim.name: claim
     for claim in (
-        Claim("theorem1", _theorem1, (3, 4, 5), sweeps=True),
-        Claim("theorem2", _theorem2, sweeps=True),
-        Claim("theorem4", _theorem4, sweeps=True),
-        Claim("corollaries", _corollaries, sweeps=True),
-        Claim("prop6", _prop6, (3,), sweeps=True),
-        Claim("prop7", _prop7, (3,), max_n=12),
+        Claim("theorem1", _theorem1, (3, 4, 5), reads_n_max=True, sweeps=True),
+        Claim("theorem2", _theorem2, reads_n_max=True, sweeps=True),
+        Claim("theorem4", _theorem4, reads_n_max=True, sweeps=True),
+        Claim("corollaries", _corollaries, reads_n_max=True, sweeps=True),
+        Claim("prop6", _prop6, (3,), reads_n_max=True, sweeps=True),
+        Claim("prop7", _prop7, (3,), reads_n_max=True, max_n=12),
         Claim("prop8", _prop8, max_k=12),
-        Claim("eq1", _eq1),
+        Claim("eq1", _eq1, reads_n_max=True),
         Claim("gf3", _gf3),
         Claim("gf5", _gf5),
-        Claim("gf-general", _gf_general, (3, 4), sweeps=True),
+        Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, sweeps=True),
     )
 }
 

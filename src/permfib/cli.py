@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma list from: all, " + ", ".join(CLAIM_NAMES),
     )
-    verify.add_argument("--n-max", type=int, default=7)
+    verify.add_argument("--n-max", type=int, help="largest n checked (default 7)")
     verify.add_argument("--k-max", type=int, help="width bound for prop8 (default 10)")
     verify.add_argument("--m", default=None, help="comma list of pattern lengths")
     verify.add_argument(
@@ -250,6 +250,7 @@ def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
 def _cmd_verify(args) -> Output:
     names = _selected_claims(args.claim)
     for option, given, reads in (
+        ("--n-max", args.n_max is not None, lambda claim: claim.reads_n_max),
         ("--k-max", args.k_max is not None, lambda claim: claim.max_k is not None),
         ("--unsafe-large-n", args.unsafe_large_n, lambda claim: claim.sweeps),
     ):
@@ -258,7 +259,7 @@ def _cmd_verify(args) -> Output:
             raise UsageError(f"{option} is read only by {readers}")
     reports = claims.run(
         names,
-        n_max=args.n_max,
+        n_max=7 if args.n_max is None else args.n_max,
         k_max=10 if args.k_max is None else args.k_max,
         ms=_parse_int_list(args.m),
         allow_large=args.unsafe_large_n,

@@ -95,6 +95,11 @@ class TestVerify:
                 "--unsafe-large-n is read only by theorem1, theorem2, theorem4, corollaries, "
                 "prop6, gf-general",
             ),
+            (
+                ["--claim", "prop8,gf3", "--n-max", "50"],
+                "--n-max is read only by theorem1, theorem2, theorem4, corollaries, "
+                "prop6, prop7, eq1, gf-general",
+            ),
         ],
     )
     def test_option_read_by_no_selected_claim_is_usage_error(self, capsys, argv, message):
@@ -109,6 +114,14 @@ class TestVerify:
         )
         assert code == 0
         assert "PASS  prop8  (k_max=3," in out
+
+    def test_n_max_needs_one_selected_reader(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "prop8,eq1", "--k-max", "3", "--n-max", "4",
+            "--no-timestamp",
+        )
+        assert code == 0
+        assert "PASS  eq1  (n_max=4)" in out
 
     def test_millis_measure_the_work(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,9 @@
 """Every query over the cached S_n sweep against a direct per-permutation
 reference that shares no code with permfib.permutations."""
 
+import math
+from collections import Counter
+
 import pytest
 from oracles import permutation_records
 
@@ -52,6 +55,21 @@ def test_kept_letters_match_reference(n):
         assert sorted(swept.n_shaped_avoiders(m)) == [
             r.letters for r in records if r.lpk == 1 and r.inverse_down < m
         ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_histogram_matches_reference(n):
+    """The joint (up, down, ipk, ilpk) counts, not only their marginals."""
+    assert oracle.sweep(n).histogram == Counter(
+        (r.up, r.down, r.ipk, r.ilpk) for r in permutation_records(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_child_is_counted_once(n):
+    swept = oracle.sweep(n)
+    assert sum(swept.histogram.values()) == math.factorial(n)
+    assert len(swept.ipk0) == 2 ** (n - 1)
 
 
 def test_caps_are_checked_on_a_warm_cache(monkeypatch):
