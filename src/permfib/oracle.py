@@ -1,8 +1,10 @@
-"""Exhaustive brute-force counts and claim checkers.
+"""Brute-force counts and claim checkers.
 
-Everything here counts by enumerating permutations (or words, or tilings)
-and applying raw statistics; the constructions being verified are only ever
-used on the other side of a comparison, never inside a count.
+Every permutation of n is one of n - 1 with n inserted, and the permutation
+oracles rest on that one step (see :class:`Sweep`); words and tilings are
+enumerated.  Every permutation an oracle keeps is tested with raw
+statistics, and the constructions being verified are only ever used on the
+other side of a comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import regex, tilings
 from .bijections import zero_ipk_permutation
@@ -23,7 +25,6 @@ from .permutations import (
     increasing_run_lengths,
     inverse_letters,
     left_peak_count,
-    letter_tuples,
     peak_count,
 )
 from .words import is_avoiding_block_word, iter_block_words
@@ -90,50 +91,113 @@ def first_disagreement(cases: Iterable[dict[str, Any]], *index: str) -> Optional
 # The shared S_n sweep
 
 
-def _shape(letters: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Longest ascending run, longest descending run, peaks and left peaks:
-    each compares adjacent letters only, so each is a function of the rise
-    pattern."""
-    up = max(increasing_run_lengths(letters))
-    down = max(increasing_run_lengths([-letter for letter in letters]))
-    return up, down, peak_count(letters), left_peak_count(letters)
+def _tally(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
+    """Total count of each key."""
+    counts: dict[Any, int] = {}
+    for key, count in pairs:
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
+def _run_lengths(rises: bytes, cut: bytes) -> tuple[int, ...]:
+    """Lengths of the runs of letters with these rise bits, cut at each bit ``cut``."""
+    return tuple(len(part) + 1 for part in rises.split(cut))
+
+
+def _peaks(fold: tuple, rise: bool) -> tuple:
+    """(peaks, first bit, last bit) of the inverse's rise bits, one bit longer."""
+    peaks, first, last = fold
+    return peaks + (last is True and not rise), rise if first is None else first, rise
+
+
+def _bits(fold: bytes, rise: bool) -> bytes:
+    """The inverse's rise bits, one bit longer."""
+    return fold + bytes((rise,))
+
+
+def _classes(n: int, fold: Callable, start: Any) -> Iterator[tuple[tuple, int]]:
+    """(class, count) pairs, in which a class can recur, that count the
+    permutations of n by padded rise bits, the inverse's rise bits folded
+    from ``start`` by ``fold``, and the index of n.  Each level is tallied
+    from the one below and then dropped: holding the levels would cost more
+    memory than building them again costs time."""
+    if n == 1:
+        yield (b"\1\0", start, 0), 1
+        return
+    for (rises, inverse, top), count in _tally(_classes(n - 1, fold, start)).items():
+        for j in range(n):
+            yield (rises[:j] + b"\1\0" + rises[j + 1 :], fold(inverse, j > top), j), count
+
+
+def _children(parents: Iterable[bytes], n: int) -> Iterator[bytes]:
+    """Each parent, a permutation of n - 1, with n inserted before each index."""
+    top = bytes((n,))
+    return (tau[:j] + top + tau[j:] for tau in parents for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _peakless_inverses(n: int) -> tuple[bytes, ...]:
+    """The permutations of n whose inverse has no peak, in lexicographic order."""
+    parents = _peakless_inverses(n - 1) if n > 1 else (b"",)
+    return tuple(
+        sorted(pi for pi in _children(parents, n) if peak_count(inverse_letters(pi)) == 0)
+    )
+
+
+@lru_cache(maxsize=None)
+def _one_left_peak(n: int) -> dict[int, bytes]:
+    """The permutations of n with one left peak, by the longest descending
+    run of their inverse, in order of (tau, j)."""
+    if n == 1:
+        return {}
+    blobs = (bytes(range(1, n)), *_one_left_peak(n - 1).values())
+    parents = sorted(blob[i : i + n - 1] for blob in blobs for i in range(0, len(blob), n - 1))
+    shaped: dict[int, bytearray] = {}
+    for pi in _children(parents, n):
+        if left_peak_count(pi) == 1:
+            run = max(increasing_run_lengths([-letter for letter in inverse_letters(pi)]))
+            shaped.setdefault(run, bytearray()).extend(pi)
+    return {run: bytes(blob) for run, blob in sorted(shaped.items())}
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """What the permutation oracles need from one pass over S_n.
+    """What the permutation oracles need from S_n.
 
-    ``histogram`` counts permutations by (longest ascending run, longest
-    descending run, ipk, ilpk); only the methods below read its layout.  It
-    is filled from a tally of the permutations of n - 1 by class (see
-    :func:`_walk`), each class's children at once, in the order in which a
-    permutation-by-permutation pass would first meet each key.
-    ``ipk0`` holds the letters of the permutations whose inverse has no
-    peak, in lexicographic order.  ``n_shaped`` holds the letters of the
-    permutations with exactly one left peak, concatenated into one bytes
-    object per longest descending run of the inverse.
+    Each permutation of n is a tau in S_(n-1) with n inserted before one
+    index j.  Padded with a rise in front and a descent at the end, tau's
+    rise bits get a rise and a descent in place of padded bit j; the
+    inverse's rise bits gain one bit at the end, a rise exactly when j is
+    past the index of n - 1 in tau.  So ``histogram``, the count by (longest
+    ascending run, longest descending run, ipk, ilpk), is carried over
+    classes by :func:`_classes`: ipk grows by one when the inverse's last
+    bit is a rise and the new one a descent, and ilpk is ipk plus one when
+    its first bit is a descent.  Only the methods below read its layout.
+
+    The insertion never lowers ipk, nor the left peaks of the permutation.
+    So ``ipk0``, the letters of the permutations whose inverse has no peak
+    in lexicographic order, grows on a tree of insertions pruned at ipk > 0.
+    ``n_shaped``, the letters of the permutations with one left peak joined
+    into one bytes object per longest descending run of the inverse, grows
+    on one pruned at two left peaks.  It is built on first use, as it grows
+    about threefold with n.
     """
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
     ipk0: tuple[tuple[int, ...], ...]
-    n_shaped: dict[int, bytes]
+
+    @property
+    def n_shaped(self) -> dict[int, bytes]:
+        return _one_left_peak(self.n)
 
     def ipk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding an ascending m-run, by peaks of the inverse."""
-        return self._sum((ipk, c) for (up, _, ipk, _), c in self.histogram.items() if up < m)
+        return _tally((ipk, c) for (up, _, ipk, _), c in self.histogram.items() if up < m)
 
     def ilpk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding a descending m-run, by left peaks of the inverse."""
-        return self._sum((ilpk, c) for (_, down, _, ilpk), c in self.histogram.items() if down < m)
-
-    @staticmethod
-    def _sum(pairs: Iterator[tuple[int, int]]) -> dict[int, int]:
-        """Total count of each statistic value."""
-        counts: dict[int, int] = {}
-        for stat, count in pairs:
-            counts[stat] = counts.get(stat, 0) + count
-        return counts
+        return _tally((ilpk, c) for (_, down, _, ilpk), c in self.histogram.items() if down < m)
 
     def n_shaped_avoiders(self, m: int) -> Iterator[tuple[int, ...]]:
         """Letters of the one-left-peak permutations whose inverse avoids a
@@ -148,95 +212,27 @@ class Sweep:
 
 
 def sweep(n: int, *, allow_large: bool = False) -> Sweep:
-    """The shared pass over S_n.  The pass is cached on n alone, so the
+    """What the oracles need from S_n.  It is cached on n alone, so the
     size caps are checked here, on every call, before the cache is read."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     check_enumeration_size(n, allow_large=allow_large)
-    return _walk(n)
+    return _sweep(n)
 
 
 @lru_cache(maxsize=None)
-def _walk(n: int) -> Sweep:
-    """Visit each permutation of S_n once, as a tau in S_(n-1) with n
-    inserted before index j, for j = 0..n-1.
-
-    The rise pattern of such a child is fixed by tau's and by j, so the
-    children's runs are computed once per rise pattern of tau.  The child's
-    inverse is tau's with the entries past j shifted up and j + 1 appended:
-    its rise pattern is tau's inverse's plus one bit, whether n comes after
-    n - 1, which holds exactly for j >= split, one past the index of n - 1
-    in tau.  So the inverses' shapes are computed once per rise pattern of
-    tau's inverse, for both values of the bit.
-
-    The histogram thus reads tau only through its class: its rise pattern,
-    the inverse peaks of its children before and after the split, and the
-    split.  The loop tallies tau by class (2,614 classes for the 40,320 tau
-    at n = 9), and then adds each class's n children to the histogram once,
-    weighted by its count.  A class is packed into one int and patterns are
-    bytes, as tuple keys cost peak RSS.
-    """
-    ipk0 = []
-    n_shaped: dict[int, bytearray] = {}
-    # rise pattern of tau -> its part of the class key, and the j of the
-    # children with one left peak
-    children: dict[bytes, tuple[int, tuple[int, ...]]] = {}
-    # the longest runs of each child, by rise pattern of tau in first-seen order
-    runs: list[tuple[tuple[int, int], ...]] = []
-    # rise pattern of tau's inverse -> the shapes of the children's inverses
-    # before and after the split, and their four peaks in base n
-    inverses: dict[bytes, tuple[tuple[int, int, int, int], tuple[int, int, int, int], int]] = {}
-    # the four peaks in base n -> the (ipk, ilpk) before and after the split
-    sides: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    # class key, in base n: rise pattern index, the four inverse peaks, split
-    # (peaks and split are below n) -> how many tau are in the class
-    tally: dict[int, int] = {}
-
-    def child(tau: tuple[int, ...], j: int) -> tuple[int, ...]:
-        return tau[:j] + (n,) + tau[j:]
-
-    for tau in letter_tuples(n - 1, allow_large=True):
-        rises = bytes(map(operator.lt, tau, tau[1:]))
-        if rises not in children:
-            kids = [_shape(child(tau, j)) for j in range(n)]
-            children[rises] = (
-                len(runs) * n**5,
-                tuple(j for j, kid in enumerate(kids) if kid[3] == 1),
-            )
-            runs.append(tuple(kid[:2] for kid in kids))
-        pattern, one_left_peak = children[rises]
-        inverse = inverse_letters(tau)
-        rises = bytes(map(operator.lt, inverse, inverse[1:]))
-        if rises not in inverses:
-            before = _shape(inverse_letters(child(tau, 0)))
-            after = _shape(inverse_letters(child(tau, n - 1)))
-            peaks = ((before[2] * n + before[3]) * n + after[2]) * n + after[3]
-            sides[peaks] = (before[2:], after[2:])
-            inverses[rises] = (before, after, peaks)
-        before, after, peaks = inverses[rises]
-        split = inverse[-1] if tau else 0
-        key = pattern + peaks * n + split
-        tally[key] = tally.get(key, 0) + 1
-        if before[2] == 0:
-            ipk0.extend(child(tau, j) for j in range(split))
-        if after[2] == 0:
-            ipk0.extend(child(tau, j) for j in range(split, n))
-        for j in one_left_peak:
-            run = (after if j >= split else before)[1]
-            n_shaped.setdefault(run, bytearray()).extend(child(tau, j))
-    histogram: dict[tuple[int, int, int, int], int] = {}
-    for key, count in tally.items():
-        index, key = divmod(key, n**5)
-        peaks, split = divmod(key, n)
-        for j, own in enumerate(runs[index]):
-            stats = own + sides[peaks][j >= split]
-            histogram[stats] = histogram.get(stats, 0) + count
-    return Sweep(
-        n,
-        histogram,
-        tuple(sorted(ipk0)),
-        {run: bytes(blob) for run, blob in sorted(n_shaped.items())},
+def _sweep(n: int) -> Sweep:
+    # The histogram reads only a class's rise bits, ipk and first bit, so
+    # the classes are tallied by those first and each is read once.
+    shapes = _tally(
+        ((rises[1:-1], ipk, ipk + (first is False)), count)
+        for (rises, (ipk, first, _), _), count in _classes(n, _peaks, (0, None, None))
     )
+    histogram = _tally(
+        ((max(_run_lengths(rises, b"\0")), max(_run_lengths(rises, b"\1")), ipk, ilpk), count)
+        for (rises, ipk, ilpk), count in shapes.items()
+    )
+    return Sweep(n, histogram, tuple(map(tuple, _peakless_inverses(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +336,10 @@ def descent_pair_matrix(
         raise ResourceLimitError(
             f"the matrix has 4^{n - 1} classes; n <= 8 unless allow_large is set"
         )
-    matrix: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for letters in letter_tuples(n):
-        key = (
-            increasing_run_lengths(letters),
-            increasing_run_lengths(inverse_letters(letters)),
-        )
-        matrix[key] = matrix.get(key, 0) + 1
-    return matrix
+    return _tally(
+        ((_run_lengths(rises[1:-1], b"\0"), _run_lengths(inverse, b"\0")), count)
+        for (rises, inverse, _), count in _classes(n, _bits, b"")
+    )
 
 
 def _is_hook(parts: tuple[int, ...]) -> bool:
@@ -379,11 +371,14 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
     if n_max > 60:
         raise InvalidInputError("n_max is capped at 60")
 
+    # products[k] = f(k-1) f(k); each sum below reads it in its own order
+    products = [fib(2, k - 1) * fib(2, k) for k in range(n_max + 1)]
+
     def cases() -> Iterator[dict[str, Any]]:
         for n in range(1, n_max + 1):
-            double = sum(fib(2, k - 1) * fib(2, k) for i in range(1, n) for k in range(1, i + 1))
-            closed = fib(2, n - 1) * fib(2, n) - (n + 1) // 2
-            reindexed = sum(fib(2, k - 1) * fib(2, k) for k in range(1, n) for _ in range(n - k))
+            double = sum(products[k] for i in range(1, n) for k in range(1, i + 1))
+            closed = products[n] - (n + 1) // 2
+            reindexed = sum((n - k) * products[k] for k in range(1, n))
             yield {"n": n, "double_sum": double, "closed_form": closed, "reindexed": reindexed}
             for k in range(n + 1):
                 hockey = sum(math.comb(j, 2 * k) for j in range(n))

@@ -173,8 +173,8 @@ def check_enumeration_size(n: int, *, allow_large: bool = False) -> None:
 def letter_tuples(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
     """All length-n letter tuples in lexicographic order, without wrapping.
 
-    This is the raw stream behind :func:`enumerate_symmetric_group`; the
-    exhaustive oracles iterate it directly to avoid per-element overhead.
+    This is the raw stream behind :func:`enumerate_symmetric_group`, for
+    callers that would rather skip the per-element wrapping.
     """
     check_enumeration_size(n, allow_large=allow_large)
     return itertools.permutations(range(1, n + 1))

@@ -1,6 +1,7 @@
 """Tiny independent oracles shared between test modules."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -41,6 +42,50 @@ def brute_force_segmentations(word: str) -> list[tuple[str, ...]]:
     return results
 
 
+# ---------------------------------------------------------------------------
+# Permutation statistics by direct loops, without permfib.permutations, so
+# they stand as an independent reference for the S_n sweep and the
+# descent-pair matrix.
+
+
+def inverse(letters):
+    out = [0] * len(letters)
+    for position, value in enumerate(letters, start=1):
+        out[value - 1] = position
+    return tuple(out)
+
+
+def rise_bits(values):
+    return tuple(a < b for a, b in zip(values, values[1:]))
+
+
+def ascending_runs(values):
+    """Lengths of the maximal ascending runs, in order."""
+    runs = [1]
+    for rise in rise_bits(values):
+        if rise:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(runs)
+
+
+def longest_run(values, rising):
+    best = run = 1
+    for rise in rise_bits(values):
+        run = run + 1 if rise == rising else 1
+        best = max(best, run)
+    return best
+
+
+def peaks(values):
+    return sum(1 for a, b, c in zip(values, values[1:], values[2:]) if a < b > c)
+
+
+def left_peaks(values):
+    return peaks(values) + int(len(values) > 1 and values[0] > values[1])
+
+
 class Record(NamedTuple):
     letters: tuple[int, ...]
     up: int  # longest ascending run
@@ -52,38 +97,26 @@ class Record(NamedTuple):
 
 
 def permutation_records(n: int) -> Iterator[Record]:
-    """The statistics the S_n sweep tallies, for every permutation of 1..n.
-
-    Every statistic is computed here by direct loops, without
-    permfib.permutations, so this stands as an independent reference for
-    the sweep-backed queries."""
-
-    def longest_run(values, rising):
-        best = run = 1
-        for a, b in zip(values, values[1:]):
-            run = run + 1 if (a < b) == rising else 1
-            best = max(best, run)
-        return best
-
-    def peaks(values):
-        return sum(1 for a, b, c in zip(values, values[1:], values[2:]) if a < b > c)
-
-    def left_peaks(values):
-        return peaks(values) + int(len(values) > 1 and values[0] > values[1])
-
+    """The statistics the S_n sweep tallies, for every permutation of 1..n."""
     for letters in itertools.permutations(range(1, n + 1)):
-        inverse = [0] * n
-        for position, value in enumerate(letters, start=1):
-            inverse[value - 1] = position
+        inv = inverse(letters)
         yield Record(
             letters,
             longest_run(letters, True),
             longest_run(letters, False),
-            peaks(inverse),
-            left_peaks(inverse),
+            peaks(inv),
+            left_peaks(inv),
             left_peaks(letters),
-            longest_run(inverse, False),
+            longest_run(inv, False),
         )
+
+
+def descent_pair_counts(n: int) -> Counter:
+    """Permutations of 1..n by (ascending runs, the inverse's ascending runs)."""
+    return Counter(
+        (ascending_runs(letters), ascending_runs(inverse(letters)))
+        for letters in itertools.permutations(range(1, n + 1))
+    )
 
 
 # ---------------------------------------------------------------------------
