@@ -3,8 +3,9 @@
 Each claim has a name, its default pattern lengths, whether it reads n_max
 and whether it sweeps S_n, the caps on its size parameters, and a check
 taking explicit parameters that yields one report per checked case.
-:func:`validate` rejects bad parameters before any work starts, and
-:func:`run` validates, runs and times every report the same way.
+:func:`validate` rejects bad parameters before any work starts, the S_n a
+claim would sweep past :func:`permutations.enumeration_cap` among them,
+and :func:`run` validates, runs and times every report the same way.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from . import bijections, compositions, oracle, permutations, regex, series, til
 from .errors import InvalidInputError
 from .oracle import VerificationReport, first_disagreement, report
 
-#: Claims that sweep S_n refuse n-max beyond this without allow_large.
-SAFE_N_MAX = 9
+#: The x order at which gf3 and gf5 compare their two sides; their left
+#: sides sweep S_n for every n up to it.
+GF_X_ORDER = 7
 
 
 class UsageError(InvalidInputError):
@@ -33,36 +35,37 @@ class Claim(NamedTuple):
     default_ms: tuple[int, ...] = ()
     #: Whether the check reads n_max.
     reads_n_max: bool = False
-    #: Whether the check sweeps S_n for every n up to n_max.
+    #: Whether the check sweeps S_n for every n up to n_max, or up to
+    #: GF_X_ORDER if it does not read n_max.
     sweeps: bool = False
     #: Largest n_max, and largest k_max, the check accepts; None: no cap.
     max_n: Optional[int] = None
     max_k: Optional[int] = None
 
 
-def theorem1_counts(n: int, m: int, allow_large: bool = False) -> dict[str, int]:
-    """At n: the enumerated peakless-inverse m-run avoiders, and the
+def theorem1_counts(n: int, m: int) -> dict[str, int]:
+    """At n: the counted peakless-inverse m-run avoiders, and the
     order-(m-1) Fibonacci number they should equal."""
-    count = oracle.count_ipk0_avoiders(n, m, allow_large=allow_large)
+    count = oracle.count_ipk0_avoiders(n, m)
     return {"n": n, "count": count, "fibonacci": compositions.fib(m - 1, n)}
 
 
-def theorem2_counts(n: int, allow_large: bool = False) -> dict[str, int]:
-    """At n: the enumerated ilpk-one 3-run avoiders, and
+def theorem2_counts(n: int) -> dict[str, int]:
+    """At n: the counted ilpk-one 3-run avoiders, and
     f(n-1) f(n) - floor((n+1)/2)."""
-    count = oracle.count_ilpk1_avoiders(n, 3, allow_large=allow_large)
+    count = oracle.count_ilpk1_avoiders(n, 3)
     expected = compositions.fib(2, n - 1) * compositions.fib(2, n) - (n + 1) // 2
     return {"n": n, "count": count, "closed_form": expected}
 
 
-def _theorem1(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
+def _theorem1(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     for m in ms:
-        cases = (theorem1_counts(n, m, allow_large) for n in range(1, n_max + 1))
+        cases = (theorem1_counts(n, m) for n in range(1, n_max + 1))
         yield report("theorem1", {"m": m, "n_max": n_max}, first_disagreement(cases, "n"))
 
 
-def _theorem2(*, n_max, allow_large, **_) -> Iterator[VerificationReport]:
-    cases = (theorem2_counts(n, allow_large) for n in range(1, n_max + 1))
+def _theorem2(*, n_max, **_) -> Iterator[VerificationReport]:
+    cases = (theorem2_counts(n) for n in range(1, n_max + 1))
     yield report("theorem2", {"n_max": n_max}, first_disagreement(cases, "n"))
 
 
@@ -169,12 +172,12 @@ def _eq1(*, n_max, **_) -> Iterator[VerificationReport]:
 
 def _gf_reports(claim: str, sides: Callable) -> Iterator[VerificationReport]:
     for m in (2, 3, 4):
-        mismatch = series.first_mismatch(*sides(m, 7, 5))
+        mismatch = series.first_mismatch(*sides(m, GF_X_ORDER, 5))
         counterexample = None
         if mismatch is not None:
             n, i, left, right = mismatch
             counterexample = {"x_power": n, "t_power": i, "lhs": str(left), "rhs": str(right)}
-        yield report(claim, {"m": m, "x_order": 7, "t_order": 5}, counterexample)
+        yield report(claim, {"m": m, "x_order": GF_X_ORDER, "t_order": 5}, counterexample)
 
 
 def _gf3(**_) -> Iterator[VerificationReport]:
@@ -188,7 +191,7 @@ def _gf5(**_) -> Iterator[VerificationReport]:
     yield from _gf_reports("gf5", series.ilpk_gf_sides)
 
 
-def _gf_general(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
+def _gf_general(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     for m in ms:
         expansion = series.ilpk_one_ogf(m, n_max)
         dfa = regex.block_word_dfa(m)
@@ -197,7 +200,7 @@ def _gf_general(*, ms, n_max, allow_large, **_) -> Iterator[VerificationReport]:
                 "n": n,
                 "coefficient": expansion.coeffs[n],
                 "dfa": dfa.count_words(n),
-                "oracle": oracle.count_ilpk1_avoiders(n, m, allow_large=allow_large),
+                "oracle": oracle.count_ilpk1_avoiders(n, m),
             }
             for n in range(1, n_max + 1)
         )
@@ -218,8 +221,8 @@ CLAIMS: dict[str, Claim] = {
         Claim("prop7", _prop7, (3,), reads_n_max=True, max_n=12),
         Claim("prop8", _prop8, max_k=12),
         Claim("eq1", _eq1, reads_n_max=True),
-        Claim("gf3", _gf3),
-        Claim("gf5", _gf5),
+        Claim("gf3", _gf3, sweeps=True),
+        Claim("gf5", _gf5, sweeps=True),
         Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, sweeps=True),
     )
 }
@@ -227,7 +230,7 @@ CLAIMS: dict[str, Claim] = {
 
 def validate(
     names: Iterable[str], *, n_max: int, k_max: Optional[int] = None,
-    ms: Optional[tuple[int, ...]] = None, allow_large: bool = False,
+    ms: Optional[tuple[int, ...]] = None,
 ) -> None:
     """Raise UsageError unless every named claim accepts these parameters.
 
@@ -244,15 +247,11 @@ def validate(
     for name in names:
         claim = CLAIMS[name]
         if claim.sweeps:
-            if n_max > SAFE_N_MAX and not allow_large:
-                raise UsageError(
-                    f"--n-max {n_max} exceeds the safe bound {SAFE_N_MAX}; "
-                    "pass --unsafe-large-n to proceed"
-                )
+            size, largest = ("--n-max", n_max) if claim.reads_n_max else ("x_order", GF_X_ORDER)
             cap = permutations.enumeration_cap()
-            if n_max > cap:
+            if largest > cap:
                 raise UsageError(
-                    f"--n-max {n_max} exceeds the enumeration cap {cap} "
+                    f"{name}: {size} {largest} exceeds the S_n cap {cap} "
                     "(set PERMFIB_MAX_N to raise it)"
                 )
         if claim.default_ms and min(ms or claim.default_ms) < 3:
@@ -264,7 +263,7 @@ def validate(
 
 def run(
     names: Iterable[str], *, n_max: int, k_max: int,
-    ms: Optional[tuple[int, ...]] = None, allow_large: bool = False,
+    ms: Optional[tuple[int, ...]] = None,
 ) -> list[VerificationReport]:
     """Validate every named claim, then run them in order.
 
@@ -272,14 +271,12 @@ def run(
     claim, or since the claim started.
     """
     names = tuple(names)
-    validate(names, n_max=n_max, k_max=k_max, ms=ms, allow_large=allow_large)
+    validate(names, n_max=n_max, k_max=k_max, ms=ms)
     reports = []
     for name in names:
         claim = CLAIMS[name]
         started = time.monotonic()
-        for r in claim.check(
-            ms=ms or claim.default_ms, n_max=n_max, k_max=k_max, allow_large=allow_large
-        ):
+        for r in claim.check(ms=ms or claim.default_ms, n_max=n_max, k_max=k_max):
             now = time.monotonic()
             r.millis = int((now - started) * 1000)
             started = now

@@ -7,9 +7,9 @@ outside every map's domain for biject); 2 usage error: an unknown option or
 claim, a claim parameter outside the claim's domain or read by no selected
 claim, a table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
-more than one --m for table --kind gf-coeffs, a negative --n-max, a size
-bound exceeded without the override flag, or a series order above
-series.MAX_SERIES_ORDER (5,000), which has no override.
+more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
+past the cap that PERMFIB_MAX_N moves, a descent matrix past n = 8, or a
+series order above series.MAX_SERIES_ORDER (5,000), which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -26,7 +26,7 @@ import sys
 from typing import Any, NamedTuple, Sequence
 
 from . import bijections, claims, oracle, regex, series, tilings
-from .claims import SAFE_N_MAX, UsageError
+from .claims import UsageError
 from .compositions import Composition, fib
 from .errors import NotInDomainError, PermfibError, ResourceLimitError
 from .permutations import Permutation, descent_composition, statistics
@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permfib",
         description="Permutation statistics, block-word bijections, and "
-        "Fibonacci-flavored counting identities, checked by exhaustive "
-        "enumeration and exact series arithmetic.",
+        "Fibonacci-flavored counting identities, checked by independent "
+        "counts and exact series arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, help="largest n checked (default 7)")
     verify.add_argument("--k-max", type=int, help="width bound for prop8 (default 10)")
     verify.add_argument("--m", default=None, help="comma list of pattern lengths")
-    verify.add_argument(
-        "--unsafe-large-n",
-        action="store_true",
-        help=f"allow n-max beyond {SAFE_N_MAX} (up to the enumeration cap)",
-    )
     common(verify)
     verify.set_defaults(func=_cmd_verify)
 
@@ -142,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Fibonacci order for --kind fib (default 2), "
         "truncation order for --kind gf-coeffs (default n-max)",
     )
-    table.add_argument("--unsafe-large-n", action="store_true")
     common(table)
     table.set_defaults(func=_cmd_table)
 
@@ -252,7 +246,6 @@ def _cmd_verify(args) -> Output:
     for option, given, reads in (
         ("--n-max", args.n_max is not None, lambda claim: claim.reads_n_max),
         ("--k-max", args.k_max is not None, lambda claim: claim.max_k is not None),
-        ("--unsafe-large-n", args.unsafe_large_n, lambda claim: claim.sweeps),
     ):
         if given and not any(reads(claims.CLAIMS[name]) for name in names):
             readers = ", ".join(claim.name for claim in claims.CLAIMS.values() if reads(claim))
@@ -262,7 +255,6 @@ def _cmd_verify(args) -> Output:
         n_max=7 if args.n_max is None else args.n_max,
         k_max=10 if args.k_max is None else args.k_max,
         ms=_parse_int_list(args.m),
-        allow_large=args.unsafe_large_n,
     )
     all_pass = all(r.passed for r in reports)
     timed = not args.no_timestamp
@@ -433,13 +425,12 @@ def _biject_word(word: str) -> Output:
 
 
 #: The options beyond --n-max that each table or series kind reads, each
-#: with its least value (None for a flag); giving a kind any other option is
-#: a usage error.  The least --m is the domain of the claim or closed form
-#: behind the kind.
-KIND_READS: dict[str, dict[str, int | None]] = {
+#: with its least value; giving a kind any other option is a usage error.
+#: The least --m is the domain of the claim or closed form behind the kind.
+KIND_READS: dict[str, dict[str, int]] = {
     "fib": {"--order": 1},
-    "counts-thm1": {"--m": 3, "--unsafe-large-n": None},
-    "counts-thm2": {"--unsafe-large-n": None},
+    "counts-thm1": {"--m": 3},
+    "counts-thm2": {},
     "gf-coeffs": {"--m": 3, "--order": 0},
     "descent-matrix": {},
     "substitution-inverse": {"--order": 1},
@@ -465,7 +456,7 @@ def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
             given[option] = value = _parse_int_list(value)
         least = reads[option]
         lowest = min(value) if isinstance(value, tuple) else value
-        if least is not None and lowest < least:
+        if lowest < least:
             raise UsageError(f"--kind {kind}: {option} must be >= {least}, got {lowest}")
     return given
 
@@ -473,19 +464,12 @@ def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
 def _cmd_table(args) -> Output:
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
-    ms = _read_options(args.kind, {
-        "--m": args.m,
-        "--order": args.order,
-        "--unsafe-large-n": args.unsafe_large_n or None,
-    }).get("--m")
+    ms = _read_options(args.kind, {"--m": args.m, "--order": args.order}).get("--m")
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
-        claims.validate((counted_claim,), n_max=args.n_max, ms=ms, allow_large=args.unsafe_large_n)
-    if args.kind == "descent-matrix":
-        if args.n_max < 1:
-            raise UsageError("--n-max must be >= 1")
-        if args.n_max > 8:
-            raise UsageError("descent-matrix is quadratic in compositions; n-max <= 8")
+        claims.validate((counted_claim,), n_max=args.n_max, ms=ms)
+    if args.kind == "descent-matrix" and args.n_max < 1:
+        raise UsageError("--n-max must be >= 1")
     if args.kind == "gf-coeffs" and ms is not None and len(ms) > 1:
         raise UsageError(f"--kind gf-coeffs reads one --m, got {args.m!r}")
 
@@ -499,16 +483,13 @@ def _cmd_table(args) -> Output:
         ms = ms or claims.CLAIMS["theorem1"].default_ms
         params, columns = {"m": list(ms), "n_max": args.n_max}, ["m", "n", "count", "fibonacci"]
         rows = [
-            [m, *claims.theorem1_counts(n, m, args.unsafe_large_n).values()]
+            [m, *claims.theorem1_counts(n, m).values()]
             for m in ms
             for n in range(1, args.n_max + 1)
         ]
     elif args.kind == "counts-thm2":
         params, columns = {"n_max": args.n_max}, ["n", "count", "closed_form"]
-        rows = [
-            list(claims.theorem2_counts(n, args.unsafe_large_n).values())
-            for n in range(1, args.n_max + 1)
-        ]
+        rows = [list(claims.theorem2_counts(n).values()) for n in range(1, args.n_max + 1)]
     elif args.kind == "gf-coeffs":
         m = ms[0] if ms else 3
         truncation = args.order if args.order is not None else args.n_max

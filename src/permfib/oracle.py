@@ -21,7 +21,7 @@ from .bijections import zero_ipk_permutation
 from .compositions import enumerate_compositions, fib
 from .errors import InvalidInputError, ResourceLimitError
 from .permutations import (
-    check_enumeration_size,
+    enumeration_cap,
     increasing_run_lengths,
     inverse_letters,
     left_peak_count,
@@ -211,12 +211,15 @@ class Sweep:
         )
 
 
-def sweep(n: int, *, allow_large: bool = False) -> Sweep:
-    """What the oracles need from S_n.  It is cached on n alone, so the
-    size caps are checked here, on every call, before the cache is read."""
+def sweep(n: int) -> Sweep:
+    """What the oracles need from S_n.  It is cached on n alone, so the one
+    bound on it, :func:`~permfib.permutations.enumeration_cap`, is checked
+    here, on every call, before the cache is read."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    check_enumeration_size(n, allow_large=allow_large)
+    cap = enumeration_cap()
+    if n > cap:
+        raise ResourceLimitError(f"S_{n} exceeds the cap of {cap}; set PERMFIB_MAX_N to raise it")
     return _sweep(n)
 
 
@@ -239,36 +242,29 @@ def _sweep(n: int) -> Sweep:
 # Counting oracles
 
 
-_COUNT_BOUND = 10
-
-
-def _count_sweep(n: int, m: int, allow_large: bool) -> Sweep:
+def _count_sweep(n: int, m: int) -> Sweep:
     if m < 3:
         raise InvalidInputError(f"m must be >= 3, got {m}")
-    if n > _COUNT_BOUND and not allow_large:
-        raise ResourceLimitError(
-            f"counting scans all of S_{n}; n <= {_COUNT_BOUND} unless allow_large is set"
-        )
-    return sweep(n, allow_large=allow_large)
+    return sweep(n)
 
 
-def count_ipk0_avoiders(n: int, m: int, *, allow_large: bool = False) -> int:
+def count_ipk0_avoiders(n: int, m: int) -> int:
     """Permutations of n avoiding an ascending m-run whose inverse is peakless."""
-    return _count_sweep(n, m, allow_large).ipk_counts(m).get(0, 0)
+    return _count_sweep(n, m).ipk_counts(m).get(0, 0)
 
 
-def count_ilpk1_avoiders(n: int, m: int = 3, *, allow_large: bool = False) -> int:
+def count_ilpk1_avoiders(n: int, m: int = 3) -> int:
     """Permutations of n avoiding a descending m-run with ilpk exactly 1."""
-    return _count_sweep(n, m, allow_large).ilpk_counts(m).get(1, 0)
+    return _count_sweep(n, m).ilpk_counts(m).get(1, 0)
 
 
-def count_n_shaped_inverse_avoiders(n: int, m: int = 3, *, allow_large: bool = False) -> int:
+def count_n_shaped_inverse_avoiders(n: int, m: int = 3) -> int:
     """Permutations with one left peak whose inverse avoids a descending m-run.
 
     Equinumerous with :func:`count_ilpk1_avoiders` via inversion, but counted
     over the other set; the agreement is itself one of the checked claims.
     """
-    return sum(1 for _ in _count_sweep(n, m, allow_large).n_shaped_avoiders(m))
+    return sum(1 for _ in _count_sweep(n, m).n_shaped_avoiders(m))
 
 
 def count_block_words_by_definition(n: int, m: int = 3) -> int:
@@ -326,16 +322,16 @@ def verify_corollaries(n: int) -> VerificationReport:
     return report("corollaries", {"n": n}, first_disagreement(cases(), "identity", "k"))
 
 
-def descent_pair_matrix(
-    n: int, *, allow_large: bool = False
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Counts of permutations by (own descent composition, inverse's)."""
+def descent_pair_matrix(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Counts of permutations by (own descent composition, inverse's).
+
+    Its classes keep all of the inverse's rise bits, up to 4^(n-1) of them,
+    so it has a fixed bound of its own, n <= 8, not the cap of :func:`sweep`.
+    """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    if n > 8 and not allow_large:
-        raise ResourceLimitError(
-            f"the matrix has 4^{n - 1} classes; n <= 8 unless allow_large is set"
-        )
+    if n > 8:
+        raise ResourceLimitError(f"the descent-pair matrix has up to 4^{n - 1} classes; n <= 8")
     return _tally(
         ((_run_lengths(rises[1:-1], b"\0"), _run_lengths(inverse, b"\0")), count)
         for (rises, inverse, _), count in _classes(n, _bits, b"")
@@ -387,12 +383,12 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
     return report("identity-sums", {"n_max": n_max}, first_disagreement(cases(), "n", "k"))
 
 
-def triangulated_counts(n: int, m: int = 3, *, allow_large: bool = False) -> dict[str, int]:
+def triangulated_counts(n: int, m: int = 3) -> dict[str, int]:
     """One number, four pipelines: permutation enumeration, word definition,
     word automaton, and the tiling sum."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    by_permutations = count_n_shaped_inverse_avoiders(n, m, allow_large=allow_large)
+    by_permutations = count_n_shaped_inverse_avoiders(n, m)
     by_definition = count_block_words_by_definition(n, m)
     by_dfa = regex.block_word_dfa(m).count_words(n)
     out = {

@@ -19,14 +19,15 @@ from typing import Iterator, Sequence
 from .compositions import Composition
 from .errors import InvalidInputError, ResourceLimitError
 
-#: Enumerating S_n beyond this length requires an explicit override.
+#: The largest n for which S_n is enumerated here or swept by
+#: :func:`permfib.oracle.sweep`, unless PERMFIB_MAX_N moves it.
 DEFAULT_ENUMERATION_CAP = 12
 
 _CAP_ENV_VAR = "PERMFIB_MAX_N"
 
 
 def enumeration_cap() -> int:
-    """Current cap on symmetric-group enumeration (PERMFIB_MAX_N overrides)."""
+    """Current cap on S_n, enumerated or swept (PERMFIB_MAX_N overrides)."""
     raw = os.environ.get(_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUMERATION_CAP

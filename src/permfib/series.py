@@ -20,8 +20,6 @@ from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
 
 Coefficient = Union[Fraction, "TruncatedSeries"]
 
-_ENUMERATION_ORDER_LIMIT = 9
-
 #: Largest order the closed-form expansions accept.  At this order their
 #: numerators and denominators reach about 3,000 digits, below the
 #: 4,300-digit limit of Python's int-to-str conversion that printing uses.
@@ -407,7 +405,7 @@ def ilpk_gf_coeff_prime(m: int, j: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration-backed statistic polynomials
+# Statistic polynomials, read from the S_n sweep
 
 
 def ipk_polynomial(m: int, n: int) -> tuple[int, ...]:
@@ -423,13 +421,12 @@ def ilpk_polynomial(m: int, n: int) -> tuple[int, ...]:
 def _polynomial(
     m: int, n: int, tally: Callable[[oracle.Sweep], dict[int, int]], shift: int
 ) -> tuple[int, ...]:
-    """Coefficients of t^(statistic + shift) over the permutations tallied."""
+    """Coefficients of t^(statistic + shift) over the permutations tallied;
+    n is bounded only by the cap of :func:`oracle.sweep`."""
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    if n > _ENUMERATION_ORDER_LIMIT:
-        raise ResourceLimitError(f"polynomials are enumeration backed; n <= {_ENUMERATION_ORDER_LIMIT}")
     if n == 0:
         return (1,)
     counts = [0] * (n + 2)
@@ -452,8 +449,9 @@ def _check_orders(m: int, x_order: int, t_order: int) -> None:
         raise InvalidInputError(f"m must be >= 2, got {m}")
     if not 1 <= t_order <= x_order:
         raise InvalidInputError("need 1 <= t_order <= x_order")
-    if x_order > 8:
-        raise InvalidInputError("x_order is enumeration backed and capped at 8")
+    # The left side reads S_n for every n up to x_order; the largest is swept
+    # first, so an x_order past the cap is refused before any series work.
+    oracle.sweep(x_order)
 
 
 def ipk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:

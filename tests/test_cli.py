@@ -12,6 +12,7 @@ import permfib
 from permfib import oracle
 from permfib.compositions import fib
 from permfib.cli import TABLE_SCHEMA, main, render_tiling
+from permfib.errors import ResourceLimitError
 from permfib.tilings import word_to_tiling
 
 
@@ -48,7 +49,35 @@ class TestVerify:
     def test_bound_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claim", "theorem1", "--n-max", "99")
         assert code == 2
-        assert "unsafe-large-n" in err
+        assert "--n-max 99 exceeds the S_n cap 12 (set PERMFIB_MAX_N to raise it)" in err
+
+    def test_sweeping_claims_run_past_n_9_without_a_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "theorem2", "--n-max", "10", "--no-timestamp"
+        )
+        assert code == 0
+        assert "PASS  theorem2  (n_max=10)" in out
+
+    def test_gf_claims_are_checked_against_the_cap_up_front(self, capsys, monkeypatch):
+        # gf5 sweeps S_n up to its fixed x order 7; prop8 must not run first
+        monkeypatch.setenv("PERMFIB_MAX_N", "5")
+        code, out, err = run_cli(capsys, "verify", "--claim", "prop8,gf5")
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: gf5: x_order 7 exceeds the S_n cap 5 (set PERMFIB_MAX_N to raise it)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--claim", "theorem2", "--n-max", "10"],
+            ["table", "--kind", "counts-thm2", "--n-max", "10"],
+        ],
+    )
+    def test_retired_unsafe_large_n_is_unrecognized(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--unsafe-large-n")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --unsafe-large-n" in err
 
     def test_env_cap_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMFIB_MAX_N", "5")
@@ -91,11 +120,6 @@ class TestVerify:
             (["--claim", "theorem2", "--k-max", "-5", "--n-max", "3"], "--k-max is read only by"),
             (["--claim", "eq1,gf3", "--k-max", "4"], "--k-max is read only by prop8"),
             (
-                ["--claim", "prop7", "--unsafe-large-n"],
-                "--unsafe-large-n is read only by theorem1, theorem2, theorem4, corollaries, "
-                "prop6, gf-general",
-            ),
-            (
                 ["--claim", "prop8,gf3", "--n-max", "50"],
                 "--n-max is read only by theorem1, theorem2, theorem4, corollaries, "
                 "prop6, prop7, eq1, gf-general",
@@ -110,7 +134,7 @@ class TestVerify:
     def test_k_max_and_unsafe_large_n_need_one_selected_reader(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--claim", "prop8,theorem2", "--k-max", "3", "--n-max", "3",
-            "--unsafe-large-n", "--no-timestamp",
+            "--no-timestamp",
         )
         assert code == 0
         assert "PASS  prop8  (k_max=3," in out
@@ -275,6 +299,20 @@ class TestTable:
         counts = [line.split(",")[1] for line in lines[1:]]
         assert counts == ["0", "1", "4", "13", "37", "101"]
 
+    def test_counts_past_n_9_need_no_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--kind", "counts-thm2", "--n-max", "10", "--format", "json"
+        )
+        assert code == 0
+        expected = fib(2, 9) * fib(2, 10) - 5
+        assert json.loads(out)["rows"][-1] == [10, expected, expected]
+
+    def test_descent_matrix_bound_is_the_oracles(self, capsys):
+        with pytest.raises(ResourceLimitError) as refused:
+            oracle.descent_pair_matrix(9)
+        code, out, err = run_cli(capsys, "table", "--kind", "descent-matrix", "--n-max", "9")
+        assert (code, out, err) == (2, "", f"error: {refused.value}\n")
+
     def test_m_is_parsed_only_by_kinds_that_read_it(self, capsys):
         code, _, err = run_cli(capsys, "table", "--kind", "fib", "--m", "x", "--n-max", "3")
         assert (code, err) == (2, "usage error: --kind fib does not read --m\n")
@@ -346,7 +384,6 @@ class TestTable:
                 ["--kind", "descent-matrix", "--order", "5"],
                 "--kind descent-matrix does not read --order",
             ),
-            (["--kind", "fib", "--unsafe-large-n"], "--kind fib does not read --unsafe-large-n"),
             (["--kind", "counts-thm1", "--order", "3"], "--kind counts-thm1 does not read --order"),
             (["--kind", "gf-coeffs", "--m", "3,4"], "--kind gf-coeffs reads one --m, got '3,4'"),
         ],

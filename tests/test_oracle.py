@@ -4,7 +4,7 @@ import math
 import jsonschema
 import pytest
 
-from permfib import oracle
+from permfib import oracle, series
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError, ResourceLimitError
 
@@ -35,10 +35,35 @@ class TestCounts:
             oracle.count_ilpk1_avoiders(3, 2)
 
     def test_documented_bounds(self):
-        with pytest.raises(ResourceLimitError):
-            oracle.count_ilpk1_avoiders(11, 3)
+        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
+            oracle.count_ilpk1_avoiders(13, 3)
         with pytest.raises(ResourceLimitError):
             oracle.descent_pair_matrix(9)
+
+
+#: Every public entry point backed by the S_n sweep, called at n = 6.
+SWEEP_BACKED = {
+    "sweep": lambda: oracle.sweep(6),
+    "count_ipk0_avoiders": lambda: oracle.count_ipk0_avoiders(6, 3),
+    "count_ilpk1_avoiders": lambda: oracle.count_ilpk1_avoiders(6, 3),
+    "count_n_shaped_inverse_avoiders": lambda: oracle.count_n_shaped_inverse_avoiders(6, 3),
+    "triangulated_counts": lambda: oracle.triangulated_counts(6),
+    "ipk_polynomial": lambda: series.ipk_polynomial(3, 6),
+    "ilpk_polynomial": lambda: series.ilpk_polynomial(3, 6),
+    "ipk_gf_sides": lambda: series.ipk_gf_sides(3, 6, 5),
+    "ilpk_gf_sides": lambda: series.ilpk_gf_sides(3, 6, 5),
+    "verify_descent_uniqueness": lambda: oracle.verify_descent_uniqueness(6),
+    "verify_corollaries": lambda: oracle.verify_corollaries(6),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_BACKED)
+def test_the_sweep_cap_is_the_only_bound(monkeypatch, name):
+    """On a warm cache, PERMFIB_MAX_N alone refuses S_6, with no override."""
+    SWEEP_BACKED[name]()
+    monkeypatch.setenv("PERMFIB_MAX_N", "5")
+    with pytest.raises(ResourceLimitError, match="S_6 exceeds the cap of 5; set PERMFIB_MAX_N"):
+        SWEEP_BACKED[name]()
 
 
 class TestDescentUniqueness:

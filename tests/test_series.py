@@ -306,8 +306,8 @@ class TestStatisticPolynomials:
                 assert total == by_hand
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
-            ipk_polynomial(3, 10)
+        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
+            ipk_polynomial(3, 13)
 
 
 class TestClosedFormExpansions:
@@ -389,8 +389,8 @@ class TestMasterIdentities:
         assert first_mismatch(rhs, fewer_t) == (0, 3, rhs.coeffs[0].coeffs[3], None)
 
     def test_order_preconditions(self):
-        with pytest.raises(InvalidInputError):
-            verify_ipk_gf(3, 9, 5)
+        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
+            verify_ipk_gf(3, 13, 5)
         with pytest.raises(InvalidInputError):
             verify_ilpk_gf(3, 5, 6)
 
