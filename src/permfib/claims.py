@@ -228,6 +228,22 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
+def reject_repeats(option: str, values: Iterable) -> None:
+    """Raise UsageError at the first of ``values`` given more than once."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise UsageError(f"{option} {value} is given more than once")
+        seen.add(value)
+
+
+def _swept(claim: Claim, n_max: int) -> int:
+    """The largest n whose S_n the claim sweeps, or 0 if it sweeps none."""
+    if not claim.sweeps:
+        return 0
+    return n_max if claim.reads_n_max else GF_X_ORDER
+
+
 def validate(
     names: Iterable[str], *, n_max: int, k_max: Optional[int] = None,
     ms: Optional[tuple[int, ...]] = None,
@@ -236,24 +252,27 @@ def validate(
 
     ``ms`` of None stands for each claim's default pattern lengths, and
     ``k_max`` of None for a width bound that was not given.  Pattern lengths
-    that no named claim reads are rejected, not ignored.
+    that no named claim reads are rejected, not ignored, and so is a claim
+    or a pattern length given twice, which would run twice.
     """
     names = tuple(names)
+    reject_repeats("--claim", names)
+    reject_repeats("--m", ms or ())
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if ms is not None and not any(CLAIMS[name].default_ms for name in names):
         readers = ", ".join(name for name, claim in CLAIMS.items() if claim.default_ms)
         raise UsageError(f"--m is read only by {readers}")
+    cap = permutations.enumeration_cap()
     for name in names:
         claim = CLAIMS[name]
-        if claim.sweeps:
-            size, largest = ("--n-max", n_max) if claim.reads_n_max else ("x_order", GF_X_ORDER)
-            cap = permutations.enumeration_cap()
-            if largest > cap:
-                raise UsageError(
-                    f"{name}: {size} {largest} exceeds the S_n cap {cap} "
-                    "(set PERMFIB_MAX_N to raise it)"
-                )
+        largest = _swept(claim, n_max)
+        if largest > cap:
+            size = "--n-max" if claim.reads_n_max else "x_order"
+            raise UsageError(
+                f"{name}: {size} {largest} exceeds the S_n cap {cap} "
+                "(set PERMFIB_MAX_N to raise it)"
+            )
         if claim.default_ms and min(ms or claim.default_ms) < 3:
             raise UsageError(f"{name}: --m must be >= 3, got {min(ms or claim.default_ms)}")
         for option, value, high in ("--n-max", n_max, claim.max_n), ("--k-max", k_max, claim.max_k):
@@ -267,15 +286,20 @@ def run(
 ) -> list[VerificationReport]:
     """Validate every named claim, then run them in order.
 
-    Each report's millis is the time since the previous report of its
-    claim, or since the claim started.
+    The S_n levels that the claims sweep are built first, in one pass up to
+    the largest n any of them reads.  Each report's millis is the time since
+    the previous report, or since the run started: the first report counts
+    that pass.
     """
     names = tuple(names)
     validate(names, n_max=n_max, k_max=k_max, ms=ms)
     reports = []
+    started = time.monotonic()
+    largest = max((_swept(CLAIMS[name], n_max) for name in names), default=0)
+    if largest:
+        oracle.sweep(largest)
     for name in names:
         claim = CLAIMS[name]
-        started = time.monotonic()
         for r in claim.check(ms=ms or claim.default_ms, n_max=n_max, k_max=k_max):
             now = time.monotonic()
             r.millis = int((now - started) * 1000)

@@ -5,7 +5,8 @@ Exit codes: 0 all good; 1 a counterexample, or an input that a library
 operation rejects (such as a malformed permutation for stats, or a word
 outside every map's domain for biject); 2 usage error: an unknown option or
 claim, a claim parameter outside the claim's domain or read by no selected
-claim, a table or series option that the chosen --kind does not read or a
+claim, a claim or --m value given twice, --claim all with other names, a
+table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
 more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
 past the cap that PERMFIB_MAX_N moves, a descent matrix past n = 8, or a
@@ -283,6 +284,8 @@ def _selected_claims(raw: str) -> tuple[str, ...]:
     if not tokens:
         raise UsageError("no claim selected")
     if "all" in tokens:
+        if len(tokens) > 1:
+            raise UsageError(f"--claim all names every claim and stands alone, got {raw!r}")
         return CLAIM_NAMES
     for token in tokens:
         if token not in CLAIM_NAMES:
@@ -454,6 +457,7 @@ def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
     for option, value in given.items():
         if isinstance(value, str):
             given[option] = value = _parse_int_list(value)
+            claims.reject_repeats(option, value)
         least = reads[option]
         lowest = min(value) if isinstance(value, tuple) else value
         if lowest < least:
@@ -468,6 +472,7 @@ def _cmd_table(args) -> Output:
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms)
+        oracle.sweep(args.n_max)  # levels 1..n_max in one pass
     if args.kind == "descent-matrix" and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if args.kind == "gf-coeffs" and ms is not None and len(ms) > 1:

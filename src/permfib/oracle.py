@@ -1,10 +1,13 @@
 """Brute-force counts and claim checkers.
 
 Every permutation of n is one of n - 1 with n inserted, and the permutation
-oracles rest on that one step (see :class:`Sweep`); words and tilings are
-enumerated.  Every permutation an oracle keeps is tested with raw
-statistics, and the constructions being verified are only ever used on the
-other side of a comparison, never inside a count.
+oracles rest on that one step (see :class:`Sweep`).  Counts are carried
+over classes of descent data, keyed by one int, in one pass over the levels
+1..n; the permutations the checks keep grow on insertion trees that test
+only the children a lemma leaves.  Words and tilings are enumerated.  Every
+permutation an oracle keeps is tested with raw statistics, and the
+constructions being verified are only ever used on the other side of a
+comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -99,64 +102,180 @@ def _tally(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     return counts
 
 
-def _run_lengths(rises: bytes, cut: bytes) -> tuple[int, ...]:
+def _run_lengths(bits: str, cut: str) -> tuple[int, ...]:
     """Lengths of the runs of letters with these rise bits, cut at each bit ``cut``."""
-    return tuple(len(part) + 1 for part in rises.split(cut))
+    return tuple(len(part) + 1 for part in bits.split(cut))
 
 
-def _peaks(fold: tuple, rise: bool) -> tuple:
-    """(peaks, first bit, last bit) of the inverse's rise bits, one bit longer."""
-    peaks, first, last = fold
-    return peaks + (last is True and not rise), rise if first is None else first, rise
+def _rise_string(rises: int, n: int) -> str:
+    """The n - 1 rise bits of a permutation of n, first bit first, from its
+    n + 1 padded rise bits (bit i of ``rises`` is padded bit i)."""
+    return format(rises >> 1, f"0{n}b")[:0:-1]
 
 
-def _bits(fold: bytes, rise: bool) -> bytes:
-    """The inverse's rise bits, one bit longer."""
-    return fold + bytes((rise,))
+def _peaks(fold: int, rise: bool) -> int:
+    """The inverse's rise bits, one bit longer, folded to 4 ipk + 2 d + last:
+    d is 1 when the first bit is a descent, last when the last is a rise.
+    The empty bits fold to 0, as no others do: a first rise and a last
+    descent make a peak."""
+    if not fold:
+        return 2 * (not rise) + rise
+    return (fold & ~1 | rise) + 4 * (fold & 1 and not rise)
 
 
-def _classes(n: int, fold: Callable, start: Any) -> Iterator[tuple[tuple, int]]:
-    """(class, count) pairs, in which a class can recur, that count the
-    permutations of n by padded rise bits, the inverse's rise bits folded
-    from ``start`` by ``fold``, and the index of n.  Each level is tallied
-    from the one below and then dropped: holding the levels would cost more
-    memory than building them again costs time."""
-    if n == 1:
-        yield (b"\1\0", start, 0), 1
-        return
-    for (rises, inverse, top), count in _tally(_classes(n - 1, fold, start)).items():
-        for j in range(n):
-            yield (rises[:j] + b"\1\0" + rises[j + 1 :], fold(inverse, j > top), j), count
+def _bits(fold: int, rise: bool) -> int:
+    """The inverse's rise bits, one bit longer, below a leading 1."""
+    return fold << 1 | rise
 
 
-def _children(parents: Iterable[bytes], n: int) -> Iterator[bytes]:
-    """Each parent, a permutation of n - 1, with n inserted before each index."""
-    top = bytes((n,))
-    return (tau[:j] + top + tau[j:] for tau in parents for j in range(n))
+def _width(n: int) -> int:
+    """Bits of the index of n in a class key of level n."""
+    return (n - 1).bit_length()
+
+
+def _classes(
+    n: int, fold: Callable[[int, bool], int], parents: dict[int, int], indexed: bool = True
+) -> dict[int, int]:
+    """The classes of the permutations of n, with their counts, from those of
+    n - 1 in ``parents``.
+
+    A class of level n is one int: the inverse's rise bits folded by
+    ``fold``, above the n + 1 padded rise bits (bit i is padded bit i),
+    above the index of n in the low :func:`_width` bits.  Unless
+    ``indexed``, the index is left out: only the next level reads it.  The
+    children's padded rise bits depend on the parent's alone, so they are
+    built once per pattern; the children with j up to the index of n - 1
+    append a descent to the inverse and the others a rise.
+    """
+    low, mask = _width(n - 1), (1 << n) - 1
+    shift = _width(n) if indexed else 0
+    rows: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
+    get = counts.get
+    for key, count in parents.items():
+        at, rises, inverse = key & (1 << low) - 1, key >> low & mask, key >> low + n
+        row = rows.get(rises)
+        if row is None:
+            row = rows[rises] = [
+                (rises >> j + 1 << j + 2 | rises & (1 << j) - 1 | 1 << j) << shift
+                | (j if indexed else 0)
+                for j in range(n)
+            ]
+        for rise, children in (False, row[: at + 1]), (True, row[at + 1 :]):
+            high = fold(inverse, rise) << n + 1 + shift
+            for child in children:
+                child |= high
+                counts[child] = get(child, 0) + count
+    return counts
+
+
+def _levels(n_max: int, fold: Callable[[int, bool], int], start: int) -> Iterator[dict[int, int]]:
+    """The classes of levels 1..n_max, each built once from the one below;
+    the last one without the index of n.  Level 1 has one class: the fold
+    ``start`` of no bits, above the padded rise bits (rise, descent)."""
+    level = {start << 2 | 0b01: 1}
+    yield level
+    for n in range(2, n_max + 1):
+        level = _classes(n, fold, level, n < n_max)
+        yield level
+
+
+def _peakless_candidates(tau: bytes) -> range:
+    """The j for which tau, a permutation of n - 1 whose inverse has no
+    peak, with n inserted before index j may keep an inverse with no peak.
+
+    The child's inverse is tau's with one bit more, a descent exactly when
+    j is at most the index of n - 1.  So a peak closes only where tau's
+    inverse ends with a rise, n - 2 standing before n - 1, and the new bit
+    is a descent.
+    """
+    n = len(tau) + 1
+    at = tau.index(n - 1)
+    return range(at + 1 if n > 2 and tau.index(n - 2) < at else 0, n)
 
 
 @lru_cache(maxsize=None)
 def _peakless_inverses(n: int) -> tuple[bytes, ...]:
-    """The permutations of n whose inverse has no peak, in lexicographic order."""
-    parents = _peakless_inverses(n - 1) if n > 1 else (b"",)
-    return tuple(
-        sorted(pi for pi in _children(parents, n) if peak_count(inverse_letters(pi)) == 0)
-    )
+    """The permutations of n whose inverse has no peak, in lexicographic
+    order; only the candidates of each parent are tested."""
+    if n == 1:
+        return (b"\1",)
+    top, kept = bytes((n,)), []
+    for tau in _peakless_inverses(n - 1):
+        for j in _peakless_candidates(tau):
+            pi = tau[:j] + top + tau[j:]
+            if peak_count(inverse_letters(pi)) == 0:
+                kept.append(pi)
+    return tuple(sorted(kept))
+
+
+def _one_left_peak_candidates(tau: bytes) -> Iterable[int]:
+    """The j for which tau, a permutation of n - 1 with at most one left
+    peak, with n inserted before index j may have one left peak.
+
+    Inserting n changes left peaks only next to n, and n makes one itself
+    unless it comes last.  So the identity's children qualify exactly for
+    j < n - 1, and those of a tau with its left peak at index p exactly for
+    j in {p, p + 1, n - 1}.  The letters above tau's left peak end tau in
+    increasing order, so the peak is the largest letter not standing at
+    its own place.
+    """
+    n = len(tau) + 1
+    value = n - 1
+    while value and tau[value - 1] == value:
+        value -= 1
+    if not value:
+        return range(n - 1)
+    p = tau.index(value)
+    return (p, p + 1, n - 1)
+
+
+def _last_descending_run(tau: bytes) -> int:
+    """Length of the last descending run of tau's inverse: how many of the
+    largest letters of tau stand in decreasing order, left to right."""
+    value = len(tau)
+    at = tau.index(value)
+    while value > 1 and tau.index(value - 1) > at:
+        value -= 1
+        at = tau.index(value)
+    return len(tau) - value + 1
 
 
 @lru_cache(maxsize=None)
 def _one_left_peak(n: int) -> dict[int, bytes]:
     """The permutations of n with one left peak, by the longest descending
-    run of their inverse, in order of (tau, j)."""
+    run of their inverse, in order of (tau, j).
+
+    Their parents are the identity and the permutations of n - 1 with one
+    left peak; only the candidates of each are tested.  A child's inverse
+    is tau's with one bit more, a descent exactly when j is at most the
+    index of n - 1, and a descent lengthens the last descending run of
+    tau's inverse by one.  So the run is carried from tau's, not read from
+    the child's inverse.
+    """
     if n == 1:
         return {}
-    blobs = (bytes(range(1, n)), *_one_left_peak(n - 1).values())
-    parents = sorted(blob[i : i + n - 1] for blob in blobs for i in range(0, len(blob), n - 1))
+    parents = sorted([
+        (bytes(range(1, n)), 1),
+        *(
+            (blob[i : i + n - 1], run)
+            for run, blob in _one_left_peak(n - 1).items()
+            for i in range(0, len(blob), n - 1)
+        ),
+    ])
+    top = bytes((n,))
     shaped: dict[int, bytearray] = {}
-    for pi in _children(parents, n):
-        if left_peak_count(pi) == 1:
-            run = max(increasing_run_lengths([-letter for letter in inverse_letters(pi)]))
-            shaped.setdefault(run, bytearray()).extend(pi)
+    for tau, run in parents:
+        at, tail = tau.index(n - 1), 0
+        for j in _one_left_peak_candidates(tau):
+            pi = tau[:j] + top + tau[j:]
+            if left_peak_count(pi) != 1:
+                continue
+            longest = run
+            if j <= at:
+                tail = tail or _last_descending_run(tau)
+                longest = max(run, tail + 1)
+            shaped.setdefault(longest, bytearray()).extend(pi)
     return {run: bytes(blob) for run, blob in sorted(shaped.items())}
 
 
@@ -170,17 +289,21 @@ class Sweep:
     inverse's rise bits gain one bit at the end, a rise exactly when j is
     past the index of n - 1 in tau.  So ``histogram``, the count by (longest
     ascending run, longest descending run, ipk, ilpk), is carried over
-    classes by :func:`_classes`: ipk grows by one when the inverse's last
-    bit is a rise and the new one a descent, and ilpk is ipk plus one when
-    its first bit is a descent.  Only the methods below read its layout.
+    classes by :func:`_classes`, each keyed by one int: ipk grows by one when
+    the inverse's last bit is a rise and the new one a descent, and ilpk is
+    ipk plus one when its first bit is a descent.  :func:`sweep` builds the
+    levels 1..n once and keeps the Sweep of each.  Only the methods below
+    read its layout.
 
     The insertion never lowers ipk, nor the left peaks of the permutation.
     So ``ipk0``, the letters of the permutations whose inverse has no peak
     in lexicographic order, grows on a tree of insertions pruned at ipk > 0.
     ``n_shaped``, the letters of the permutations with one left peak joined
     into one bytes object per longest descending run of the inverse, grows
-    on one pruned at two left peaks.  It is built on first use, as it grows
-    about threefold with n.
+    on one pruned at two left peaks.  Each tree tests only the children
+    that its lemma leaves (see :func:`_peakless_candidates` and
+    :func:`_one_left_peak_candidates`).  ``n_shaped`` is built on first
+    use, as it grows about threefold with n.
     """
 
     n: int
@@ -211,30 +334,42 @@ class Sweep:
         )
 
 
+#: The Sweep of every level built so far.
+_SWEEPS: dict[int, Sweep] = {}
+
+
 def sweep(n: int) -> Sweep:
     """What the oracles need from S_n.  It is cached on n alone, so the one
     bound on it, :func:`~permfib.permutations.enumeration_cap`, is checked
-    here, on every call, before the cache is read."""
+    here, on every call, before the cache is read.  A miss builds levels
+    1..n in one pass and keeps the Sweep of each, so a caller that will read
+    several levels asks for the largest first."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     cap = enumeration_cap()
     if n > cap:
         raise ResourceLimitError(f"S_{n} exceeds the cap of {cap}; set PERMFIB_MAX_N to raise it")
-    return _sweep(n)
+    if n not in _SWEEPS:
+        for level, classes in enumerate(_levels(n, _peaks, 0), 1):
+            if level not in _SWEEPS:
+                _SWEEPS[level] = _level_sweep(level, classes, level < n)
+    return _SWEEPS[n]
 
 
-@lru_cache(maxsize=None)
-def _sweep(n: int) -> Sweep:
-    # The histogram reads only a class's rise bits, ipk and first bit, so
-    # the classes are tallied by those first and each is read once.
-    shapes = _tally(
-        ((rises[1:-1], ipk, ipk + (first is False)), count)
-        for (rises, (ipk, first, _), _), count in _classes(n, _peaks, (0, None, None))
-    )
-    histogram = _tally(
-        ((max(_run_lengths(rises, b"\0")), max(_run_lengths(rises, b"\1")), ipk, ilpk), count)
-        for (rises, ipk, ilpk), count in shapes.items()
-    )
+def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
+    # The histogram reads a class's rise bits, ipk and d; the longest runs
+    # are found once per pattern of rise bits.
+    low, mask = _width(n) * indexed, (1 << n + 1) - 1
+    longest: dict[int, tuple[int, int]] = {}
+    histogram: dict[tuple[int, int, int, int], int] = {}
+    for key, count in classes.items():
+        rises, ipk, d = key >> low & mask, key >> low + n + 3, key >> low + n + 2 & 1
+        runs = longest.get(rises)
+        if runs is None:
+            bits = _rise_string(rises, n)
+            runs = longest[rises] = (max(_run_lengths(bits, "0")), max(_run_lengths(bits, "1")))
+        shape = (*runs, ipk, ipk + d)
+        histogram[shape] = histogram.get(shape, 0) + count
     return Sweep(n, histogram, tuple(map(tuple, _peakless_inverses(n))))
 
 
@@ -332,9 +467,17 @@ def descent_pair_matrix(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]],
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if n > 8:
         raise ResourceLimitError(f"the descent-pair matrix has up to 4^{n - 1} classes; n <= 8")
+    *_, top = _levels(n, _bits, 1)
+    mask = (1 << n + 1) - 1
     return _tally(
-        ((_run_lengths(rises[1:-1], b"\0"), _run_lengths(inverse, b"\0")), count)
-        for (rises, inverse, _), count in _classes(n, _bits, b"")
+        (
+            (
+                _run_lengths(_rise_string(key & mask, n), "0"),
+                _run_lengths(bin(key >> n + 1)[3:], "0"),
+            ),
+            count,
+        )
+        for key, count in top.items()
     )
 
 

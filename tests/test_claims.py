@@ -12,6 +12,21 @@ def test_pattern_lengths_no_named_claim_reads_are_rejected():
     claims.validate(("theorem2",), n_max=5)
 
 
+@pytest.mark.parametrize(
+    "names, ms, message",
+    [
+        (("theorem1", "theorem1"), None, "--claim theorem1 is given more than once"),
+        (("theorem2", "prop8", "theorem2"), None, "--claim theorem2 is given more than once"),
+        (("theorem1",), (3, 4, 3), "--m 3 is given more than once"),
+    ],
+)
+def test_a_claim_or_pattern_length_given_twice_is_rejected(names, ms, message):
+    with pytest.raises(claims.UsageError, match=f"^{message}$"):
+        claims.validate(names, n_max=3, k_max=3, ms=ms)
+    with pytest.raises(claims.UsageError, match=f"^{message}$"):
+        claims.run(names, n_max=3, k_max=3, ms=ms)
+
+
 def _prop7(monkeypatch, dfa, m):
     """Run prop7 at one m with ``dfa`` standing in for the block-word DFA."""
     monkeypatch.setattr(regex, "block_word_dfa", lambda _m: dfa)

@@ -92,6 +92,30 @@ class TestVerify:
         assert code == 2
         assert "unknown claim" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--claim", "theorem1,theorem1", "--n-max", "3"],
+                "--claim theorem1 is given more than once",
+            ),
+            (["--claim", "theorem1", "--m", "3,3"], "--m 3 is given more than once"),
+            (["--claim", "prop6", "--m", "4 3 4"], "--m 4 is given more than once"),
+            (
+                ["--claim", "all,theorem1"],
+                "--claim all names every claim and stands alone, got 'all,theorem1'",
+            ),
+            (
+                ["--claim", "all,all"],
+                "--claim all names every claim and stands alone, got 'all,all'",
+            ),
+        ],
+    )
+    def test_a_claim_or_m_given_twice_is_usage_error(self, capsys, argv, message):
+        """Each would otherwise run, and print its reports, twice."""
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
     def test_invalid_claim_parameters_are_usage_errors(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--claim", "theorem1", "--m", "2")
         assert (code, out) == (2, "")
@@ -386,6 +410,8 @@ class TestTable:
             ),
             (["--kind", "counts-thm1", "--order", "3"], "--kind counts-thm1 does not read --order"),
             (["--kind", "gf-coeffs", "--m", "3,4"], "--kind gf-coeffs reads one --m, got '3,4'"),
+            (["--kind", "gf-coeffs", "--m", "4,4"], "--m 4 is given more than once"),
+            (["--kind", "counts-thm1", "--m", "3,4,3"], "--m 3 is given more than once"),
         ],
     )
     def test_options_the_kind_does_not_read_are_rejected(self, capsys, argv, message):

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from oracles import permutation_records
 
-from permfib import oracle, series
+from permfib import claims, oracle, series
 from permfib.errors import ResourceLimitError
 
 
@@ -55,6 +55,14 @@ def test_kept_letters_match_reference(n):
         assert sorted(swept.n_shaped_avoiders(m)) == [
             r.letters for r in records if r.lpk == 1 and r.inverse_down < m
         ]
+    # each kept permutation once, under the longest descending run of its inverse
+    kept = [
+        (blob[start : start + n], run)
+        for run, blob in swept.n_shaped.items()
+        for start in range(0, len(blob), n)
+    ]
+    assert len(dict(kept)) == len(kept)
+    assert dict(kept) == {bytes(r.letters): r.inverse_down for r in records if r.lpk == 1}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -70,6 +78,49 @@ def test_every_child_is_counted_once(n):
     swept = oracle.sweep(n)
     assert sum(swept.histogram.values()) == math.factorial(n)
     assert len(swept.ipk0) == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_one_left_peak_totals(n):
+    """(3^n - 2n - 1) / 4 permutations of n have one left peak: 1, 5, 18,
+    ..., 4,916 at n = 9 and 14,757 at n = 10, past the brute-force range."""
+    kept = sum(len(blob) // n for blob in oracle.sweep(n).n_shaped.values())
+    assert kept == (3**n - 2 * n - 1) // 4
+
+
+def _cleared_sweeps(monkeypatch):
+    monkeypatch.setattr(oracle, "_SWEEPS", {})
+
+
+def _sweep_data(n):
+    swept = oracle.sweep(n)
+    return swept.histogram, list(swept.histogram), swept.ipk0, list(swept.n_shaped.items())
+
+
+def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
+    """Asking for 9 first builds 5 on the way; asking for 5 first stops there."""
+    got = []
+    for order in (5, 9), (9, 5):
+        _cleared_sweeps(monkeypatch)
+        got.append({n: _sweep_data(n) for n in order})
+    assert got[0] == got[1]
+
+
+def test_a_run_builds_each_level_once(monkeypatch):
+    """One pass serves every sweeping claim: levels 2..8 are each built by
+    one insertion step (level 1 is the seed)."""
+    _cleared_sweeps(monkeypatch)
+    built = Counter()
+    step = oracle._classes
+
+    def counted(n, *args, **kwargs):
+        built[n] += 1
+        return step(n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_classes", counted)
+    reports = claims.run(("theorem1", "theorem2"), n_max=8, k_max=10)
+    assert all(r.passed for r in reports)
+    assert built == {n: 1 for n in range(2, 9)}
 
 
 def test_caps_are_checked_on_a_warm_cache(monkeypatch):
