@@ -167,7 +167,7 @@ def _eq1(*, n_max, **_) -> Iterator[VerificationReport]:
         for n in range(1, n_max + 1)
     )
     yield report("eq1", {"n_max": n_max}, first_disagreement(cases, "n"))
-    yield oracle.verify_identity_sums(min(n_max * 4, 60))
+    yield oracle.verify_identity_sums(n_max * 4)
 
 
 def _gf_reports(claim: str, sides: Callable) -> Iterator[VerificationReport]:
@@ -220,7 +220,7 @@ CLAIMS: dict[str, Claim] = {
         Claim("prop6", _prop6, (3,), reads_n_max=True, sweeps=True),
         Claim("prop7", _prop7, (3,), reads_n_max=True, max_n=12),
         Claim("prop8", _prop8, max_k=12),
-        Claim("eq1", _eq1, reads_n_max=True),
+        Claim("eq1", _eq1, reads_n_max=True, max_n=15),
         Claim("gf3", _gf3, sweeps=True),
         Claim("gf5", _gf5, sweeps=True),
         Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, sweeps=True),

@@ -10,7 +10,8 @@ table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
 more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
 past the cap that PERMFIB_MAX_N moves, a descent matrix past n = 8, or a
-series order above series.MAX_SERIES_ORDER (5,000), which has no override.
+series order or table --kind fib --n-max above series.MAX_SERIES_ORDER
+(5,000), which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -480,6 +481,10 @@ def _cmd_table(args) -> Output:
 
     note = None
     if args.kind == "fib":
+        if args.n_max > series.MAX_SERIES_ORDER:
+            raise UsageError(
+                f"--kind fib: --n-max must be <= {series.MAX_SERIES_ORDER}, got {args.n_max}"
+            )
         order = args.order if args.order is not None else 2
         params, columns = {"order": order, "n_max": args.n_max}, ["n", "value"]
         rows = [[n, fib(order, n)] for n in range(args.n_max + 1)]

@@ -3,17 +3,19 @@
 Every permutation of n is one of n - 1 with n inserted, and the permutation
 oracles rest on that one step (see :class:`Sweep`).  Counts are carried
 over classes of descent data, keyed by one int, in one pass over the levels
-1..n; the permutations the checks keep grow on insertion trees that test
-only the children a lemma leaves.  Words and tilings are enumerated.  Every
-permutation an oracle keeps is tested with raw statistics, and the
+1..n; Theorem 4 and its corollaries read the classes with a peakless
+inverse by descent composition, and the one-left-peak permutations that
+prop6 keeps grow on an insertion tree that tests only the children a lemma
+leaves.  Words and tilings are enumerated.  Every permutation an oracle
+keeps or constructs is tested with raw statistics, and the
 constructions being verified are only ever used on the other side of a
 comparison, never inside a count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,10 +23,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import regex, tilings
 from .bijections import zero_ipk_permutation
-from .compositions import enumerate_compositions, fib
+from .compositions import Composition, enumerate_compositions, fib
 from .errors import InvalidInputError, ResourceLimitError
 from .permutations import (
-    enumeration_cap,
+    check_enumeration_size,
     increasing_run_lengths,
     inverse_letters,
     left_peak_count,
@@ -180,35 +182,6 @@ def _levels(n_max: int, fold: Callable[[int, bool], int], start: int) -> Iterato
         yield level
 
 
-def _peakless_candidates(tau: bytes) -> range:
-    """The j for which tau, a permutation of n - 1 whose inverse has no
-    peak, with n inserted before index j may keep an inverse with no peak.
-
-    The child's inverse is tau's with one bit more, a descent exactly when
-    j is at most the index of n - 1.  So a peak closes only where tau's
-    inverse ends with a rise, n - 2 standing before n - 1, and the new bit
-    is a descent.
-    """
-    n = len(tau) + 1
-    at = tau.index(n - 1)
-    return range(at + 1 if n > 2 and tau.index(n - 2) < at else 0, n)
-
-
-@lru_cache(maxsize=None)
-def _peakless_inverses(n: int) -> tuple[bytes, ...]:
-    """The permutations of n whose inverse has no peak, in lexicographic
-    order; only the candidates of each parent are tested."""
-    if n == 1:
-        return (b"\1",)
-    top, kept = bytes((n,)), []
-    for tau in _peakless_inverses(n - 1):
-        for j in _peakless_candidates(tau):
-            pi = tau[:j] + top + tau[j:]
-            if peak_count(inverse_letters(pi)) == 0:
-                kept.append(pi)
-    return tuple(sorted(kept))
-
-
 def _one_left_peak_candidates(tau: bytes) -> Iterable[int]:
     """The j for which tau, a permutation of n - 1 with at most one left
     peak, with n inserted before index j may have one left peak.
@@ -295,20 +268,19 @@ class Sweep:
     levels 1..n once and keeps the Sweep of each.  Only the methods below
     read its layout.
 
-    The insertion never lowers ipk, nor the left peaks of the permutation.
-    So ``ipk0``, the letters of the permutations whose inverse has no peak
-    in lexicographic order, grows on a tree of insertions pruned at ipk > 0.
-    ``n_shaped``, the letters of the permutations with one left peak joined
-    into one bytes object per longest descending run of the inverse, grows
-    on one pruned at two left peaks.  Each tree tests only the children
-    that its lemma leaves (see :func:`_peakless_candidates` and
-    :func:`_one_left_peak_candidates`).  ``n_shaped`` is built on first
-    use, as it grows about threefold with n.
+    ``peakless`` counts the classes with ipk 0 by the increasing runs of
+    their rise bits, the descent composition.  The insertion never lowers
+    the left peaks of the permutation, so ``n_shaped``, the letters of the
+    permutations with one left peak joined into one bytes object per
+    longest descending run of the inverse, grows on a tree of insertions
+    pruned at two left peaks that tests only the children its lemma leaves
+    (see :func:`_one_left_peak_candidates`).  It is built on first use, as
+    it grows about threefold with n.
     """
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
-    ipk0: tuple[tuple[int, ...], ...]
+    peakless: dict[tuple[int, ...], int]
 
     @property
     def n_shaped(self) -> dict[int, bytes]:
@@ -340,15 +312,13 @@ _SWEEPS: dict[int, Sweep] = {}
 
 def sweep(n: int) -> Sweep:
     """What the oracles need from S_n.  It is cached on n alone, so the one
-    bound on it, :func:`~permfib.permutations.enumeration_cap`, is checked
-    here, on every call, before the cache is read.  A miss builds levels
-    1..n in one pass and keeps the Sweep of each, so a caller that will read
-    several levels asks for the largest first."""
+    bound on it, :func:`~permfib.permutations.check_enumeration_size`, is
+    checked here, on every call, before the cache is read.  A miss builds
+    levels 1..n in one pass and keeps the Sweep of each, so a caller that
+    will read several levels asks for the largest first."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    cap = enumeration_cap()
-    if n > cap:
-        raise ResourceLimitError(f"S_{n} exceeds the cap of {cap}; set PERMFIB_MAX_N to raise it")
+    check_enumeration_size(n)
     if n not in _SWEEPS:
         for level, classes in enumerate(_levels(n, _peaks, 0), 1):
             if level not in _SWEEPS:
@@ -357,20 +327,25 @@ def sweep(n: int) -> Sweep:
 
 
 def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
-    # The histogram reads a class's rise bits, ipk and d; the longest runs
-    # are found once per pattern of rise bits.
+    # Both tallies read a class's rise bits, ipk and d; the increasing runs
+    # and the longest descending run are found once per pattern of rise bits.
     low, mask = _width(n) * indexed, (1 << n + 1) - 1
-    longest: dict[int, tuple[int, int]] = {}
+    runs: dict[int, tuple[tuple[int, ...], int, int]] = {}
     histogram: dict[tuple[int, int, int, int], int] = {}
+    peakless: dict[tuple[int, ...], int] = {}
     for key, count in classes.items():
         rises, ipk, d = key >> low & mask, key >> low + n + 3, key >> low + n + 2 & 1
-        runs = longest.get(rises)
-        if runs is None:
+        pattern = runs.get(rises)
+        if pattern is None:
             bits = _rise_string(rises, n)
-            runs = longest[rises] = (max(_run_lengths(bits, "0")), max(_run_lengths(bits, "1")))
-        shape = (*runs, ipk, ipk + d)
+            parts = _run_lengths(bits, "0")
+            pattern = runs[rises] = (parts, max(parts), max(_run_lengths(bits, "1")))
+        parts, up, down = pattern
+        shape = (up, down, ipk, ipk + d)
         histogram[shape] = histogram.get(shape, 0) + count
-    return Sweep(n, histogram, tuple(map(tuple, _peakless_inverses(n))))
+        if not ipk:
+            peakless[parts] = peakless.get(parts, 0) + count
+    return Sweep(n, histogram, peakless)
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +388,23 @@ def count_block_words_by_definition(n: int, m: int = 3) -> int:
 
 def verify_descent_uniqueness(n: int) -> VerificationReport:
     """Each descent composition owns exactly one peakless-inverse permutation,
-    and it is the one the direct construction produces."""
-    peakless = sweep(n).ipk0
-    counts = Counter(map(increasing_run_lengths, peakless))
-    found = {increasing_run_lengths(letters): letters for letters in peakless}
+    and the direct construction produces one: a permutation with that
+    descent composition whose inverse has no peak, by raw statistics."""
+    peakless = sweep(n).peakless
     for composition in enumerate_compositions(n):
-        parts = composition.parts
-        expected = zero_ipk_permutation(composition).letters
-        if counts.get(parts, 0) != 1 or found.get(parts) != expected:
+        count = peakless.get(composition.parts, 0)
+        letters = zero_ipk_permutation(composition).letters
+        parts = increasing_run_lengths(letters)
+        ipk = peak_count(inverse_letters(letters))
+        if count != 1 or parts != composition.parts or ipk:
             return report("descent-uniqueness", {"n": n}, {
                 "composition": str(composition),
-                "ipk0_count": counts.get(parts, 0),
-                "enumerated": " ".join(map(str, found.get(parts, ()))),
-                "constructed": " ".join(map(str, expected)),
+                "ipk0_count": count,
+                "constructed": " ".join(map(str, letters)),
+                "constructed_composition": str(Composition(parts)),
+                "constructed_ipk": ipk,
             })
-    return report("descent-uniqueness", {"n": n, "classes": len(counts)}, None)
+    return report("descent-uniqueness", {"n": n, "classes": len(peakless)}, None)
 
 
 def verify_corollaries(n: int) -> VerificationReport:
@@ -435,19 +412,26 @@ def verify_corollaries(n: int) -> VerificationReport:
 
     exactly one alternating and one reverse-alternating; C(n-1, k) with k
     descents; C(n, 2k+1) with k peaks; C(n, 2k) with k left peaks.
+
+    Each descent composition is read once, weighted by its count.  The walk
+    of prefix sums of +1 per rise and -1 per descent has the rise bits of
+    the composition's permutations, so it has their peaks and left peaks.
     """
-    peakless = sweep(n).ipk0
-    rises = [bytes(map(operator.lt, letters, letters[1:])) for letters in peakless]
-    by_des = Counter(pattern.count(0) for pattern in rises)
-    by_pk = Counter(map(peak_count, peakless))
-    by_lpk = Counter(map(left_peak_count, peakless))
+    by_rises, by_des, by_pk, by_lpk = Counter(), Counter(), Counter(), Counter()
+    for parts, count in sweep(n).peakless.items():
+        rises = [k > 0 for part in parts for k in range(part)][1:]
+        walk = tuple(itertools.accumulate((2 * rise - 1 for rise in rises), initial=0))
+        by_rises[bytes(rises)] += count
+        by_des[len(parts) - 1] += count
+        by_pk[peak_count(walk)] += count
+        by_lpk[left_peak_count(walk)] += count
 
     def case(identity: str, k: int, got: int, expected: int) -> dict[str, Any]:
         return {"identity": identity, "k": k, "got": got, "expected": expected}
 
     def cases() -> Iterator[dict[str, Any]]:
         for identity, parity in ("alternating", 0), ("reverse-alternating", 1):
-            yield case(identity, 0, rises.count(bytes(i % 2 == parity for i in range(n - 1))), 1)
+            yield case(identity, 0, by_rises[bytes(i % 2 == parity for i in range(n - 1))], 1)
         for k in range(n):
             yield case("descents", k, by_des[k], math.comb(n - 1, k))
         for k in range(n + 1):

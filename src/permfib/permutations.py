@@ -159,25 +159,23 @@ def contains_descending_run(letters: Sequence[int], m: int) -> bool:
     return False
 
 
-def check_enumeration_size(n: int, *, allow_large: bool = False) -> None:
-    """Refuse to enumerate S_n beyond the cap unless explicitly allowed."""
+def check_enumeration_size(n: int) -> None:
+    """Refuse S_n past :func:`enumeration_cap`, enumerated here or swept by
+    :func:`permfib.oracle.sweep`; only PERMFIB_MAX_N lifts it."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     cap = enumeration_cap()
-    if n > cap and not allow_large:
-        raise ResourceLimitError(
-            f"enumerating S_{n} exceeds the cap of {cap}; "
-            f"pass allow_large=True or set {_CAP_ENV_VAR}"
-        )
+    if n > cap:
+        raise ResourceLimitError(f"S_{n} exceeds the cap of {cap}; set {_CAP_ENV_VAR} to raise it")
 
 
-def letter_tuples(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
+def letter_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """All length-n letter tuples in lexicographic order, without wrapping.
 
     This is the raw stream behind :func:`enumerate_symmetric_group`, for
     callers that would rather skip the per-element wrapping.
     """
-    check_enumeration_size(n, allow_large=allow_large)
+    check_enumeration_size(n)
     return itertools.permutations(range(1, n + 1))
 
 
@@ -347,6 +345,7 @@ def monotone_pattern(m: int, *, descending: bool = False) -> Permutation:
     return Permutation(tuple(values))
 
 
-def enumerate_symmetric_group(n: int, *, allow_large: bool = False) -> Iterator[Permutation]:
-    """Yield all n! permutations exactly once, in lexicographic order."""
-    return (Permutation(t) for t in letter_tuples(n, allow_large=allow_large))
+def enumerate_symmetric_group(n: int) -> Iterator[Permutation]:
+    """Yield all n! permutations exactly once, in lexicographic order; n past
+    :func:`enumeration_cap` is refused before any is made."""
+    return (Permutation(t) for t in letter_tuples(n))

@@ -51,6 +51,16 @@ class TestVerify:
         assert code == 2
         assert "--n-max 99 exceeds the S_n cap 12 (set PERMFIB_MAX_N to raise it)" in err
 
+    def test_eq1_n_max_is_bounded(self, capsys):
+        """The identity sums run to 4 n_max, and their own cap is 60."""
+        code, out, err = run_cli(capsys, "verify", "--claim", "eq1", "--n-max", "16")
+        assert (code, out, err) == (2, "", "usage error: eq1: --n-max must be in 1..15, got 16\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--claim", "eq1", "--n-max", "15", "--no-timestamp"
+        )
+        assert code == 0
+        assert "PASS  identity-sums  (n_max=60)" in out
+
     def test_sweeping_claims_run_past_n_9_without_a_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--claim", "theorem2", "--n-max", "10", "--no-timestamp"
@@ -392,6 +402,18 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--order", "-2")
         assert (code, out) == (2, "")
         assert "order must be >= 0" in err
+
+    def test_fib_n_max_is_bounded_by_the_series_cap(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--kind", "fib", "--n-max", "5001")
+        assert (code, out, err) == (
+            2, "", "usage error: --kind fib: --n-max must be <= 5000, got 5001\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "table", "--kind", "fib", "--n-max", "5000", "--format", "csv",
+            "--no-timestamp",
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("5000,")
 
     @pytest.mark.parametrize("kind", ["counts-thm1", "counts-thm2", "descent-matrix"])
     def test_n_max_zero_is_a_usage_error(self, capsys, kind):

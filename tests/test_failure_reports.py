@@ -142,6 +142,21 @@ def test_descent_uniqueness(monkeypatch):
     assert report.counterexample == {
         "composition": "(2,1)",
         "ipk0_count": 1,
-        "enumerated": "2 3 1",
         "constructed": "1 3 2",
+        "constructed_composition": "(2,1)",
+        "constructed_ipk": 1,
+    }
+
+
+def test_descent_uniqueness_count(monkeypatch):
+    monkeypatch.setitem(oracle.sweep(3).peakless, (2, 1), 2)
+    report = oracle.verify_descent_uniqueness(3)
+    assert not report.passed
+    assert report.params == {"n": 3}
+    assert report.counterexample == {
+        "composition": "(2,1)",
+        "ipk0_count": 2,
+        "constructed": "2 3 1",
+        "constructed_composition": "(2,1)",
+        "constructed_ipk": 0,
     }

@@ -3,9 +3,9 @@ against brute force in tests/oracles.py.
 
 Every permutation of n is a permutation tau of n - 1 with n inserted before
 one index j.  The class transfer relies on how that moves the rise bits of
-the permutation and of its inverse; the pruned trees rely on three
-statistics that the insertion never decreases, and test only the children
-that the candidate rules below leave.
+the permutation and of its inverse; it and the pruned one-left-peak tree
+rely on three statistics that the insertion never decreases, and the tree
+tests only the children that the candidate rule below leaves.
 """
 
 import itertools
@@ -94,20 +94,6 @@ def test_one_left_peak_children_are_the_candidates(n):
             assert not kept, tau
             continue
         assert set(oracle._one_left_peak_candidates(bytes(tau))) == kept, tau
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_peakless_inverse_children_are_the_candidates(n):
-    """A parent whose inverse has no peak keeps it for every j, unless its
-    inverse ends with a rise: then exactly for j past the index of n - 1."""
-    for tau, kept in _children_where(n, lambda pi: peaks(inverse(pi)) == 0):
-        if peaks(inverse(tau)):
-            assert not kept, tau
-            continue
-        bits = rise_bits(inverse(tau))
-        expected = range(tau.index(n - 1) + 1 if bits and bits[-1] else 0, n)
-        assert kept == set(expected), tau
-        assert oracle._peakless_candidates(bytes(tau)) == expected, tau
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -193,11 +193,12 @@ class TestEnumeration:
     def test_full_count(self):
         assert sum(1 for _ in all_perms(8)) == 40320
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             enumerate_symmetric_group(13)
-        # the override flag lifts it (iterator construction only)
-        enumerate_symmetric_group(13, allow_large=True)
+        # PERMFIB_MAX_N lifts it (iterator construction only)
+        monkeypatch.setenv("PERMFIB_MAX_N", "13")
+        enumerate_symmetric_group(13)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PERMFIB_MAX_N", "4")

@@ -5,7 +5,7 @@ import math
 from collections import Counter
 
 import pytest
-from oracles import permutation_records
+from oracles import ascending_runs, permutation_records
 
 from permfib import claims, oracle, series
 from permfib.errors import ResourceLimitError
@@ -50,7 +50,7 @@ def test_polynomials_match_reference(n):
 def test_kept_letters_match_reference(n):
     records = list(permutation_records(n))
     swept = oracle.sweep(n)
-    assert list(swept.ipk0) == [r.letters for r in records if r.ipk == 0]
+    assert swept.peakless == Counter(ascending_runs(r.letters) for r in records if r.ipk == 0)
     for m in range(3, 7):
         assert sorted(swept.n_shaped_avoiders(m)) == [
             r.letters for r in records if r.lpk == 1 and r.inverse_down < m
@@ -77,7 +77,10 @@ def test_histogram_matches_reference(n):
 def test_every_child_is_counted_once(n):
     swept = oracle.sweep(n)
     assert sum(swept.histogram.values()) == math.factorial(n)
-    assert len(swept.ipk0) == 2 ** (n - 1)
+    # 2^(n-1) distinct compositions of n are all of them, each held once
+    assert len(swept.peakless) == 2 ** (n - 1)
+    assert all(sum(parts) == n and min(parts) > 0 for parts in swept.peakless)
+    assert set(swept.peakless.values()) == {1}
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -94,7 +97,7 @@ def _cleared_sweeps(monkeypatch):
 
 def _sweep_data(n):
     swept = oracle.sweep(n)
-    return swept.histogram, list(swept.histogram), swept.ipk0, list(swept.n_shaped.items())
+    return swept.histogram, list(swept.histogram), swept.peakless, list(swept.n_shaped.items())
 
 
 def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
