@@ -6,17 +6,21 @@ position automaton, which has no empty moves, and the subset construction;
 the resulting DFA is total over the alphabet.  A reference matcher and an
 exact parse counter serve as independent cross-checks: they never build an
 automaton, but evaluate the syntax tree forward on the set of positions
-reached so far (a bitset for the matcher, a map from position to number of
-derivations for the counter), in one pass over the tree per word.  The
-two canonical decompositions used by the bijections (greedy segmentation of
-core words, suffix split of full block words) live here as well.
+reached so far, in one pass over the tree per word.  The matcher carries
+the set as an int bitset; the counter carries the number of derivations
+ending at each position as bit planes (a tuple of bitsets, plane k holding
+bit k of every count).  Each node evaluates through a closure built once
+per node object from its children's closures, so a word costs no dispatch
+on the node type.  The two canonical decompositions used by the bijections
+(greedy segmentation of core words, suffix split of full block words) live
+here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Union as TypingUnion
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Union as TypingUnion
 
 from .errors import InvalidInputError, NotInLanguageError
 from .words import ALPHABET, check_word
@@ -25,9 +29,34 @@ from .words import ALPHABET, check_word
 # ---------------------------------------------------------------------------
 # Syntax trees
 
+#: Bit i of ``masks[x]`` is set when letter i of the word is x.
+Masks = dict[str, int]
+
+#: Derivation counts by end position: bit p of plane k is bit k of the
+#: number of derivations that end at p.  The top plane is nonzero, so the
+#: empty set is ``()``.
+Planes = tuple[int, ...]
+
+
+class _Node:
+    """The evaluation kernels every node class shares.
+
+    Each kernel is a closure built on first use from the kernels of the
+    node's children and kept on the node object, so it is built once per
+    object (once for a subtree shared by several parents).
+    """
+
+    @cached_property
+    def _ends(self) -> Callable[[int, Masks], int]:
+        return _ends_kernel(self)
+
+    @cached_property
+    def _ways(self) -> Callable[[Planes, Masks], Planes]:
+        return _ways_kernel(self)
+
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Node):
     symbol: str
 
     def __post_init__(self) -> None:
@@ -36,27 +65,27 @@ class Lit:
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Node):
     parts: tuple["Node", ...]
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Node):
     options: tuple["Node", ...]
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Node):
     inner: "Node"
 
 
 @dataclass(frozen=True)
-class Plus:
+class Plus(_Node):
     inner: "Node"
 
 
 @dataclass(frozen=True)
-class Repeat:
+class Repeat(_Node):
     """At most ``most`` copies of ``inner`` (including zero)."""
 
     inner: "Node"
@@ -172,8 +201,8 @@ def block_word_regex(m: int = 3) -> Node:
 # ---------------------------------------------------------------------------
 # Reference matcher and parse counting (forward position-set evaluation)
 #
-# Both walk the syntax tree once per word, pushing the whole set of reached
-# positions through each node (Baeza-Yates & Gonnet, "A new approach to text
+# Both push the whole set of reached positions through each node, in one
+# pass over the tree per word (Baeza-Yates & Gonnet, "A new approach to text
 # searching", CACM 35, 1992, run on the tree rather than on an automaton).
 
 
@@ -186,7 +215,9 @@ def match_ends(node: Node, word: str, start: int) -> frozenset[int]:
     check_word(word)
     if start < 0:
         raise InvalidInputError(f"start must be >= 0, got {start}")
-    ends = _ends(node, 1 << start, _symbol_masks(word))
+    if start > len(word):
+        raise InvalidInputError(f"start must be <= len(word) = {len(word)}, got {start}")
+    ends = node._ends(1 << start, _symbol_masks(word))
     return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
 
 
@@ -195,19 +226,21 @@ def ast_matches(node: Node, word: str) -> bool:
 
     Forward position-set evaluation: the positions reached so far form one
     int bitset, and each node maps the set of its start positions to the set
-    of its end positions in one visit.  A word of length n is one pass over
-    the tree; a visit of a star or plus runs its body at most n + 1 times,
-    so the cost is O(|AST| · (n + 1)^d) big-int operations for star nesting
+    of its end positions in one visit.  The first call on a node object
+    builds one closure per node of the tree, O(|AST|) once; after that a
+    word of length n is one pass over the tree with no dispatch on the node
+    type.  A visit of a star or plus runs its body at most n + 1 times, so
+    the cost is O(|AST| · (n + 1)^d) big-int operations for star nesting
     depth d (d = 2 for the expressions of this package).
 
     >>> ast_matches(core_regex(), "aacbc"), ast_matches(core_regex(), "aab")
     (True, False)
     """
     check_word(word)
-    return bool(_ends(node, 1, _symbol_masks(word)) >> len(word) & 1)
+    return bool(node._ends(1, _symbol_masks(word)) >> len(word) & 1)
 
 
-def _symbol_masks(word: str) -> dict[str, int]:
+def _symbol_masks(word: str) -> Masks:
     """Bit i of ``masks[x]`` is set when ``word[i] == x``."""
     masks = dict.fromkeys(ALPHABET, 0)
     for position, symbol in enumerate(word):
@@ -215,45 +248,71 @@ def _symbol_masks(word: str) -> dict[str, int]:
     return masks
 
 
-def _ends(node: Node, starts: int, masks: dict[str, int]) -> int:
-    """End positions of ``node`` matched from any position in ``starts``."""
+def _ends_kernel(node: Node) -> Callable[[int, Masks], int]:
+    """The closure mapping start positions of ``node`` to its end positions."""
     if isinstance(node, Lit):
-        return (starts & masks[node.symbol]) << 1
-    if isinstance(node, Concat):
-        for part in node.parts:
-            if not starts:
-                break
-            starts = _ends(part, starts, masks)
-        return starts
-    if isinstance(node, Union):
-        ends = 0
-        for option in node.options:
-            ends |= _ends(option, starts, masks)
-        return ends
-    if isinstance(node, (Star, Plus)):
-        # positions reachable by one or more inner matches
-        reached = 0
-        frontier = starts
-        while frontier:
-            frontier = _ends(node.inner, frontier, masks) & ~reached
-            reached |= frontier
-        return reached | starts if isinstance(node, Star) else reached
-    if isinstance(node, Repeat):
-        reached = current = starts
-        for _ in range(node.most):
-            current = _ends(node.inner, current, masks)
-            reached |= current
-        return reached
-    raise TypeError(f"not a regex node: {node!r}")
+        symbol = node.symbol
+
+        def ends(starts: int, masks: Masks) -> int:
+            return (starts & masks[symbol]) << 1
+
+    elif isinstance(node, Concat):
+        parts = tuple(part._ends for part in node.parts)
+
+        def ends(starts: int, masks: Masks) -> int:
+            for part in parts:
+                if not starts:
+                    break
+                starts = part(starts, masks)
+            return starts
+
+    elif isinstance(node, Union):
+        options = tuple(option._ends for option in node.options)
+
+        def ends(starts: int, masks: Masks) -> int:
+            reached = 0
+            for option in options:
+                reached |= option(starts, masks)
+            return reached
+
+    elif isinstance(node, (Star, Plus)):
+        inner, keep_starts = node.inner._ends, isinstance(node, Star)
+
+        def ends(starts: int, masks: Masks) -> int:
+            # positions reachable by one or more inner matches
+            reached = 0
+            frontier = starts
+            while frontier:
+                frontier = inner(frontier, masks) & ~reached
+                reached |= frontier
+            return reached | starts if keep_starts else reached
+
+    elif isinstance(node, Repeat):
+        inner, most = node.inner._ends, node.most
+
+        def ends(starts: int, masks: Masks) -> int:
+            reached = current = starts
+            for _ in range(most):
+                current = inner(current, masks)
+                reached |= current
+            return reached
+
+    else:
+        raise TypeError(f"not a regex node: {node!r}")
+    return ends
 
 
 def count_parses(node: Node, word: str) -> int:
     """Number of distinct derivations of ``word``; 1 means unambiguous.
 
-    Forward position-set evaluation, as in :func:`ast_matches`, on a sparse
-    map {position: derivations so far} in place of the bitset.  The number
-    of parses is linear in the start weights, so one pass over the tree per
-    word is exact, at the matcher's cost in dictionary updates.
+    Forward position-set evaluation, as in :func:`ast_matches`, on bit
+    planes in place of the bitset: bit p of plane k is bit k of the number
+    of derivations that end at p.  A literal masks and shifts every plane,
+    and union, star, plus and repetition add plane tuples with a ripple
+    carry.  The number of parses is linear in the start weights, so one
+    pass over the tree per word is exact for any count, at the matcher's
+    cost times the number of planes: the bit length of the largest count
+    reached (one plane while every count is 0 or 1).
 
     Star and plus require a non-nullable inner expression so that the count
     is finite; every expression in this package satisfies that.  A star or
@@ -261,53 +320,109 @@ def count_parses(node: Node, word: str) -> int:
     evaluation reaches it.
     """
     check_word(word)
-    return _ways(node, {0: 1}, word).get(len(word), 0)
+    n = len(word)
+    planes = node._ways((1,), _symbol_masks(word))
+    return sum((plane >> n & 1) << k for k, plane in enumerate(planes))
 
 
-def _ways(node: Node, starts: dict[int, int], word: str) -> dict[int, int]:
-    """{end: derivations} of ``node`` from the weighted start map ``starts``."""
+def _add(x: Planes, y: Planes) -> Planes:
+    """The position-wise sum of two weighted position sets."""
+    if not x:
+        return y
+    if not y:
+        return x
+    if len(x) == 1 == len(y):
+        carry = x[0] & y[0]
+        return (x[0] ^ y[0], carry) if carry else (x[0] | y[0],)
+    if len(x) < len(y):
+        x, y = y, x
+    out = []
+    carry = 0
+    for k, plane in enumerate(x):
+        other = y[k] if k < len(y) else 0
+        half = plane ^ other
+        out.append(half ^ carry)
+        carry = plane & other | half & carry
+    if carry:
+        out.append(carry)
+    return tuple(out)
+
+
+def _support(planes: Planes) -> int:
+    support = 0
+    for plane in planes:
+        support |= plane
+    return support
+
+
+def _ways_kernel(node: Node) -> Callable[[Planes, Masks], Planes]:
+    """The closure mapping weighted start positions of ``node`` to its ends."""
     if isinstance(node, Lit):
-        n, symbol = len(word), node.symbol
-        out = {}
-        for s, ways in starts.items():
-            if s < n and word[s] == symbol:
-                out[s + 1] = ways
-        return out
-    if isinstance(node, Concat):
-        for part in node.parts:
-            if not starts:
-                break
-            starts = _ways(part, starts, word)
-        return starts
-    if isinstance(node, Union):
-        out: dict[int, int] = {}
-        for option in node.options:
-            _add_into(out, _ways(option, starts, word))
-        return out
-    if isinstance(node, (Star, Plus)):
-        out = dict(starts) if isinstance(node, Star) else {}
-        frontier = _ways(node.inner, starts, word)
-        # Ends never lie left of their start, so the leftmost start comes
-        # back in one step only through an empty match of the body.
-        if starts and min(starts) in frontier:
-            raise InvalidInputError("parse counting requires a non-nullable star/plus body")
-        while frontier:
-            _add_into(out, frontier)
-            frontier = _ways(node.inner, frontier, word)
-        return out
-    if isinstance(node, Repeat):
-        out = dict(starts)
-        current = starts
-        for _ in range(node.most):
-            current = _ways(node.inner, current, word)
-            _add_into(out, current)
-        return out
-    raise TypeError(f"not a regex node: {node!r}")
+        symbol = node.symbol
 
+        def ways(starts: Planes, masks: Masks) -> Planes:
+            mask = masks[symbol]
+            if len(starts) == 1:
+                ends = (starts[0] & mask) << 1
+                return (ends,) if ends else ()
+            out = [(plane & mask) << 1 for plane in starts]
+            while out and not out[-1]:
+                out.pop()
+            return tuple(out)
 
-def _add_into(out: dict[int, int], step: dict[int, int]) -> None:
-    for position, ways in step.items():
-        out[position] = out.get(position, 0) + ways
+    elif isinstance(node, Concat):
+        parts = tuple(part._ways for part in node.parts)
+
+        def ways(starts: Planes, masks: Masks) -> Planes:
+            for part in parts:
+                if not starts:
+                    break
+                starts = part(starts, masks)
+            return starts
+
+    elif isinstance(node, Union):
+        options = tuple(option._ways for option in node.options)
+
+        def ways(starts: Planes, masks: Masks) -> Planes:
+            out: Planes = ()
+            for option in options:
+                out = _add(out, option(starts, masks))
+            return out
+
+    elif isinstance(node, (Star, Plus)):
+        inner, keep_starts = node.inner._ways, isinstance(node, Star)
+
+        def ways(starts: Planes, masks: Masks) -> Planes:
+            frontier = inner(starts, masks)
+            # Ends never lie left of their start, so the leftmost start comes
+            # back in one step only through an empty match of the body.
+            if frontier:
+                support = _support(starts)
+                if _support(frontier) & support & -support:
+                    raise InvalidInputError(
+                        "parse counting requires a non-nullable star/plus body"
+                    )
+            out = starts if keep_starts else ()
+            while frontier:
+                out = _add(out, frontier)
+                frontier = inner(frontier, masks)
+            return out
+
+    elif isinstance(node, Repeat):
+        inner, most = node.inner._ways, node.most
+
+        def ways(starts: Planes, masks: Masks) -> Planes:
+            out = current = starts
+            for _ in range(most):
+                current = inner(current, masks)
+                if not current:
+                    break
+                out = _add(out, current)
+            return out
+
+    else:
+        raise TypeError(f"not a regex node: {node!r}")
+    return ways
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +488,17 @@ class Dfa:
     def states(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def _rows(self) -> tuple[dict[str, int], ...]:
+        """The table with one {symbol: target} row per state."""
+        return tuple(dict(zip(ALPHABET, row)) for row in self.table)
+
     def accepts(self, word: str) -> bool:
         check_word(word)
         state = self.start
-        table = self.table
+        rows = self._rows
         for symbol in word:
-            state = table[state][0 if symbol == "a" else 1 if symbol == "b" else 2]
+            state = rows[state][symbol]
         return state in self.accepting
 
     def count_words(self, n: int) -> int:
@@ -525,7 +645,12 @@ def split_block_word(word: str) -> tuple[int, int, str]:
 
 
 def reassemble_block_word(j: int, k: int, core: str, n: int) -> str:
-    """Inverse of :func:`split_block_word` for a target total length n."""
+    """Inverse of :func:`split_block_word` for a target total length n.
+
+    ``core`` must be a core word, so the result is always a block word that
+    :func:`split_block_word` splits back into (j, k, core).
+    """
+    check_word(core)
     if len(core) != k:
         raise InvalidInputError(f"core has length {len(core)}, expected k={k}")
     if j < 0:
@@ -533,4 +658,6 @@ def reassemble_block_word(j: int, k: int, core: str, n: int) -> str:
     runs = n - j - k
     if runs < 1:
         raise InvalidInputError(f"need at least one a between core and c-run (n={n}, j={j}, k={k})")
+    if not core_dfa().accepts(core):
+        raise NotInLanguageError(f"not a core word: {core!r}")
     return core + "a" * runs + "c" * j

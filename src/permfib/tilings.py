@@ -27,6 +27,9 @@ from .errors import InvalidInputError
 from . import regex
 from .compositions import enumerate_compositions
 
+#: The block lengths: a monomino and a horizontal domino.
+_BLOCKS = frozenset((1, 2))
+
 
 @dataclass(frozen=True)
 class Tiling:
@@ -40,7 +43,7 @@ class Tiling:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         for row in (top, bottom):
-            if any(block not in (1, 2) for block in row):
+            if not _BLOCKS.issuperset(row):
                 raise InvalidInputError(f"blocks must be 1 or 2: {row}")
         if sum(top) != sum(bottom):
             raise InvalidInputError(

@@ -65,7 +65,8 @@ def is_avoiding_block_word(word: str, m: int = 3) -> bool:
     """Block-word form plus avoidance of the four order-m forbidden factors."""
     if not is_block_word(word):
         return False
-    return all(factor not in word for factor in forbidden_factors(m))
+    first, second, third, fourth = forbidden_factors(m)
+    return first not in word and second not in word and third not in word and fourth not in word
 
 
 def iter_words(n: int) -> Iterator[str]:

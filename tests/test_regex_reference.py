@@ -3,6 +3,7 @@ memoised references in ``oracles``, and against the DFA pipeline only
 through the results they report; the compiled DFA against the reference
 matcher on arbitrary syntax trees."""
 
+import collections
 import contextlib
 import itertools
 import signal
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import memo_count_parses, memo_match_ends
 
 from permfib import regex
+from permfib.compositions import fib
 from permfib.errors import InvalidInputError
 
 
@@ -97,6 +99,85 @@ def test_nullable_body_raises_only_when_reached():
 def test_match_ends_rejects_a_negative_start():
     with pytest.raises(InvalidInputError, match="start must be >= 0"):
         regex.match_ends(regex.core_regex(), "c", -1)
+
+
+def test_match_ends_rejects_a_start_past_the_end_of_the_word():
+    assert regex.match_ends(regex.star(regex.lit("a")), "ab", 2) == frozenset({2})
+    with pytest.raises(InvalidInputError, match=r"start must be <= len\(word\) = 2, got 5"):
+        regex.match_ends(regex.star(regex.lit("a")), "ab", 5)
+
+
+A = regex.lit("a")
+
+#: Expressions whose parse counts on a^n need many bit planes, with the
+#: closed form of each count.
+MANY_PLANES = [
+    (regex.Star(regex.Union((A, A))), lambda n: 2**n),
+    # three addends per step, so the ripple carries across planes
+    (regex.Star(regex.Union((A, A, A))), lambda n: 3**n),
+    # compositions of n into parts 1 and 2
+    (regex.Plus(regex.Union((A, regex.Concat((A, A))))), lambda n: fib(2, n) if n else 0),
+]
+
+
+@pytest.mark.parametrize("node, closed_form", MANY_PLANES)
+def test_counts_of_many_bit_planes_match_the_closed_forms(node, closed_form):
+    for n in range(41):
+        assert regex.count_parses(node, "a" * n) == closed_form(n), n
+    for n in range(9):
+        assert regex.count_parses(node, "a" * n) == memo_count_parses(node, "a" * n), n
+
+
+def _distinct_nodes(node) -> dict[int, object]:
+    """Every node object of the tree by id, a shared subtree once."""
+    if isinstance(node, regex.Lit):
+        children = ()
+    elif isinstance(node, regex.Concat):
+        children = node.parts
+    elif isinstance(node, regex.Union):
+        children = node.options
+    else:
+        children = (node.inner,)
+    found = {id(node): node}
+    for child in children:
+        found.update(_distinct_nodes(child))
+    return found
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Counts the kernel builds, by (builder name, node id)."""
+    builds = collections.Counter()
+    for name in ("_ends_kernel", "_ways_kernel"):
+
+        def counted(node, build=getattr(regex, name), name=name):
+            builds[name, id(node)] += 1
+            return build(node)
+
+        monkeypatch.setattr(regex, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("make", [regex.core_regex, lambda: regex.block_word_regex(5)])
+def test_kernels_are_built_once_per_node_object(kernel_builds, make):
+    node = make()  # fresh node objects, with no kernel yet
+    names = ("_ends_kernel", "_ways_kernel")
+    once = collections.Counter({(name, key): 1 for key in _distinct_nodes(node) for name in names})
+    for word in ("aacbc", "b", "aacbcccaaabbcacaaccc"):
+        regex.ast_matches(node, word)
+        regex.count_parses(node, word)
+        assert kernel_builds == once
+
+
+def test_a_shared_subtree_gets_one_kernel(kernel_builds):
+    shared = regex.Plus(regex.lit("a"))
+    node = regex.Concat((shared, shared))
+    assert regex.match_ends(node, "aaa", 0) == frozenset({2, 3})
+    assert regex.count_parses(node, "aaa") == 2
+    assert len(_distinct_nodes(node)) == 3
+    assert kernel_builds[("_ends_kernel", id(shared))] == 1
+    assert kernel_builds[("_ways_kernel", id(shared))] == 1
+    assert sum(kernel_builds.values()) == 6
 
 
 WORKED_EXAMPLES = [

@@ -242,6 +242,17 @@ class TestSplitBlockWord:
         with pytest.raises(InvalidInputError, match="j must be >= 0"):
             regex.reassemble_block_word(-1, 1, "c", 3)
 
+    def test_reassemble_rejects_a_core_outside_the_alphabet(self):
+        with pytest.raises(InvalidInputError, match="only letters a, b, c"):
+            regex.reassemble_block_word(0, 1, "x", 2)
+
+    @pytest.mark.parametrize("core", ["a", "b", "cba", "ca"])
+    def test_reassemble_rejects_a_core_that_is_not_a_core_word(self, core):
+        # "a" would give "aa", which is no block word; "ca" ends in an a,
+        # so the split would give back a shorter core
+        with pytest.raises(NotInLanguageError, match="not a core word"):
+            regex.reassemble_block_word(0, len(core), core, len(core) + 1)
+
     def test_full_regex_unambiguous(self):
         expression = regex.block_word_regex(3)
         dfa = regex.block_word_dfa(3)
