@@ -9,7 +9,8 @@ claim, a claim or --m value given twice, --claim all with other names, a
 table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
 more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
-past the cap that PERMFIB_MAX_N moves, a descent matrix past n = 8, or a
+past the cap that PERMFIB_MAX_N moves, a PERMFIB_MAX_N that is not an
+integer >= 1, a descent matrix past n = 8, or a
 series order or table --kind fib --n-max above series.MAX_SERIES_ORDER
 (5,000), which has no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
@@ -28,9 +29,8 @@ import sys
 from typing import Any, NamedTuple, Sequence
 
 from . import bijections, claims, oracle, regex, series, tilings
-from .claims import UsageError
 from .compositions import Composition, fib
-from .errors import NotInDomainError, PermfibError, ResourceLimitError
+from .errors import NotInDomainError, PermfibError, ResourceLimitError, UsageError
 from .permutations import Permutation, descent_composition, statistics
 from .words import check_word, forbidden_factors, is_avoiding_block_word, is_block_word
 

@@ -9,6 +9,11 @@ class InvalidInputError(PermfibError, ValueError):
     """An argument violates a documented precondition (bad value or shape)."""
 
 
+class UsageError(InvalidInputError):
+    """A claim parameter, command-line argument or environment setting
+    outside its domain; the CLI reports it as a usage error."""
+
+
 class ResourceLimitError(PermfibError, RuntimeError):
     """An enumeration would exceed the configured size cap."""
 

@@ -4,12 +4,10 @@ Every permutation of n is one of n - 1 with n inserted, and the permutation
 oracles rest on that one step (see :class:`Sweep`).  Counts are carried
 over classes of descent data, keyed by one int, in one pass over the levels
 1..n; Theorem 4 and its corollaries read the classes with a peakless
-inverse by descent composition, and the one-left-peak permutations that
-prop6 keeps grow on an insertion tree that tests only the children a lemma
-leaves.  Words and tilings are enumerated.  Every permutation an oracle
-keeps or constructs is tested with raw statistics, and the
-constructions being verified are only ever used on the other side of a
-comparison, never inside a count.
+inverse by descent composition.  Words and tilings are enumerated.  Every
+permutation an oracle keeps or constructs is tested with raw statistics,
+and the constructions being verified are only ever used on the other side
+of a comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import regex, tilings
@@ -182,76 +179,6 @@ def _levels(n_max: int, fold: Callable[[int, bool], int], start: int) -> Iterato
         yield level
 
 
-def _one_left_peak_candidates(tau: bytes) -> Iterable[int]:
-    """The j for which tau, a permutation of n - 1 with at most one left
-    peak, with n inserted before index j may have one left peak.
-
-    Inserting n changes left peaks only next to n, and n makes one itself
-    unless it comes last.  So the identity's children qualify exactly for
-    j < n - 1, and those of a tau with its left peak at index p exactly for
-    j in {p, p + 1, n - 1}.  The letters above tau's left peak end tau in
-    increasing order, so the peak is the largest letter not standing at
-    its own place.
-    """
-    n = len(tau) + 1
-    value = n - 1
-    while value and tau[value - 1] == value:
-        value -= 1
-    if not value:
-        return range(n - 1)
-    p = tau.index(value)
-    return (p, p + 1, n - 1)
-
-
-def _last_descending_run(tau: bytes) -> int:
-    """Length of the last descending run of tau's inverse: how many of the
-    largest letters of tau stand in decreasing order, left to right."""
-    value = len(tau)
-    at = tau.index(value)
-    while value > 1 and tau.index(value - 1) > at:
-        value -= 1
-        at = tau.index(value)
-    return len(tau) - value + 1
-
-
-@lru_cache(maxsize=None)
-def _one_left_peak(n: int) -> dict[int, bytes]:
-    """The permutations of n with one left peak, by the longest descending
-    run of their inverse, in order of (tau, j).
-
-    Their parents are the identity and the permutations of n - 1 with one
-    left peak; only the candidates of each are tested.  A child's inverse
-    is tau's with one bit more, a descent exactly when j is at most the
-    index of n - 1, and a descent lengthens the last descending run of
-    tau's inverse by one.  So the run is carried from tau's, not read from
-    the child's inverse.
-    """
-    if n == 1:
-        return {}
-    parents = sorted([
-        (bytes(range(1, n)), 1),
-        *(
-            (blob[i : i + n - 1], run)
-            for run, blob in _one_left_peak(n - 1).items()
-            for i in range(0, len(blob), n - 1)
-        ),
-    ])
-    top = bytes((n,))
-    shaped: dict[int, bytearray] = {}
-    for tau, run in parents:
-        at, tail = tau.index(n - 1), 0
-        for j in _one_left_peak_candidates(tau):
-            pi = tau[:j] + top + tau[j:]
-            if left_peak_count(pi) != 1:
-                continue
-            longest = run
-            if j <= at:
-                tail = tail or _last_descending_run(tau)
-                longest = max(run, tail + 1)
-            shaped.setdefault(longest, bytearray()).extend(pi)
-    return {run: bytes(blob) for run, blob in sorted(shaped.items())}
-
-
 @dataclass(frozen=True)
 class Sweep:
     """What the permutation oracles need from S_n.
@@ -269,22 +196,12 @@ class Sweep:
     read its layout.
 
     ``peakless`` counts the classes with ipk 0 by the increasing runs of
-    their rise bits, the descent composition.  The insertion never lowers
-    the left peaks of the permutation, so ``n_shaped``, the letters of the
-    permutations with one left peak joined into one bytes object per
-    longest descending run of the inverse, grows on a tree of insertions
-    pruned at two left peaks that tests only the children its lemma leaves
-    (see :func:`_one_left_peak_candidates`).  It is built on first use, as
-    it grows about threefold with n.
+    their rise bits, the descent composition.
     """
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
     peakless: dict[tuple[int, ...], int]
-
-    @property
-    def n_shaped(self) -> dict[int, bytes]:
-        return _one_left_peak(self.n)
 
     def ipk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding an ascending m-run, by peaks of the inverse."""
@@ -293,17 +210,6 @@ class Sweep:
     def ilpk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding a descending m-run, by left peaks of the inverse."""
         return _tally((ilpk, c) for (_, down, _, ilpk), c in self.histogram.items() if down < m)
-
-    def n_shaped_avoiders(self, m: int) -> Iterator[tuple[int, ...]]:
-        """Letters of the one-left-peak permutations whose inverse avoids a
-        descending m-run."""
-        n = self.n
-        return (
-            tuple(blob[start : start + n])
-            for run, blob in self.n_shaped.items()
-            if run < m
-            for start in range(0, len(blob), n)
-        )
 
 
 #: The Sweep of every level built so far.
@@ -371,10 +277,12 @@ def count_ilpk1_avoiders(n: int, m: int = 3) -> int:
 def count_n_shaped_inverse_avoiders(n: int, m: int = 3) -> int:
     """Permutations with one left peak whose inverse avoids a descending m-run.
 
-    Equinumerous with :func:`count_ilpk1_avoiders` via inversion, but counted
-    over the other set; the agreement is itself one of the checked claims.
+    Inversion maps this set onto the one :func:`count_ilpk1_avoiders`
+    counts: with sigma the inverse of pi, lpk(pi) is ilpk(sigma), and pi's
+    inverse avoids a descending m-run exactly when sigma does.  So the count
+    is the transfer's, read through inversion.
     """
-    return sum(1 for _ in _count_sweep(n, m).n_shaped_avoiders(m))
+    return _count_sweep(n, m).ilpk_counts(m).get(1, 0)
 
 
 def count_block_words_by_definition(n: int, m: int = 3) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .compositions import Composition
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, UsageError
 
 #: The largest n for which S_n is enumerated here or swept by
 #: :func:`permfib.oracle.sweep`, unless PERMFIB_MAX_N moves it.
@@ -27,14 +27,19 @@ _CAP_ENV_VAR = "PERMFIB_MAX_N"
 
 
 def enumeration_cap() -> int:
-    """Current cap on S_n, enumerated or swept (PERMFIB_MAX_N overrides)."""
+    """Current cap on S_n, enumerated or swept (PERMFIB_MAX_N overrides).
+
+    An override that is not an integer of at least 1 is a usage error."""
     raw = os.environ.get(_CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{_CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # rejected below, with the same message
+    if cap < 1:
+        raise UsageError(f"{_CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------

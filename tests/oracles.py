@@ -70,17 +70,6 @@ def ascending_runs(values):
     return tuple(runs)
 
 
-def descending_runs(values):
-    """Lengths of the maximal descending runs, in order."""
-    runs = [1]
-    for rise in rise_bits(values):
-        if rise:
-            runs.append(1)
-        else:
-            runs[-1] += 1
-    return tuple(runs)
-
-
 def longest_run(values, rising):
     best = run = 1
     for rise in rise_bits(values):

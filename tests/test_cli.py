@@ -97,6 +97,22 @@ class TestVerify:
         assert code == 2
         assert "PERMFIB_MAX_N" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # prop7 sweeps no S_n, and still reads the cap
+            ["verify", "--claim", "prop7", "--n-max", "3"],
+            ["verify", "--claim", "theorem1", "--n-max", "3"],
+            ["table", "--kind", "counts-thm2", "--n-max", "3"],
+        ],
+    )
+    def test_env_cap_must_be_a_positive_integer(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("PERMFIB_MAX_N", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: PERMFIB_MAX_N must be an integer >= 1, got {value!r}\n"
+
     def test_unknown_claim(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claim", "theoremX")
         assert code == 2

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from permfib import claims, compositions, oracle, series
+from permfib import bijections, claims, compositions, oracle, series
 from permfib.compositions import Composition
 from permfib.permutations import Permutation
 
@@ -51,6 +51,39 @@ def test_theorem2(monkeypatch):
     report = _failed(("theorem2",))
     assert report.counterexample == {"n": 4, "count": 14, "closed_form": 13}
     assert list(report.counterexample) == ["n", "count", "closed_form"]
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        # the encoding misses its own decoding: no round trip
+        ("block_word", lambda real, p: real(p)[::-1] if len(p) == 4 else real(p)),
+        # a decoding without one left peak fails the raw statistic
+        (
+            "word_to_permutation",
+            lambda real, w: Permutation((1, 2, 3, 4)) if len(w) == 4 else real(w),
+        ),
+        # one left peak, but 4 3 2 is a descending 3-run of the inverse
+        (
+            "word_to_permutation",
+            lambda real, w: Permutation((1, 4, 3, 2)) if len(w) == 4 else real(w),
+        ),
+    ],
+)
+def test_prop6_word(monkeypatch, name, wrong):
+    real = getattr(bijections, name)
+    monkeypatch.setattr(bijections, name, lambda arg: wrong(real, arg))
+    report = _failed(("prop6",))
+    assert report.params == {"m": 3, "n_max": 5}
+    assert report.counterexample == {"n": 4, "word": "caaa"}
+    assert list(report.counterexample) == ["n", "word"]
+
+
+def test_prop6_count(monkeypatch):
+    _off_at(monkeypatch, oracle, "count_n_shaped_inverse_avoiders", 4, position=0)
+    report = _failed(("prop6",))
+    assert report.counterexample == {"n": 4, "words": 13, "permutations": 14}
+    assert list(report.counterexample) == ["n", "words", "permutations"]
 
 
 def test_prop8(monkeypatch):

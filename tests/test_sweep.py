@@ -51,18 +51,6 @@ def test_kept_letters_match_reference(n):
     records = list(permutation_records(n))
     swept = oracle.sweep(n)
     assert swept.peakless == Counter(ascending_runs(r.letters) for r in records if r.ipk == 0)
-    for m in range(3, 7):
-        assert sorted(swept.n_shaped_avoiders(m)) == [
-            r.letters for r in records if r.lpk == 1 and r.inverse_down < m
-        ]
-    # each kept permutation once, under the longest descending run of its inverse
-    kept = [
-        (blob[start : start + n], run)
-        for run, blob in swept.n_shaped.items()
-        for start in range(0, len(blob), n)
-    ]
-    assert len(dict(kept)) == len(kept)
-    assert dict(kept) == {bytes(r.letters): r.inverse_down for r in records if r.lpk == 1}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -86,8 +74,10 @@ def test_every_child_is_counted_once(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_one_left_peak_totals(n):
     """(3^n - 2n - 1) / 4 permutations of n have one left peak: 1, 5, 18,
-    ..., 4,916 at n = 9 and 14,757 at n = 10, past the brute-force range."""
-    kept = sum(len(blob) // n for blob in oracle.sweep(n).n_shaped.values())
+    ..., 4,916 at n = 9 and 14,757 at n = 10, past the brute-force range.
+    Through inversion, as many have an inverse with one left peak."""
+    histogram = oracle.sweep(n).histogram
+    kept = sum(count for (_, _, _, ilpk), count in histogram.items() if ilpk == 1)
     assert kept == (3**n - 2 * n - 1) // 4
 
 
@@ -97,7 +87,7 @@ def _cleared_sweeps(monkeypatch):
 
 def _sweep_data(n):
     swept = oracle.sweep(n)
-    return swept.histogram, list(swept.histogram), swept.peakless, list(swept.n_shaped.items())
+    return swept.histogram, list(swept.histogram), swept.peakless
 
 
 def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
