@@ -19,10 +19,9 @@ from .errors import InvalidInputError, NotInDomainError
 from .permutations import (
     Permutation,
     contains_descending_run,
+    descents,
     inverse_letters,
     left_peak_count,
-    left_peaks,
-    right_valleys,
 )
 from .regex import reassemble_block_word, split_block_word
 from .tilings import Tiling, tiling_to_word, word_to_tiling
@@ -84,22 +83,19 @@ def canonical_decomposition(p: Permutation) -> CanonicalDecomposition:
     """Split an N-shaped permutation at its left peak and right valley.
 
     The letter at the left peak goes to alpha and the letter at the right
-    valley to gamma, which makes beta as short as possible.
+    valley to gamma, which makes beta as short as possible.  One left peak
+    makes the descents one run, so the peak sits at the first descent and
+    the valley just after the last.
     """
     letters = p.letters
     if left_peak_count(letters) != 1:
         raise NotInDomainError(
             f"lpk != 1: not an N-shaped permutation: {p}"
         )
-    peak = left_peaks(letters)[0]
-    valley_positions = right_valleys(letters)
-    assert len(valley_positions) == 1, "one left peak forces one right valley"
-    valley = valley_positions[0]
-    assert peak < valley
+    falls = descents(letters)
+    first, last = falls[0], falls[-1]
     return CanonicalDecomposition(
-        alpha=letters[:peak],
-        beta=letters[peak : valley - 1],
-        gamma=letters[valley - 1 :],
+        alpha=letters[:first], beta=letters[first:last], gamma=letters[last:]
     )
 
 

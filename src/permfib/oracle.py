@@ -399,8 +399,8 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
     """Pure-arithmetic identities: the double Fibonacci sum telescopes to
     f(n-1) f(n) - floor((n+1)/2), equals its reindexed form, and the odd
     hockey-stick identity for binomials."""
-    if n_max > 60:
-        raise InvalidInputError("n_max is capped at 60")
+    if not 1 <= n_max <= 60:
+        raise InvalidInputError(f"n_max must be in 1..60, got {n_max}")
 
     # products[k] = f(k-1) f(k); each sum below reads it in its own order
     products = [fib(2, k - 1) * fib(2, k) for k in range(n_max + 1)]

@@ -1,10 +1,10 @@
 """Exact truncated power series and the generating-function identity checks.
 
-Coefficients are rationals (stdlib :class:`~fractions.Fraction`), or nested
-series so that a bivariate object can be held as a series in x whose
-coefficients are series in t.  All arithmetic is exact; floating point is
-deliberately absent from this module.  Operations on series of different
-orders truncate to the smaller order.
+Coefficients are rationals (stdlib :class:`~fractions.Fraction`).  All
+arithmetic is exact; floating point is deliberately absent from this module.
+Operations on series of different orders truncate to the smaller order.  A
+bivariate series in x and t is held as rows: a tuple whose entry n is the
+coefficient of x^n, a series in t.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from . import oracle
 from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
-
-Coefficient = Union[Fraction, "TruncatedSeries"]
 
 #: Largest order the closed-form expansions accept.  At this order their
 #: numerators and denominators reach about 3,000 digits, below the
@@ -26,36 +24,25 @@ Coefficient = Union[Fraction, "TruncatedSeries"]
 MAX_SERIES_ORDER = 5000
 
 
-def _coeff_zero(like: Coefficient) -> Coefficient:
-    if isinstance(like, TruncatedSeries):
-        return like.zero_like()
-    return Fraction(0)
-
-
-def _coeff_one(like: Coefficient) -> Coefficient:
-    if isinstance(like, TruncatedSeries):
-        return like.one_like()
-    return Fraction(1)
-
-
-def _terms(coeffs: Sequence[Coefficient]) -> list[tuple[int, Coefficient]]:
+def _terms(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     """The (index, coefficient) pairs of the nonzero coefficients, in order."""
-    zero = _coeff_zero(coeffs[0])
-    return [(i, c) for i, c in enumerate(coeffs) if c != zero]
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
-def _coeff_invert(value: Coefficient) -> Coefficient:
-    if isinstance(value, TruncatedSeries):
-        return value.invert()
-    if value == 0:
-        raise SingularSeriesError("cannot invert a series with zero constant term")
-    return Fraction(1) / value
+def _rational(value) -> Fraction:
+    if isinstance(value, int):
+        return Fraction(value)
+    raise InvalidInputError(
+        f"series coefficients are ints or Fractions, got {type(value).__name__}"
+    )
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series kept exactly up to a fixed order.
+    """Power series in one variable with rational coefficients, kept exactly
+    up to a fixed order.
 
+    Ints are stored as Fractions; any other coefficient type is refused.
     Binary operations between two series treat both operands as series in
     the same variable; plain ints and Fractions act as constants.
 
@@ -67,33 +54,29 @@ class TruncatedSeries:
     nonzero terms in any operand, so their expansions are linear in N.
     """
 
-    coeffs: tuple[Coefficient, ...]
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise InvalidInputError("a series needs at least the constant coefficient")
-        coeffs = tuple(
-            Fraction(c) if isinstance(c, int) else c for c in self.coeffs
-        )
+        coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, index: int) -> Coefficient:
+    def coefficient(self, index: int) -> Fraction:
         """The coefficient of the index-th power; errors beyond the order."""
         if not 0 <= index <= self.order:
             raise InvalidInputError(f"coefficient {index} beyond order {self.order}")
         return self.coeffs[index]
 
     def zero_like(self) -> "TruncatedSeries":
-        zero = _coeff_zero(self.coeffs[0])
-        return TruncatedSeries((zero,) * (self.order + 1))
+        return from_coeffs([], self.order)
 
     def one_like(self) -> "TruncatedSeries":
-        zero = _coeff_zero(self.coeffs[0])
-        return TruncatedSeries((_coeff_one(self.coeffs[0]),) + (zero,) * self.order)
+        return one_series(self.order)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -135,8 +118,7 @@ class TruncatedSeries:
             a, b = self._paired(other)
             sparse, dense = sorted((_terms(a), _terms(b)), key=len)
             size = len(a)
-            # adding the two zeros truncates a nested zero as a product would
-            out = [_coeff_zero(a[0]) + _coeff_zero(b[0])] * size
+            out = [Fraction(0)] * size
             for i, x in sparse:
                 for j, y in dense:
                     if i + j >= size:
@@ -164,8 +146,8 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def add_constant(self, value: Coefficient) -> "TruncatedSeries":
-        """Add a coefficient-ring constant onto the constant term."""
+    def add_constant(self, value: Fraction) -> "TruncatedSeries":
+        """Add a rational constant onto the constant term."""
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + value
         return TruncatedSeries(tuple(coeffs))
@@ -180,12 +162,13 @@ class TruncatedSeries:
         True
         """
         a = self.coeffs
-        b0 = _coeff_invert(a[0])
+        if not a[0]:
+            raise SingularSeriesError("cannot invert a series with zero constant term")
+        b0 = Fraction(1) / a[0]
         out = [b0]
-        zero = _coeff_zero(b0)
-        tail = _terms(a)[1:]  # a[0] is nonzero, having been inverted
+        tail = _terms(a)[1:]  # a[0] is nonzero, checked above
         for n in range(1, len(a)):
-            acc = zero
+            acc = Fraction(0)
             for i, c in tail:
                 if i > n:
                     break
@@ -201,13 +184,12 @@ class TruncatedSeries:
         nonzero a_i (Knuth, TAOCP Vol. 2, §4.7).
         """
         a = self.coeffs
-        if a[0] != _coeff_one(a[0]):
+        if a[0] != 1:
             raise SingularSeriesError("sqrt requires constant term 1")
-        out: list[Coefficient] = [a[0]]
-        zero = _coeff_zero(a[0])
+        out = [a[0]]
         tail = _terms(a)[1:]
         for n in range(1, len(a)):
-            acc = zero
+            acc = Fraction(0)
             for i, c in tail:
                 if i > n:
                     break
@@ -217,7 +199,7 @@ class TruncatedSeries:
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute ``inner`` (zero constant term) into this series."""
-        if inner.coeffs[0] != _coeff_zero(inner.coeffs[0]):
+        if inner.coeffs[0]:
             raise SingularSeriesError("composition requires inner constant term 0")
         order = min(self.order, inner.order)
         inner_t = inner.truncate(order)
@@ -227,13 +209,17 @@ class TruncatedSeries:
         return result
 
 
+#: A bivariate series in x and t as rows: entry n is the coefficient of x^n.
+Rows = tuple[TruncatedSeries, ...]
+
+
 def from_coeffs(values: Sequence, order: int | None = None) -> TruncatedSeries:
     """Univariate rational series from leading coefficients, zero padded.
 
     >>> from_coeffs([1, 2]).coeffs
     (Fraction(1, 1), Fraction(2, 1))
     """
-    coeffs = [Fraction(v) for v in values]
+    coeffs = list(values)
     if order is None:
         order = max(len(coeffs) - 1, 0)
     if order < 0:
@@ -258,7 +244,7 @@ def evaluate_polynomial(coefficients: Sequence, point: TruncatedSeries) -> Trunc
     """Horner evaluation of an exact polynomial at a series."""
     result = point.zero_like()
     for c in reversed(tuple(coefficients)):
-        result = result * point + Fraction(c)
+        result = result * point + c
     return result
 
 
@@ -368,40 +354,35 @@ def _validate_mjk(m: int, j: int, k: int) -> None:
         raise InvalidInputError(f"need m >= 2, j >= 1, k >= 1, got ({m}, {j}, {k})")
 
 
+def _bracket_sum(scale: int, top: int, bottom: int, k: int) -> int:
+    """scale * sum over 1 <= l <= k of C(l+top, l-1) C(bottom, k-l); 0 at k = 0."""
+    return scale * sum(
+        math.comb(l + top, l - 1) * math.comb(bottom, k - l) for l in range(1, k + 1)
+    )
+
+
 def ipk_gf_coeff(m: int, j: int, k: int) -> int:
     """2 * sum_l C(l+jm-1, l-1) C(jm-1, k-l)."""
     _validate_mjk(m, j, k)
-    jm = j * m
-    return 2 * sum(
-        math.comb(l + jm - 1, l - 1) * math.comb(jm - 1, k - l) for l in range(1, k + 1)
-    )
+    return _bracket_sum(2, j * m - 1, j * m - 1, k)
 
 
 def ipk_gf_coeff_prime(m: int, j: int, k: int) -> int:
     """2 * sum_l C(l+jm, l-1) C(jm, k-l)."""
     _validate_mjk(m, j, k)
-    jm = j * m
-    return 2 * sum(
-        math.comb(l + jm, l - 1) * math.comb(jm, k - l) for l in range(1, k + 1)
-    )
+    return _bracket_sum(2, j * m, j * m, k)
 
 
 def ilpk_gf_coeff(m: int, j: int, k: int) -> int:
     """4 * sum_l C(l+jm-1, l-1) C(jm-2, k-l)."""
     _validate_mjk(m, j, k)
-    jm = j * m
-    return 4 * sum(
-        math.comb(l + jm - 1, l - 1) * math.comb(jm - 2, k - l) for l in range(1, k + 1)
-    )
+    return _bracket_sum(4, j * m - 1, j * m - 2, k)
 
 
 def ilpk_gf_coeff_prime(m: int, j: int, k: int) -> int:
     """4 * sum_l C(l+jm, l-1) C(jm-1, k-l)."""
     _validate_mjk(m, j, k)
-    jm = j * m
-    return 4 * sum(
-        math.comb(l + jm, l - 1) * math.comb(jm - 1, k - l) for l in range(1, k + 1)
-    )
+    return _bracket_sum(4, j * m, j * m - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -454,89 +435,72 @@ def _check_orders(m: int, x_order: int, t_order: int) -> None:
     oracle.sweep(x_order)
 
 
-def ipk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both sides of the ipk master identity as series in x over series in t.
+def ipk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[Rows, Rows]:
+    """Both sides of the ipk master identity as rows by power of x.
 
     Left side: 1/(1-t) at x^0 plus, for n >= 1, half of
     ((1+t)/(1-t))^(n+1) times the ipk polynomial evaluated at 4t/(1+t)^2.
     Right side: 1 plus, for each k >= 1, t^k times the inverse of
     1 - 2kx + sum_j (c_(m,j,k) x^(jm) - c'_(m,j,k) x^(jm+1)).
     """
-    _check_orders(m, x_order, t_order)
-    t = variable(t_order)
-    inv_one_minus_t = (one_series(t_order) - t).invert()
-    ratio = (one_series(t_order) + t) * inv_one_minus_t
-    u = t_substitution(t_order)
-    half = Fraction(1, 2)
-
-    lhs_rows: list[TruncatedSeries] = [inv_one_minus_t]
-    ratio_power = ratio * ratio
-    for n in range(1, x_order + 1):
-        value = evaluate_polynomial(ipk_polynomial(m, n), u) * ratio_power * half
-        lhs_rows.append(value)
-        ratio_power = ratio_power * ratio
-
-    rhs = _gf_rhs(m, x_order, t_order, [1] + [0] * x_order, 0, ipk_gf_coeff, ipk_gf_coeff_prime)
-    return TruncatedSeries(tuple(lhs_rows)), rhs
+    return _gf_sides(
+        m, x_order, t_order, polynomial=ipk_polynomial, lead=(Fraction(1, 2), Fraction(1, 2)),
+        slope=0, coeff=ipk_gf_coeff, coeff_prime=ipk_gf_coeff_prime,
+    )
 
 
-def ilpk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both sides of the ilpk master identity, same layout as ipk_gf_sides.
+def ilpk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[Rows, Rows]:
+    """Both sides of the ilpk master identity as rows by power of x.
 
     Left side, for n >= 0: (1+t)^n / (1-t)^(n+1) times the ilpk polynomial
     at 4t/(1+t)^2.  Right side: 1/(1-x) plus, for each k >= 1, t^k times the
     inverse of 1 - (2k+1)x + sum_j (e_(m,j,k) x^(jm) - e'_(m,j,k) x^(jm+1)).
     """
+    return _gf_sides(
+        m, x_order, t_order, polynomial=ilpk_polynomial, lead=(1,),
+        slope=1, coeff=ilpk_gf_coeff, coeff_prime=ilpk_gf_coeff_prime,
+    )
+
+
+def _gf_sides(
+    m: int, x_order: int, t_order: int, *, polynomial: Callable[[int, int], tuple[int, ...]],
+    lead: Sequence, slope: int, coeff: Callable[[int, int, int], int],
+    coeff_prime: Callable[[int, int, int], int],
+) -> tuple[Rows, Rows]:
+    """Both sides of a master identity.
+
+    Left side: 1/(1-t) at x^0, and at x^n for n >= 1 the polynomial at
+    4t/(1+t)^2 times lead(t) (1+t)^n / (1-t)^(n+1).  Right side: at t^k,
+    the inverse of the k-th bracket 1 - (2k+slope)x + sum_j (coeff x^(jm) -
+    coeff_prime x^(jm+1)), whose sum is empty at k = 0.
+    """
     _check_orders(m, x_order, t_order)
     t = variable(t_order)
     inv_one_minus_t = (one_series(t_order) - t).invert()
-    one_plus_t = one_series(t_order) + t
+    ratio = (one_series(t_order) + t) * inv_one_minus_t
     u = t_substitution(t_order)
 
-    lhs_rows = []
-    numerator_power = one_series(t_order)
-    denominator_power = inv_one_minus_t
-    for n in range(x_order + 1):
-        value = evaluate_polynomial(ilpk_polynomial(m, n), u) * numerator_power * denominator_power
-        lhs_rows.append(value)
-        numerator_power = numerator_power * one_plus_t
-        denominator_power = denominator_power * inv_one_minus_t
+    lhs = [inv_one_minus_t]
+    factor = from_coeffs(lead, t_order) * inv_one_minus_t
+    for n in range(1, x_order + 1):
+        factor = factor * ratio
+        lhs.append(evaluate_polynomial(polynomial(m, n), u) * factor)
 
-    rhs = _gf_rhs(m, x_order, t_order, [1] * (x_order + 1), 1, ilpk_gf_coeff, ilpk_gf_coeff_prime)
-    return TruncatedSeries(tuple(lhs_rows)), rhs
-
-
-def _gf_rhs(
-    m: int, x_order: int, t_order: int, constants: list[int], slope: int,
-    coeff: Callable[[int, int, int], int], coeff_prime: Callable[[int, int, int], int],
-) -> TruncatedSeries:
-    """The right side of a master identity: ``constants`` at t^0, and at
-    t^k the inverse of 1 - (2k+slope)x + sum_j (coeff x^(jm) - coeff_prime x^(jm+1))."""
-    rows = [[Fraction(c)] + [Fraction(0)] * t_order for c in constants]
-    for k in range(1, t_order + 1):
-        bracket = [Fraction(0)] * (x_order + 1)
-        bracket[0] = Fraction(1)
-        if x_order >= 1:
-            bracket[1] -= 2 * k + slope
-        j = 1
-        while j * m <= x_order:
-            bracket[j * m] += coeff(m, j, k)
-            if j * m + 1 <= x_order:
-                bracket[j * m + 1] -= coeff_prime(m, j, k)
-            j += 1
-        inverted = TruncatedSeries(tuple(bracket)).invert()
-        for n in range(x_order + 1):
-            rows[n][k] += inverted.coeffs[n]
-    return TruncatedSeries(tuple(TruncatedSeries(tuple(row)) for row in rows))
+    columns = []
+    for k in range(t_order + 1):
+        terms = [(0, 1), (1, -(2 * k + slope))]
+        for j in range(1, x_order // m + 1) if k else ():
+            terms += [(j * m, coeff(m, j, k)), (j * m + 1, -coeff_prime(m, j, k))]
+        bracket = from_coeffs(_truncated_terms(terms, x_order), x_order)
+        columns.append(bracket.invert().coeffs)
+    return tuple(lhs), tuple(TruncatedSeries(row) for row in zip(*columns))
 
 
-def first_mismatch(
-    lhs: TruncatedSeries, rhs: TruncatedSeries
-) -> tuple[int, int, Fraction | None, Fraction | None] | None:
+def first_mismatch(lhs: Rows, rhs: Rows) -> tuple[int, int, Fraction | None, Fraction | None] | None:
     """Lowest (x power, t power) where two bivariate series differ.  A
     coefficient past one side's order reads as None there, so series of
     different orders never agree."""
-    for n, rows in enumerate(itertools.zip_longest(lhs.coeffs, rhs.coeffs)):
+    for n, rows in enumerate(itertools.zip_longest(lhs, rhs)):
         left_row, right_row = (() if row is None else row.coeffs for row in rows)
         for i, (left, right) in enumerate(itertools.zip_longest(left_row, right_row)):
             if left != right:

@@ -121,55 +121,35 @@ def descent_pair_counts(n: int) -> Counter:
 
 # ---------------------------------------------------------------------------
 # Schoolbook series kernels: O(order^2) loops that touch every coefficient,
-# zero or not.  They recurse into nested coefficients themselves, so they
-# stand as a reference for TruncatedSeries.__mul__, invert and sqrt.
-
-
-def _times(x, y):
-    return dense_mul(x, y) if isinstance(x, TruncatedSeries) else x * y
-
-
-def _zero(like):
-    return like.zero_like() if isinstance(like, TruncatedSeries) else Fraction(0)
-
-
-def _one(like):
-    return like.one_like() if isinstance(like, TruncatedSeries) else Fraction(1)
+# zero or not.  They stand as a reference for TruncatedSeries.__mul__, invert
+# and sqrt.
 
 
 def dense_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     size = min(len(a.coeffs), len(b.coeffs))
     a, b = a.coeffs[:size], b.coeffs[:size]
-    out = []
-    for n in range(size):
-        acc = _zero(a[0])
-        for i in range(n + 1):
-            acc = acc + _times(a[i], b[n - i])
-        out.append(acc)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(
+        tuple(sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(size))
+    )
 
 
 def dense_invert(s: TruncatedSeries) -> TruncatedSeries:
     a = s.coeffs
-    b0 = dense_invert(a[0]) if isinstance(a[0], TruncatedSeries) else 1 / a[0]
+    b0 = 1 / a[0]
     out = [b0]
     for n in range(1, len(a)):
-        acc = _zero(b0)
-        for i in range(1, n + 1):
-            acc = acc + _times(a[i], out[n - i])
-        out.append(-_times(b0, acc))
+        acc = sum((a[i] * out[n - i] for i in range(1, n + 1)), Fraction(0))
+        out.append(-b0 * acc)
     return TruncatedSeries(tuple(out))
 
 
 def dense_sqrt(s: TruncatedSeries) -> TruncatedSeries:
     """The root with constant term 1, from s^2 = a read at each power."""
     a = s.coeffs
-    assert a[0] == _one(a[0])
-    out = [_one(a[0])]
+    assert a[0] == 1
+    out = [Fraction(1)]
     for n in range(1, len(a)):
-        acc = a[n]
-        for i in range(1, n):
-            acc = acc - _times(out[i], out[n - i])
+        acc = a[n] - sum((out[i] * out[n - i] for i in range(1, n)), Fraction(0))
         out.append(acc * Fraction(1, 2))
     return TruncatedSeries(tuple(out))
 

@@ -119,6 +119,31 @@ def test_gf3_substitution(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "claim, polynomial, counterexample",
+    [
+        ("gf3", "ipk_polynomial", {"x_power": 3, "t_power": 1, "lhs": "4", "rhs": "2"}),
+        ("gf5", "ilpk_polynomial", {"x_power": 3, "t_power": 0, "lhs": "2", "rhs": "1"}),
+    ],
+)
+def test_gf_identities(monkeypatch, claim, polynomial, counterexample):
+    # one more permutation at the top statistic value of S_3 breaks every m;
+    # the first report is m = 2's
+    real = getattr(series, polynomial)
+
+    def wrong(m, n):
+        coeffs = real(m, n)
+        return coeffs[:-1] + (coeffs[-1] + (n == 3),)
+
+    monkeypatch.setattr(series, polynomial, wrong)
+    reports = claims.run((claim,), n_max=5, k_max=6)
+    failing = [r for r in reports if r.claim == claim and not r.passed]
+    assert failing
+    assert failing[0].params == {"m": 2, "x_order": 7, "t_order": 5}
+    assert failing[0].counterexample == counterexample
+    assert list(failing[0].counterexample) == ["x_power", "t_power", "lhs", "rhs"]
+
+
+@pytest.mark.parametrize(
     "statistic, counterexample",
     [
         ("peak_count", {"identity": "peaks", "k": 0, "got": 16, "expected": 5}),

@@ -141,6 +141,11 @@ class TestIdentitySums:
         with pytest.raises(InvalidInputError):
             oracle.verify_identity_sums(61)
 
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_no_vacuous_pass(self, n_max):
+        with pytest.raises(InvalidInputError, match="n_max must be in 1..60"):
+            oracle.verify_identity_sums(n_max)
+
 
 class TestTriangulation:
     @pytest.mark.parametrize("n", range(1, 8))
