@@ -377,7 +377,7 @@ def _biject_permutation(p: Permutation) -> Output:
         ))
         return _pairs("biject-permutation", pairs)
     j, k, core = regex.split_block_word(word)
-    tiling = bijections.permutation_to_tiling_triple(p).tiling
+    tiling = tilings.word_to_tiling(core)
     return _pairs("biject-permutation", pairs + _word_chain_pairs(j, k, core, tiling), tiling)
 
 

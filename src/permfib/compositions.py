@@ -8,7 +8,7 @@ that this start differs from the OEIS offset for the same sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .errors import InvalidInputError
 
@@ -94,43 +94,30 @@ def _part_tuples(n: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def descent_set(parts: Sequence[int]) -> tuple[int, ...]:
-    """Partial sums of all but the last part: the descent set of the class."""
-    out = []
-    total = 0
-    for part in parts[:-1]:
-        total += part
-        out.append(total)
-    return tuple(out)
+def run_lengths(bits: str, cut: str = "0") -> tuple[int, ...]:
+    """Lengths of the runs of letters with these rise bits, cut at each bit
+    ``cut``: the increasing runs for "0", the decreasing ones for "1".
 
-
-def composition_from_descent_set(positions: Sequence[int], n: int) -> Composition:
-    """Rebuild the composition of n whose descent set is ``positions``."""
-    parts = []
-    previous = 0
-    for pos in sorted(positions):
-        parts.append(pos - previous)
-        previous = pos
-    parts.append(n - previous)
-    return Composition(tuple(parts))
+    >>> run_lengths("0101100")
+    (1, 2, 3, 1, 1)
+    """
+    return tuple(len(part) + 1 for part in bits.split(cut))
 
 
 def composition_reverse(composition: Composition) -> Composition:
     """Descent composition of the reversed permutation, for any representative.
 
-    Reversing a permutation turns the ascent at i into a descent at n - i,
-    so the result depends only on the descent set: complement it within
-    1..n-1 and reflect.  This is an involution.
+    Reversing a permutation reverses its rise bits and swaps rises with
+    descents, so the result depends only on the composition.  This is an
+    involution.
 
     >>> str(composition_reverse(Composition((4,))))
     '(1,1,1,1)'
     """
-    n = composition.n
-    if n == 0:
+    if not composition.parts:
         return composition
-    descent = set(descent_set(composition.parts))
-    reflected = tuple(n - i for i in range(1, n) if i not in descent)
-    return composition_from_descent_set(reflected, n)
+    bits = "0".join("1" * (part - 1) for part in composition.parts)
+    return Composition(run_lengths(bits[::-1], "1"))
 
 
 def count_parts_gt1(n: int, k: int) -> int:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import regex, tilings
 from .bijections import zero_ipk_permutation
-from .compositions import Composition, enumerate_compositions, fib
+from .compositions import Composition, enumerate_compositions, fib, run_lengths
 from .errors import InvalidInputError, ResourceLimitError
 from .permutations import (
     check_enumeration_size,
@@ -99,11 +99,6 @@ def _tally(pairs: Iterable[tuple[Any, int]]) -> dict[Any, int]:
     for key, count in pairs:
         counts[key] = counts.get(key, 0) + count
     return counts
-
-
-def _run_lengths(bits: str, cut: str) -> tuple[int, ...]:
-    """Lengths of the runs of letters with these rise bits, cut at each bit ``cut``."""
-    return tuple(len(part) + 1 for part in bits.split(cut))
 
 
 def _rise_string(rises: int, n: int) -> str:
@@ -244,8 +239,8 @@ def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
         pattern = runs.get(rises)
         if pattern is None:
             bits = _rise_string(rises, n)
-            parts = _run_lengths(bits, "0")
-            pattern = runs[rises] = (parts, max(parts), max(_run_lengths(bits, "1")))
+            parts = run_lengths(bits)
+            pattern = runs[rises] = (parts, max(parts), max(run_lengths(bits, "1")))
         parts, up, down = pattern
         shape = (up, down, ipk, ipk + d)
         histogram[shape] = histogram.get(shape, 0) + count
@@ -364,8 +359,8 @@ def descent_pair_matrix(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]],
     return _tally(
         (
             (
-                _run_lengths(_rise_string(key & mask, n), "0"),
-                _run_lengths(bin(key >> n + 1)[3:], "0"),
+                run_lengths(_rise_string(key & mask, n)),
+                run_lengths(bin(key >> n + 1)[3:]),
             ),
             count,
         )

@@ -4,19 +4,23 @@ A permutation of length n is a rearrangement of 1..n written as the sequence
 of its values.  All positions reported by this module are 1-based, matching
 the usual combinatorial conventions; any 0-based indexing is internal.
 
-Two layers are provided: plain functions on letter tuples (fast, used by the
-exhaustive oracles) and a thin :class:`Permutation` wrapper that validates
-its input and carries the public API.
+Two layers are provided: plain functions on letter tuples (for prop6's raw
+checks, Theorem 4's construction check, the bijections and the acceptance
+suite) and a thin :class:`Permutation` wrapper that validates its input and
+carries the public API.  Every statistic but window containment reads the
+rise word (:func:`rise_word`), padded by one bit for the left and right
+variants, as lpk(pi) = pk(0 pi).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .compositions import Composition
+from .compositions import Composition, run_lengths
 from .errors import InvalidInputError, ResourceLimitError, UsageError
 
 #: The largest n for which S_n is enumerated here or swept by
@@ -66,71 +70,72 @@ def inverse_letters(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+_RISE_LETTERS = bytes.maketrans(b"\0\1", b"01")
+
+
+def rise_word(letters: Sequence[int]) -> str:
+    """The rise bits of the letters, first pair first: "1" for each rise and
+    "0" for each descent.
+
+    >>> rise_word((8, 5, 7, 1, 2, 6, 4, 3))
+    '0101100'
+    """
+    return bytes(map(operator.lt, letters, letters[1:])).translate(_RISE_LETTERS).decode()
+
+
+def _starts(word: str, pair: str, offset: int) -> tuple[int, ...]:
+    """Where ``pair`` begins in the word, each index plus ``offset``."""
+    starts = []
+    i = word.find(pair)
+    while i >= 0:
+        starts.append(i + offset)
+        i = word.find(pair, i + 1)
+    return tuple(starts)
+
+
 def descents(letters: Sequence[int]) -> tuple[int, ...]:
     """1-based positions i with letters[i] > letters[i+1]."""
-    return tuple(i for i in range(1, len(letters)) if letters[i - 1] > letters[i])
+    return _starts(rise_word(letters), "0", 1)
 
 
 def peaks(letters: Sequence[int]) -> tuple[int, ...]:
     """Positions i in 2..n-1 where the value rises then falls."""
-    return tuple(
-        i
-        for i in range(2, len(letters))
-        if letters[i - 2] < letters[i - 1] > letters[i]
-    )
+    return _starts(rise_word(letters), "10", 2)
 
 
 def left_peaks(letters: Sequence[int]) -> tuple[int, ...]:
-    """Peaks, plus position 1 when the word starts with a fall."""
-    first = (1,) if len(letters) >= 2 and letters[0] > letters[1] else ()
-    return first + peaks(letters)
+    """Peaks, plus position 1 when the word starts with a fall: pk(0 pi)."""
+    return _starts("1" + rise_word(letters), "10", 1)
 
 
+# "10" and "01" cannot overlap themselves, so str.count finds every one.
 def peak_count(letters: Sequence[int]) -> int:
-    n = len(letters)
-    return sum(1 for i in range(2, n) if letters[i - 2] < letters[i - 1] > letters[i])
+    return rise_word(letters).count("10")
 
 
 def left_peak_count(letters: Sequence[int]) -> int:
-    extra = 1 if len(letters) >= 2 and letters[0] > letters[1] else 0
-    return extra + peak_count(letters)
+    return ("1" + rise_word(letters)).count("10")
 
 
 def right_peak_count(letters: Sequence[int]) -> int:
-    """Peaks, plus position n when the word ends with a rise."""
-    extra = 1 if len(letters) >= 2 and letters[-1] > letters[-2] else 0
-    return extra + peak_count(letters)
+    """Peaks, plus position n when the word ends with a rise: pk(pi 0)."""
+    return (rise_word(letters) + "0").count("10")
 
 
 def valleys(letters: Sequence[int]) -> tuple[int, ...]:
     """Positions i in 2..n-1 where the value falls then rises."""
-    return tuple(
-        i
-        for i in range(2, len(letters))
-        if letters[i - 2] > letters[i - 1] < letters[i]
-    )
+    return _starts(rise_word(letters), "01", 2)
 
 
 def right_valleys(letters: Sequence[int]) -> tuple[int, ...]:
-    """Valleys, plus position n when the word ends with a fall."""
-    last = (len(letters),) if len(letters) >= 2 and letters[-2] > letters[-1] else ()
-    return valleys(letters) + last
+    """Valleys, plus position n when the word ends with a fall, as if a
+    larger letter followed."""
+    return _starts(rise_word(letters) + "1", "01", 2)
 
 
 def increasing_run_lengths(letters: Sequence[int]) -> tuple[int, ...]:
     """Lengths of the maximal increasing runs, in order of appearance."""
-    if not letters:
-        return ()
-    runs = []
-    length = 1
-    for i in range(1, len(letters)):
-        if letters[i - 1] < letters[i]:
-            length += 1
-        else:
-            runs.append(length)
-            length = 1
-    runs.append(length)
-    return tuple(runs)
+    return run_lengths(rise_word(letters)) if letters else ()
 
 
 def contains_consecutive_letters(letters: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -147,21 +152,17 @@ def contains_consecutive_letters(letters: Sequence[int], pattern: Sequence[int])
 
 def contains_ascending_run(letters: Sequence[int], m: int) -> bool:
     """True when m adjacent letters increase; the monotone-pattern fast path."""
-    run = 1
-    for i in range(1, len(letters)):
-        run = run + 1 if letters[i - 1] < letters[i] else 1
-        if run >= m:
-            return True
-    return False
+    return _contains_run(letters, m, "1")
 
 
 def contains_descending_run(letters: Sequence[int], m: int) -> bool:
-    run = 1
-    for i in range(1, len(letters)):
-        run = run + 1 if letters[i - 1] > letters[i] else 1
-        if run >= m:
-            return True
-    return False
+    return _contains_run(letters, m, "0")
+
+
+def _contains_run(letters: Sequence[int], m: int, bit: str) -> bool:
+    if m < 1:
+        raise InvalidInputError(f"run length must be >= 1, got {m}")
+    return len(letters) >= m and bit * (m - 1) in rise_word(letters)
 
 
 def check_enumeration_size(n: int) -> None:
@@ -320,26 +321,19 @@ def descent_composition(p: Permutation) -> Composition:
 
 def is_alternating(p: Permutation) -> bool:
     """True when the letters go up, down, up, down, ... starting with a rise."""
-    if len(p) == 0:
-        raise InvalidInputError("alternation is defined for length >= 1")
-    letters = p.letters
-    for i in range(1, len(letters)):
-        rising = letters[i - 1] < letters[i]
-        if rising != (i % 2 == 1):
-            return False
-    return True
+    return _zigzags(p, "10")
 
 
 def is_reverse_alternating(p: Permutation) -> bool:
     """True when the letters go down, up, down, up, ... starting with a fall."""
+    return _zigzags(p, "01")
+
+
+def _zigzags(p: Permutation, cycle: str) -> bool:
     if len(p) == 0:
         raise InvalidInputError("alternation is defined for length >= 1")
-    letters = p.letters
-    for i in range(1, len(letters)):
-        rising = letters[i - 1] < letters[i]
-        if rising != (i % 2 == 0):
-            return False
-    return True
+    word = rise_word(p.letters)
+    return word == (cycle * len(word))[: len(word)]
 
 
 def monotone_pattern(m: int, *, descending: bool = False) -> Permutation:

@@ -494,11 +494,15 @@ class Dfa:
         return tuple(dict(zip(ALPHABET, row)) for row in self.table)
 
     def accepts(self, word: str) -> bool:
-        check_word(word)
+        # a letter outside the alphabet has no row entry: only then is the word checked
         state = self.start
         rows = self._rows
-        for symbol in word:
-            state = rows[state][symbol]
+        try:
+            for symbol in word:
+                state = rows[state][symbol]
+        except KeyError:
+            check_word(word)
+            raise
         return state in self.accepting
 
     def count_words(self, n: int) -> int:

@@ -86,6 +86,41 @@ def left_peaks(values):
     return peaks(values) + int(len(values) > 1 and values[0] > values[1])
 
 
+def descent_positions(values):
+    return tuple(i for i, (a, b) in enumerate(zip(values, values[1:]), start=1) if a > b)
+
+
+def peak_positions(values):
+    triples = zip(values, values[1:], values[2:])
+    return tuple(i for i, (a, b, c) in enumerate(triples, start=2) if a < b > c)
+
+
+def valley_positions(values):
+    triples = zip(values, values[1:], values[2:])
+    return tuple(i for i, (a, b, c) in enumerate(triples, start=2) if a > b < c)
+
+
+def left_peak_positions(values):
+    """Peaks, plus position 1 when the values start with a fall."""
+    return (1,) * (len(values) > 1 and values[0] > values[1]) + peak_positions(values)
+
+
+def right_peaks(values):
+    """Peaks, plus one when the values end with a rise."""
+    return peaks(values) + int(len(values) > 1 and values[-2] < values[-1])
+
+
+def right_valley_positions(values):
+    """Valleys, plus position n when the values end with a fall."""
+    last = (len(values),) * (len(values) > 1 and values[-2] > values[-1])
+    return valley_positions(values) + last
+
+
+def is_up_down(values, rising_first):
+    """True when the rise bits alternate, the first one being ``rising_first``."""
+    return all(rise == (rising_first == (i % 2 == 0)) for i, rise in enumerate(rise_bits(values)))
+
+
 class Record(NamedTuple):
     letters: tuple[int, ...]
     up: int  # longest ascending run

@@ -1,3 +1,6 @@
+import itertools
+
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,20 +8,36 @@ from permfib.errors import InvalidInputError, ResourceLimitError
 from permfib.permutations import (
     Permutation,
     avoids_consecutive,
+    contains_ascending_run,
     contains_consecutive,
+    contains_consecutive_letters,
+    contains_descending_run,
     descent_composition,
+    descents,
     enumerate_symmetric_group,
     increasing_run_lengths,
     inverse,
     is_alternating,
     is_reverse_alternating,
     left_peak_count,
+    left_peaks,
     monotone_pattern,
+    peak_count,
+    peaks,
     reverse,
     right_peak_count,
+    right_valleys,
+    rise_word,
     standardize,
     statistics,
+    valleys,
 )
+
+
+def letter_tuples_up_to(n_max: int):
+    """Every letter tuple of length at most n_max, the empty one included."""
+    for n in range(n_max + 1):
+        yield from itertools.permutations(range(1, n + 1))
 
 
 def perm(text: str) -> Permutation:
@@ -177,6 +196,59 @@ class TestRunStatistics:
     def test_reverse_swaps_left_and_right_peaks(self):
         for p in all_perms(7):
             assert left_peak_count(reverse(p).letters) == right_peak_count(p.letters)
+
+
+class TestRiseWordReadings:
+    """Each statistic read from the rise word against a plain definition, on
+    all 5,914 letter tuples of length at most 7."""
+
+    def test_rise_word(self):
+        for letters in letter_tuples_up_to(7):
+            bits = "".join("1" if rise else "0" for rise in oracles.rise_bits(letters))
+            assert rise_word(letters) == bits
+
+    def test_positions(self):
+        for letters in letter_tuples_up_to(7):
+            assert descents(letters) == oracles.descent_positions(letters)
+            assert peaks(letters) == oracles.peak_positions(letters)
+            assert left_peaks(letters) == oracles.left_peak_positions(letters)
+            assert valleys(letters) == oracles.valley_positions(letters)
+            assert right_valleys(letters) == oracles.right_valley_positions(letters)
+
+    def test_counts_and_runs(self):
+        for letters in letter_tuples_up_to(7):
+            assert peak_count(letters) == oracles.peaks(letters)
+            assert left_peak_count(letters) == oracles.left_peaks(letters)
+            assert right_peak_count(letters) == oracles.right_peaks(letters)
+            runs = oracles.ascending_runs(letters) if letters else ()
+            assert increasing_run_lengths(letters) == runs
+
+    def test_alternation(self):
+        for letters in letter_tuples_up_to(7):
+            if letters:
+                p = Permutation(letters)
+                assert is_alternating(p) == oracles.is_up_down(letters, True)
+                assert is_reverse_alternating(p) == oracles.is_up_down(letters, False)
+
+
+class TestMonotoneRuns:
+    def test_match_the_window_test(self):
+        # every letter tuple of length n <= 6, for every run length 1..n+1
+        for letters in letter_tuples_up_to(6):
+            for m in range(1, len(letters) + 2):
+                up, down = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+                assert contains_ascending_run(letters, m) == contains_consecutive_letters(letters, up)
+                assert contains_descending_run(letters, m) == contains_consecutive_letters(
+                    letters, down
+                )
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_run_length_below_one_rejected(self, m):
+        for letters in ((), (1,), (1, 2), (2, 1)):
+            with pytest.raises(InvalidInputError):
+                contains_ascending_run(letters, m)
+            with pytest.raises(InvalidInputError):
+                contains_descending_run(letters, m)
 
 
 class TestEnumeration:

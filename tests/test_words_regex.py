@@ -124,6 +124,15 @@ class TestCompile:
         assert dfa.accepts("ca")
         assert is_avoiding_block_word("ca", 3)
 
+    @pytest.mark.parametrize("word", ["xacca", "acxca", "accax", "x"])
+    def test_bad_letter_reported_as_check_word_does(self, word):
+        dfa = regex.block_word_dfa(3)
+        with pytest.raises(InvalidInputError) as expected:
+            check_word(word)
+        with pytest.raises(InvalidInputError) as raised:
+            dfa.accepts(word)
+        assert str(raised.value) == str(expected.value)
+
     def test_agreement_with_backtracking(self):
         expressions = [
             regex.core_regex(),
