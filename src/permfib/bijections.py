@@ -36,6 +36,14 @@ class CanonicalDecomposition:
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
 
+    def word(self) -> str:
+        """Letter i names the part (a: alpha, b: beta, c: gamma) holding the value i."""
+        symbols = [""] * (len(self.alpha) + len(self.beta) + len(self.gamma))
+        for part, symbol in ((self.alpha, "a"), (self.beta, "b"), (self.gamma, "c")):
+            for value in part:
+                symbols[value - 1] = symbol
+        return "".join(symbols)
+
 
 @dataclass(frozen=True)
 class TilingTriple:
@@ -106,12 +114,7 @@ def block_word(p: Permutation) -> str:
     >>> block_word(Permutation.from_text("1 2 5 10 12 8 6 4 3 7 9 11"))
     'aacbabcbcaca'
     """
-    split = canonical_decomposition(p)
-    symbols = [""] * len(p)
-    for part, symbol in ((split.alpha, "a"), (split.beta, "b"), (split.gamma, "c")):
-        for value in part:
-            symbols[value - 1] = symbol
-    return "".join(symbols)
+    return canonical_decomposition(p).word()
 
 
 def word_to_permutation(word: str) -> Permutation:

@@ -361,7 +361,7 @@ def _cmd_biject(args) -> Output:
 
 def _biject_permutation(p: Permutation) -> Output:
     split = bijections.canonical_decomposition(p)
-    word = bijections.block_word(p)
+    word = split.word()
     pairs: list[tuple[str, Any]] = [
         ("permutation", str(p)),
         ("alpha", " ".join(map(str, split.alpha))),

@@ -2,6 +2,11 @@
 
 Coefficients are rationals (stdlib :class:`~fractions.Fraction`).  All
 arithmetic is exact; floating point is deliberately absent from this module.
+The two quadratic kernels, series product and inverse, run on ints: each
+operand is read once as integer numerators over one common denominator, and
+one Fraction is built per output coefficient.  Every denominator polynomial
+of the closed forms has integer coefficients and constant term 1 or -1, so
+their expansions are integer recurrences (Knuth, TAOCP Vol. 2, §4.7).
 Operations on series of different orders truncate to the smaller order.  A
 bivariate series in x and t is held as rows: a tuple whose entry n is the
 coefficient of x^n, a series in t.
@@ -29,6 +34,13 @@ def _terms(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero coefficients as (index, integer numerator) pairs over one
+    common denominator, the lcm of theirs, returned beside them."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [(i, c.numerator * (scale // c.denominator)) for i, c in _terms(coeffs)], scale
+
+
 def _rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
@@ -52,6 +64,12 @@ class TruncatedSeries:
     coefficient products, and ``invert`` and ``sqrt`` cost at most
     N * nnz(self).  The rational generating functions have at most seven
     nonzero terms in any operand, so their expansions are linear in N.
+
+    ``a * b`` and ``invert`` multiply and add integer numerators, scaled to
+    the lcm of each operand's denominators, and reduce once per output
+    coefficient; for an integral operand that lcm is 1.  ``sqrt``, ``+``,
+    ``-`` and scalar products stay on Fractions: the 1/(2n) factor of each
+    root coefficient would make unreduced denominators grow factorially.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -116,14 +134,18 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             a, b = self._paired(other)
-            sparse, dense = sorted((_terms(a), _terms(b)), key=len)
+            (a_terms, a_scale), (b_terms, b_scale) = _numerators(a), _numerators(b)
+            sparse, dense = sorted((a_terms, b_terms), key=len)
             size = len(a)
-            out = [Fraction(0)] * size
+            out = [0] * size
             for i, x in sparse:
                 for j, y in dense:
                     if i + j >= size:
                         break
-                    out[i + j] = out[i + j] + x * y
+                    out[i + j] += x * y
+            scale = a_scale * b_scale
+            for n, c in enumerate(out):
+                out[n] = Fraction(c, scale)
             return TruncatedSeries(tuple(out))
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(tuple(c * other for c in self.coeffs))
@@ -135,6 +157,8 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self * other.invert()
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise SingularSeriesError("cannot divide a series by zero")
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
@@ -157,6 +181,12 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be invertible.
 
+        The recurrence runs on ints: coefficient n is D*C_n / A0^(n+1), with
+        D the lcm of the denominators, A0 the lead's numerator over D and C_n
+        an integer.  For an integral series with constant term 1 or -1, as
+        every closed form here, that is +-C_n itself; a large |A0| adds about
+        log10|A0| digits per coefficient before the one reduction.
+
         >>> geometric = from_coeffs([1, -1], order=4).invert()
         >>> geometric == from_coeffs([1, 1, 1, 1, 1])
         True
@@ -164,16 +194,23 @@ class TruncatedSeries:
         a = self.coeffs
         if not a[0]:
             raise SingularSeriesError("cannot invert a series with zero constant term")
-        b0 = Fraction(1) / a[0]
-        out = [b0]
-        tail = _terms(a)[1:]  # a[0] is nonzero, checked above
+        terms, scale = _numerators(a)
+        lead = terms[0][1]  # a[0] is nonzero, checked above
+        # With a_i = A_i/D and b_n = D*C_n / A0^(n+1), sum a_i b_(n-i) = [n = 0]
+        # reads C_0 = 1 and C_n = -sum over i >= 1 of A_i A0^(i-1) C_(n-i).
+        tail = [(i, c * lead ** (i - 1)) for i, c in terms[1:]]
+        out = [1]
         for n in range(1, len(a)):
-            acc = Fraction(0)
-            for i, c in tail:
+            acc = 0
+            for i, w in tail:
                 if i > n:
                     break
-                acc = acc + c * out[n - i]
-            out.append(-(b0 * acc))
+                acc += w * out[n - i]
+            out.append(-acc)
+        power = 1
+        for n, c in enumerate(out):
+            power *= lead
+            out[n] = Fraction(scale * c, power)
         return TruncatedSeries(tuple(out))
 
     def sqrt(self) -> "TruncatedSeries":

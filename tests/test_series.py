@@ -131,6 +131,41 @@ class TestKernelsAgainstDenseReference:
         assert s.sqrt() == dense_sqrt(s)
 
 
+class TestKernelsAtHighOrder:
+    """Unreduced numerators grow with the order, through the lead's powers
+    A0^(n+1) and the lcm of an operand's denominators, so the integer
+    kernels are checked well past the orders the property tests reach."""
+
+    ORDER = 300
+    HARMONIC = from_coeffs([Fraction(1, k + 1) for k in range(ORDER + 1)])
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            from_coeffs([3, 1, 2], ORDER),
+            from_coeffs([Fraction(-5, 3), Fraction(1, 2), 0, Fraction(-7, 4)], ORDER),
+            from_coeffs(
+                [1, Fraction(1, 2), Fraction(1, 3), 0, Fraction(-1, 5), Fraction(1, 7)], ORDER
+            ),
+        ],
+        ids=["integer-lead-3", "negative-rational-lead", "denominators-differ"],
+    )
+    def test_invert(self, s):
+        assert s.invert() == dense_invert(s)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (HARMONIC, HARMONIC),
+            (HARMONIC, from_coeffs([3, 1, 2], ORDER).invert()),
+            (from_coeffs([Fraction(-5, 3), 0, Fraction(2, 9)], ORDER), HARMONIC),
+        ],
+        ids=["harmonic-squared", "harmonic-times-inverse", "negative-rational-lead"],
+    )
+    def test_mul(self, a, b):
+        assert a * b == dense_mul(a, b)
+
+
 class TestBasicOperations:
     def test_geometric_series(self):
         assert from_coeffs([1, -1], 5).invert() == from_coeffs([1] * 6)
@@ -156,6 +191,13 @@ class TestBasicOperations:
             from_coeffs([2, 1]).sqrt()
         with pytest.raises(SingularSeriesError):
             from_coeffs([1, 1]).compose(from_coeffs([1, 1]))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
+    def test_division_by_zero_is_singular(self, zero):
+        with pytest.raises(SingularSeriesError, match="divide a series by zero"):
+            from_coeffs([1, 2]) / zero
+        with pytest.raises(SingularSeriesError):
+            from_coeffs([1, 2]) / from_coeffs([zero, 1])
 
     def test_coefficient_accessor(self):
         s = from_coeffs([3, 1, 4])
