@@ -19,9 +19,9 @@ from .errors import InvalidInputError, NotInDomainError
 from .permutations import (
     Permutation,
     contains_descending_run,
-    descents,
     inverse_letters,
     left_peak_count,
+    rise_word,
 )
 from .regex import reassemble_block_word, split_block_word
 from .tilings import Tiling, tiling_to_word, word_to_tiling
@@ -93,15 +93,17 @@ def canonical_decomposition(p: Permutation) -> CanonicalDecomposition:
     The letter at the left peak goes to alpha and the letter at the right
     valley to gamma, which makes beta as short as possible.  One left peak
     makes the descents one run, so the peak sits at the first descent and
-    the valley just after the last.
+    the valley just after the last.  Both, and the left peak count, are
+    read from one rise word.
     """
     letters = p.letters
-    if left_peak_count(letters) != 1:
+    rises = rise_word(letters)
+    if ("1" + rises).count("10") != 1:
         raise NotInDomainError(
             f"lpk != 1: not an N-shaped permutation: {p}"
         )
-    falls = descents(letters)
-    first, last = falls[0], falls[-1]
+    # the descent at rise-word index i is the 1-based position i + 1
+    first, last = rises.find("0") + 1, rises.rfind("0") + 1
     return CanonicalDecomposition(
         alpha=letters[:first], beta=letters[first:last], gamma=letters[last:]
     )

@@ -123,28 +123,45 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     lengths first, then the middle), not the lexicographically first word;
     a count mismatch as the first non-block word of ``language(n)``, which
     is found only after every block word of that length agrees.
+
+    The block words of each length are generated once and checked for
+    every m that has no counterexample yet, so the first report carries the
+    time of the whole walk.
     """
+    dfas = {m: regex.block_word_dfa(m) for m in ms}
+    counterexamples: dict[int, dict] = {}
+    for n in range(1, n_max + 1):
+        pending = {m: dfa for m, dfa in dfas.items() if m not in counterexamples}
+        if not pending:
+            break
+        counterexamples.update(_prop7_mismatches(pending, n))
     for m in ms:
-        dfa = regex.block_word_dfa(m)
-        counterexample = next(
-            filter(None, (_prop7_mismatch(dfa, m, n) for n in range(1, n_max + 1))), None
-        )
         expression = regex.format_ast(regex.block_word_regex(m))
-        yield report("prop7", {"m": m, "n_max": n_max, "expression": expression}, counterexample)
+        params = {"m": m, "n_max": n_max, "expression": expression}
+        yield report("prop7", params, counterexamples.get(m))
 
 
-def _prop7_mismatch(dfa: regex.Dfa, m: int, n: int) -> Optional[dict]:
-    accepted = 0
+def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
+    """The counterexample of length n of each m whose DFA has one, from one
+    walk over the block words of length n."""
+    mismatches: dict[int, dict] = {}
+    accepted = dict.fromkeys(dfas, 0)
+    checking = list(dfas.items())
     for word in words.iter_block_words(n):
-        verdict = dfa.accepts(word)
-        if verdict != words.is_avoiding_block_word(word, m):
-            return {"word": word, "dfa": verdict}
-        accepted += verdict
-    if accepted == dfa.count_words(n):
-        return None
-    # The word is None only if the block-word walk or the path count is wrong.
-    stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
-    return {"word": stray, "dfa": True}
+        for m, dfa in checking:
+            verdict = dfa.accepts(word)
+            if verdict != words.is_avoiding_block_word(word, m):
+                mismatches[m] = {"word": word, "dfa": verdict}
+                checking = [entry for entry in checking if entry[0] != m]
+            accepted[m] += verdict
+        if not checking:
+            break
+    for m, dfa in checking:
+        if accepted[m] != dfa.count_words(n):
+            # The word is None only if the block-word walk or the path count is wrong.
+            stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
+            mismatches[m] = {"word": stray, "dfa": True}
+    return mismatches
 
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:

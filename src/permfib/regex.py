@@ -7,13 +7,16 @@ the resulting DFA is total over the alphabet.  A reference matcher and an
 exact parse counter serve as independent cross-checks: they never build an
 automaton, but evaluate the syntax tree forward on the set of positions
 reached so far, in one pass over the tree per word.  The matcher carries
-the set as an int bitset; the counter carries the number of derivations
-ending at each position as bit planes (a tuple of bitsets, plane k holding
-bit k of every count).  Each node evaluates through a closure built once
-per node object from its children's closures, so a word costs no dispatch
-on the node type.  The two canonical decompositions used by the bijections
-(greedy segmentation of core words, suffix split of full block words) live
-here as well.
+the set as an int bitset, through one kernel per root syntax tree,
+generated as Python source on first use and cached on the node: a
+function per star, plus or bounded repetition of more than one letter, and
+straight-line int code between them.  The counter runs a strict variant of
+the same kernel, which gives up where two derivations end at one position;
+if it finishes, every count is 0 or 1.  Otherwise the counter runs again
+on bit planes (a tuple of bitsets, plane k holding bit k of every count),
+through a closure per node built once per node object.  The two
+canonical decompositions used by the bijections (greedy segmentation of
+core words, suffix split of full block words) live here as well.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .words import ALPHABET, check_word
 # ---------------------------------------------------------------------------
 # Syntax trees
 
-#: Bit i of ``masks[x]`` is set when letter i of the word is x.
-Masks = dict[str, int]
+#: One bitset per letter of ALPHABET, in its order: bit i of the mask of x
+#: is set when letter i of the word is x.
+Masks = tuple[int, ...]
 
 #: Derivation counts by end position: bit p of plane k is bit k of the
 #: number of derivations that end at p.  The top plane is nonzero, so the
@@ -39,16 +43,23 @@ Planes = tuple[int, ...]
 
 
 class _Node:
-    """The evaluation kernels every node class shares.
+    """The evaluation kernels every node class shares, each built on first
+    use and kept on the node object.
 
-    Each kernel is a closure built on first use from the kernels of the
-    node's children and kept on the node object, so it is built once per
-    object (once for a subtree shared by several parents).
+    ``_kernel`` and its strict variant are compiled from the whole tree
+    under the node, once per node object they are called on.  ``_ways`` is
+    a closure built from the ``_ways`` closures of the node's children, so
+    it is built once per node object (once for a subtree shared by several
+    parents).
     """
 
     @cached_property
-    def _ends(self) -> Callable[[int, Masks], int]:
-        return _ends_kernel(self)
+    def _kernel(self) -> Callable[..., int]:
+        return _build_kernel(self, strict=False)
+
+    @cached_property
+    def _strict_kernel(self) -> Callable[..., int]:
+        return _build_kernel(self, strict=True)
 
     @cached_property
     def _ways(self) -> Callable[[Planes, Masks], Planes]:
@@ -217,7 +228,7 @@ def match_ends(node: Node, word: str, start: int) -> frozenset[int]:
         raise InvalidInputError(f"start must be >= 0, got {start}")
     if start > len(word):
         raise InvalidInputError(f"start must be <= len(word) = {len(word)}, got {start}")
-    ends = node._ends(1 << start, _symbol_masks(word))
+    ends = node._kernel(1 << start, *_symbol_masks(word))
     return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
 
 
@@ -227,92 +238,181 @@ def ast_matches(node: Node, word: str) -> bool:
     Forward position-set evaluation: the positions reached so far form one
     int bitset, and each node maps the set of its start positions to the set
     of its end positions in one visit.  The first call on a node object
-    builds one closure per node of the tree, O(|AST|) once; after that a
-    word of length n is one pass over the tree with no dispatch on the node
-    type.  A visit of a star or plus runs its body at most n + 1 times, so
-    the cost is O(|AST| · (n + 1)^d) big-int operations for star nesting
-    depth d (d = 2 for the expressions of this package).
+    compiles the tree under it into one kernel, in O(|AST|) once (see
+    :func:`_build_kernel`).  After that a word of length n is straight-line
+    int code, with one function call per visit of a star, plus or bounded
+    repetition whose body is not a single letter.  Such a visit runs its
+    body at most n + 1 times, so the cost is O(|AST| · (n + 1)^d) big-int
+    operations for a nesting depth d of those loops (d = 1 for the
+    expressions of this package); a star or plus of one letter needs no
+    loop.
 
     >>> ast_matches(core_regex(), "aacbc"), ast_matches(core_regex(), "aab")
     (True, False)
     """
     check_word(word)
-    return bool(node._ends(1, _symbol_masks(word)) >> len(word) & 1)
+    return bool(node._kernel(1, *_symbol_masks(word)) >> len(word) & 1)
+
+
+#: ``bytes.translate`` tables that write 1 for one letter and 0 for the others.
+_MASK_TABLES = tuple(
+    bytes.maketrans(ALPHABET.encode(), bytes(b"01"[x == y] for x in ALPHABET))
+    for y in ALPHABET
+)
 
 
 def _symbol_masks(word: str) -> Masks:
-    """Bit i of ``masks[x]`` is set when ``word[i] == x``."""
-    masks = dict.fromkeys(ALPHABET, 0)
-    for position, symbol in enumerate(word):
-        masks[symbol] |= 1 << position
-    return masks
+    """Bit i of the mask of letter x is set when ``word[i] == x``: the
+    reversed word read in binary, with 1 for x and 0 for the other letters."""
+    digits = word[::-1].encode() or b"0"
+    a, b, c = _MASK_TABLES
+    return int(digits.translate(a), 2), int(digits.translate(b), 2), int(digits.translate(c), 2)
 
 
-def _ends_kernel(node: Node) -> Callable[[int, Masks], int]:
-    """The closure mapping start positions of ``node`` to its end positions."""
-    if isinstance(node, Lit):
-        symbol = node.symbol
+class _Overlap(Exception):
+    """Two derivations end at one position, so some count is at least 2."""
 
-        def ends(starts: int, masks: Masks) -> int:
-            return (starts & masks[symbol]) << 1
 
-    elif isinstance(node, Concat):
-        parts = tuple(part._ends for part in node.parts)
+#: The parameters of every generated function: the start set, then the masks.
+_MASK_NAMES = ", ".join(ALPHABET)
+_PARAMETERS = "s, " + _MASK_NAMES
 
-        def ends(starts: int, masks: Masks) -> int:
-            for part in parts:
-                if not starts:
-                    break
-                starts = part(starts, masks)
+
+def _build_kernel(node: Node, strict: bool) -> Callable[..., int]:
+    """Compile the tree under ``node`` into one function
+    ``kernel(starts, *masks) -> ends`` on int bitsets.
+
+    The function is generated as Python source: one function for the root
+    and one for each star, plus or bounded repetition whose body is not a
+    single letter, each calling the next one down, so any depth compiles.
+    Everything between loops is straight-line int code.  A star or plus of
+    one letter x needs no loop: with ``h = starts & x``, the carry of
+    ``h + x`` runs to the end of each run of x's that h enters, so
+    ``(h + x) ^ x ^ h`` is the set of ends of one or more x's.
+
+    The strict variant raises :class:`_Overlap` wherever a union, a
+    repetition or a star iteration adds two position sets that intersect.
+    Until it does, every derivation count it tracks is 0 or 1, so a strict
+    kernel that returns gives the exact counts of a 0/1 start set.
+    """
+    writer = _KernelWriter(strict)
+    entry = writer.function(node)
+    namespace = {"_Overlap": _Overlap}
+    exec(compile("\n".join(writer.lines), "<regex kernel>", "exec"), namespace)
+    return namespace[entry]
+
+
+def _loops(node: Node) -> bool:
+    """Whether the node's kernel iterates: a repetition of more than one letter."""
+    return isinstance(node, (Star, Plus, Repeat)) and not isinstance(node.inner, Lit)
+
+
+class _KernelWriter:
+    """The source lines of one tree's kernel, a function per loop node."""
+
+    def __init__(self, strict: bool) -> None:
+        self.strict = strict
+        self.lines: list[str] = []
+        self.functions: dict[int, str] = {}
+        self.variables = 0
+
+    def fresh(self) -> str:
+        self.variables += 1
+        return f"v{self.variables}"
+
+    def function(self, node: Node) -> str:
+        """The name of the function mapping the start set ``s`` of ``node``
+        to its ends, written on first request (once for a shared loop)."""
+        name = self.functions.get(id(node))
+        if name is None:
+            name = self.functions[id(node)] = f"k{len(self.functions)}"
+            body: list[str] = []
+            if _loops(node):
+                self._loop(node, body)
+            else:
+                ends = self._emit(node, "s", body, "")
+                body.append(f"return {ends}")
+            self.lines += [f"def {name}({_PARAMETERS}):", *("    " + line for line in body)]
+        return name
+
+    def _loop(self, node: Node, body: list[str]) -> None:
+        # r: the ends reached so far; f: the starts of the next iteration
+        if isinstance(node, Repeat):
+            body += ["r = f = s", f"for _ in range({node.most}):"]
+        else:
+            body += ["r = 0" if isinstance(node, Plus) else "r = s", "f = s", "while f:"]
+        ends = self._emit(node.inner, "f", body, "    ")
+        if self.strict:
+            step = [f"if {ends} & r: raise _Overlap", f"r |= {ends}", f"f = {ends}"]
+        else:
+            # a start already reached needs no second run: its ends are in r
+            step = [f"f = {ends} & ~r", "r |= f"]
+        if isinstance(node, Repeat):
+            step.append("if not f: break")
+        body += ["    " + line for line in step]
+        body.append("return r")
+
+    def _emit(self, node: Node, starts: str, body: list[str], pad: str) -> str:
+        """Append the lines computing the ends of ``node`` from the set named
+        ``starts``, and return the name that holds them."""
+        if isinstance(node, Concat):
+            for part in node.parts:
+                starts = self._emit(part, starts, body, pad)
             return starts
-
-    elif isinstance(node, Union):
-        options = tuple(option._ends for option in node.options)
-
-        def ends(starts: int, masks: Masks) -> int:
-            reached = 0
-            for option in options:
-                reached |= option(starts, masks)
-            return reached
-
-    elif isinstance(node, (Star, Plus)):
-        inner, keep_starts = node.inner._ends, isinstance(node, Star)
-
-        def ends(starts: int, masks: Masks) -> int:
-            # positions reachable by one or more inner matches
-            reached = 0
-            frontier = starts
-            while frontier:
-                frontier = inner(frontier, masks) & ~reached
-                reached |= frontier
-            return reached | starts if keep_starts else reached
-
-    elif isinstance(node, Repeat):
-        inner, most = node.inner._ends, node.most
-
-        def ends(starts: int, masks: Masks) -> int:
-            reached = current = starts
-            for _ in range(most):
-                current = inner(current, masks)
-                reached |= current
-            return reached
-
-    else:
-        raise TypeError(f"not a regex node: {node!r}")
-    return ends
+        strict = self.strict
+        ends = self.fresh()
+        if isinstance(node, Lit):
+            body.append(f"{pad}{ends} = ({starts} & {node.symbol}) << 1")
+        elif isinstance(node, Union):
+            options = [self._emit(option, starts, body, pad) for option in node.options]
+            body.append(f"{pad}{ends} = {options[0] if options else 0}")
+            for option in options[1:]:
+                if strict:
+                    body.append(f"{pad}if {ends} & {option}: raise _Overlap")
+                body.append(f"{pad}{ends} |= {option}")
+        elif _loops(node):
+            body.append(f"{pad}{ends} = {self.function(node)}({starts}, {_MASK_NAMES})")
+        elif isinstance(node, (Star, Plus)):
+            x, entered = node.inner.symbol, self.fresh()
+            body.append(f"{pad}{entered} = {starts} & {x}")
+            body.append(f"{pad}{ends} = ({entered} + {x}) ^ {x} ^ {entered}")
+            star = isinstance(node, Star)
+            if strict:
+                # a start that one or more x's reach from an earlier start
+                body.append(f"{pad}if {ends} & {starts if star else entered}: raise _Overlap")
+            if star:
+                body.append(f"{pad}{ends} |= {starts}")
+        elif isinstance(node, Repeat):
+            x, step = node.inner.symbol, self.fresh()
+            body.append(f"{pad}{ends} = {step} = {starts}")
+            body.append(f"{pad}for _ in range({node.most}):")
+            body.append(f"{pad}    {step} = ({step} & {x}) << 1")
+            body.append(f"{pad}    if not {step}: break")
+            if strict:
+                body.append(f"{pad}    if {step} & {ends}: raise _Overlap")
+            body.append(f"{pad}    {ends} |= {step}")
+        else:
+            raise TypeError(f"not a regex node: {node!r}")
+        return ends
 
 
 def count_parses(node: Node, word: str) -> int:
     """Number of distinct derivations of ``word``; 1 means unambiguous.
 
-    Forward position-set evaluation, as in :func:`ast_matches`, on bit
-    planes in place of the bitset: bit p of plane k is bit k of the number
-    of derivations that end at p.  A literal masks and shifts every plane,
-    and union, star, plus and repetition add plane tuples with a ripple
-    carry.  The number of parses is linear in the start weights, so one
-    pass over the tree per word is exact for any count, at the matcher's
-    cost times the number of planes: the bit length of the largest count
-    reached (one plane while every count is 0 or 1).
+    Forward position-set evaluation, as in :func:`ast_matches`, in two
+    tiers.  The strict kernel (see :func:`_build_kernel`) runs first, at the
+    matcher's cost: it stops at the first union, repetition or star
+    iteration that adds two intersecting position sets.  If there is none,
+    every derivation count is 0 or 1, and the answer is bit n of its ends.
+
+    Otherwise the count runs again on bit planes in place of the bitset:
+    bit p of plane k is bit k of the number of derivations that end at p.
+    A literal masks and shifts every plane, and union, star, plus and
+    repetition add plane tuples with a ripple carry.  The number of parses
+    is linear in the start weights, so one pass over the tree per word is
+    exact for any count.  This pass runs one closure per node visit, and
+    costs the number of planes (the bit length of the largest count
+    reached) times as many big-int operations as the matcher.
 
     Star and plus require a non-nullable inner expression so that the count
     is finite; every expression in this package satisfies that.  A star or
@@ -321,7 +421,12 @@ def count_parses(node: Node, word: str) -> int:
     """
     check_word(word)
     n = len(word)
-    planes = node._ways((1,), _symbol_masks(word))
+    masks = _symbol_masks(word)
+    try:
+        return node._strict_kernel(1, *masks) >> n & 1
+    except _Overlap:
+        pass
+    planes = node._ways((1,), masks)
     return sum((plane >> n & 1) << k for k, plane in enumerate(planes))
 
 
@@ -358,10 +463,10 @@ def _support(planes: Planes) -> int:
 def _ways_kernel(node: Node) -> Callable[[Planes, Masks], Planes]:
     """The closure mapping weighted start positions of ``node`` to its ends."""
     if isinstance(node, Lit):
-        symbol = node.symbol
+        index = ALPHABET.index(node.symbol)
 
         def ways(starts: Planes, masks: Masks) -> Planes:
-            mask = masks[symbol]
+            mask = masks[index]
             if len(starts) == 1:
                 ends = (starts[0] & mask) << 1
                 return (ends,) if ends else ()

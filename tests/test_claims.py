@@ -59,3 +59,18 @@ def test_prop7_catches_a_dfa_that_accepts_a_word_outside_block_form(monkeypatch)
     report = _prop7(monkeypatch, regex.core_dfa(), 3)
     assert not report.passed
     assert report.counterexample == {"word": "c", "dfa": True}
+
+
+def test_prop7_reports_each_m_alone_from_the_shared_walk(monkeypatch):
+    # m = 3 and m = 5 fail at different lengths, one by a word and one by
+    # the count, while m = 4 is checked on past both.
+    stand_ins = {3: regex.block_word_dfa(4), 4: regex.block_word_dfa(4), 5: regex.core_dfa()}
+    monkeypatch.setattr(regex, "block_word_dfa", stand_ins.__getitem__)
+    reports = list(claims._prop7(ms=(5, 3, 4), n_max=6))
+    assert [r.params["m"] for r in reports] == [5, 3, 4]
+    assert [r.counterexample for r in reports] == [
+        {"word": "c", "dfa": True}, {"word": "cba", "dfa": True}, None
+    ]
+    for r in reports:
+        (alone,) = claims._prop7(ms=(r.params["m"],), n_max=6)
+        assert alone == r

@@ -146,27 +146,43 @@ def _distinct_nodes(node) -> dict[int, object]:
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """Counts the kernel builds, by (builder name, node id)."""
+    """Counts the kernel builds: by (builder name, strict, node id) for the
+    compiled kernels, by (builder name, node id) for the bit-plane closures."""
     builds = collections.Counter()
-    for name in ("_ends_kernel", "_ways_kernel"):
+    build_kernel, ways_kernel = regex._build_kernel, regex._ways_kernel
 
-        def counted(node, build=getattr(regex, name), name=name):
-            builds[name, id(node)] += 1
-            return build(node)
+    def counted_kernel(node, strict):
+        builds["_build_kernel", strict, id(node)] += 1
+        return build_kernel(node, strict)
 
-        monkeypatch.setattr(regex, name, counted)
+    def counted_ways(node):
+        builds["_ways_kernel", id(node)] += 1
+        return ways_kernel(node)
+
+    monkeypatch.setattr(regex, "_build_kernel", counted_kernel)
+    monkeypatch.setattr(regex, "_ways_kernel", counted_ways)
     return builds
 
 
 @pytest.mark.parametrize("make", [regex.core_regex, lambda: regex.block_word_regex(5)])
 def test_kernels_are_built_once_per_node_object(kernel_builds, make):
     node = make()  # fresh node objects, with no kernel yet
-    names = ("_ends_kernel", "_ways_kernel")
-    once = collections.Counter({(name, key): 1 for key in _distinct_nodes(node) for name in names})
-    for word in ("aacbc", "b", "aacbcccaaabbcacaaccc"):
+    words = ("aacbc", "b", "aacbcccaaabbcacaaccc")
+    for word in words:
         regex.ast_matches(node, word)
         regex.count_parses(node, word)
-        assert kernel_builds == once
+    built = collections.Counter(kernel_builds)
+    # one compiled kernel of each variant, for the root; the bit-plane
+    # closures, where the counter needs them (m = 5 parses "bbc" as padding
+    # b then segment bc, or as padding bb then c), one per node object
+    compiled = {key for key in built if key[0] == "_build_kernel"}
+    assert compiled == {("_build_kernel", strict, id(node)) for strict in (False, True)}
+    assert set(built) - compiled <= {("_ways_kernel", key) for key in _distinct_nodes(node)}
+    assert set(built.values()) == {1}
+    for word in words:
+        regex.ast_matches(node, word)
+        regex.count_parses(node, word)
+    assert kernel_builds == built
 
 
 def test_a_shared_subtree_gets_one_kernel(kernel_builds):
@@ -175,9 +191,78 @@ def test_a_shared_subtree_gets_one_kernel(kernel_builds):
     assert regex.match_ends(node, "aaa", 0) == frozenset({2, 3})
     assert regex.count_parses(node, "aaa") == 2
     assert len(_distinct_nodes(node)) == 3
-    assert kernel_builds[("_ends_kernel", id(shared))] == 1
+    # the compiled kernels cover the whole tree from its root ...
+    assert kernel_builds[("_build_kernel", False, id(node))] == 1
+    assert kernel_builds[("_build_kernel", True, id(node))] == 1
+    # ... and the count of 2 falls back to the closures, one per node object
     assert kernel_builds[("_ways_kernel", id(shared))] == 1
-    assert sum(kernel_builds.values()) == 6
+    assert sum(kernel_builds.values()) == 2 + 3
+
+
+def _star_nest(depth: int):
+    """(b (b ... (b a c)* ... c)* c)*: a star nest ``depth`` deep, every body
+    a concatenation, so every level is a loop of its own."""
+    node = regex.lit("a")
+    for _ in range(depth):
+        node = regex.Star(regex.Concat((regex.lit("b"), node, regex.lit("c"))))
+    return node
+
+
+DEEP_AND_LONG = [
+    (_star_nest(32), ["", "bac", "bbacc", "bbacbacc", "bacbac", "bbac", "b" * 32 + "a" + "c" * 32]),
+    (regex.Repeat(regex.lit("b"), 1000), ["", "b", "bbbbbbbbbbbb", "bbab", "a"]),
+    (regex.Repeat(regex.seq(regex.lit("b"), regex.lit("b")), 1000), ["", "bb", "b" * 12, "bbb"]),
+]
+
+
+@pytest.mark.parametrize("node, sample", DEEP_AND_LONG)
+def test_deep_nests_and_long_repetitions_evaluate(node, sample):
+    with _time_limit(10):
+        for word in sample:
+            for start in range(len(word) + 1):
+                assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
+            assert regex.count_parses(node, word) == memo_count_parses(node, word), word
+
+
+WORDS_UP_TO_8 = [
+    "".join(letters) for n in range(9) for letters in itertools.product("abc", repeat=n)
+]
+
+
+@pytest.mark.parametrize("make", [regex.core_regex, regex.block_word_regex])
+def test_unambiguous_expressions_count_on_the_strict_kernel_alone(kernel_builds, make):
+    node = make()  # fresh node objects, with no kernel yet
+    for word in WORDS_UP_TO_8:
+        assert regex.count_parses(node, word) == memo_count_parses(node, word), word
+    assert not [key for key in kernel_builds if key[0] == "_ways_kernel"]
+
+
+FALLBACKS = [
+    # (a maker of fresh node objects, word); first the MANY_PLANES trees
+    (lambda: regex.Star(regex.Union((A, A))), "aa"),
+    (lambda: regex.Star(regex.Union((A, A, A))), "aaaaa"),
+    (lambda: regex.Plus(regex.Union((A, regex.Concat((A, A))))), "aaaaa"),
+    (lambda: regex.block_word_regex(4), "cbca"),
+    # a^{≤1} a^{≤1} on "a": a then nothing, or nothing then a
+    (lambda: regex.Concat((regex.Repeat(A, 1), regex.Repeat(A, 1))), "a"),
+    (lambda: regex.block_word_regex(5), "cbbcbcac"),
+    # a nullable body adds its starts to themselves before the error
+    (lambda: regex.Plus(regex.Repeat(regex.lit("a"), 2)), "aa"),
+    (lambda: regex.Star(regex.Star(regex.Concat((A, A)))), "aaaa"),
+]
+
+
+@pytest.mark.parametrize("make, word", FALLBACKS)
+def test_overlapping_derivations_fall_back_to_the_bit_planes(kernel_builds, make, word):
+    node = make()
+    try:
+        expected = memo_count_parses(node, word)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError, match="non-nullable"):
+            regex.count_parses(node, word)
+    else:
+        assert regex.count_parses(node, word) == expected
+    assert kernel_builds[("_ways_kernel", id(node))] == 1
 
 
 WORKED_EXAMPLES = [
