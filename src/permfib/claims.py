@@ -6,6 +6,7 @@ taking explicit parameters that yields one report per checked case.
 :func:`validate` rejects bad parameters before any work starts, the S_n a
 claim would sweep past :func:`permutations.enumeration_cap` among them,
 and :func:`run` validates, runs and times every report the same way.
+Theorems 1 and 2 and gf-general count on insertion automata, not S_n.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Claim(NamedTuple):
     #: Whether the check reads n_max.
     reads_n_max: bool = False
     #: Whether the check sweeps S_n for every n up to n_max, or up to
-    #: GF_X_ORDER if it does not read n_max.
+    #: GF_X_ORDER if it does not read n_max; prop6 is marked only for the cap.
     sweeps: bool = False
     #: Largest n_max, and largest k_max, the check accepts; None: no cap.
     max_n: Optional[int] = None
@@ -105,7 +106,7 @@ def _prop6_mismatch(m: int, n: int) -> Optional[dict]:
         ):
             return {"n": n, "word": word}
         decoded += 1
-    permutation_count = oracle.count_n_shaped_inverse_avoiders(n, m)
+    permutation_count = oracle.count_ilpk1_avoiders(n, m)
     if decoded != permutation_count:
         return {"n": n, "words": decoded, "permutations": permutation_count}
     return None
@@ -239,8 +240,8 @@ def _gf_general(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 CLAIMS: dict[str, Claim] = {
     claim.name: claim
     for claim in (
-        Claim("theorem1", _theorem1, (3, 4, 5), reads_n_max=True, sweeps=True),
-        Claim("theorem2", _theorem2, reads_n_max=True, sweeps=True),
+        Claim("theorem1", _theorem1, (3, 4, 5), reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
+        Claim("theorem2", _theorem2, reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
         Claim("theorem4", _theorem4, reads_n_max=True, sweeps=True),
         Claim("corollaries", _corollaries, reads_n_max=True, sweeps=True),
         Claim("prop6", _prop6, (3,), reads_n_max=True, sweeps=True),
@@ -249,7 +250,7 @@ CLAIMS: dict[str, Claim] = {
         Claim("eq1", _eq1, reads_n_max=True, max_n=15),
         Claim("gf3", _gf3, sweeps=True),
         Claim("gf5", _gf5, sweeps=True),
-        Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, sweeps=True),
+        Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
     )
 }
 

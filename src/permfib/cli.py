@@ -10,9 +10,10 @@ table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
 more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
 past the cap that PERMFIB_MAX_N moves, a PERMFIB_MAX_N that is not an
-integer >= 1, a descent matrix past n = 8, or a
-series order or table --kind fib --n-max above series.MAX_SERIES_ORDER
-(5,000), which has no override.
+integer >= 1, a descent matrix past n = 8, an --n-max past 300 (theorem1,
+theorem2, gf-general, table --kind counts-thm1|counts-thm2), or a series
+order or table --kind fib --n-max above series.MAX_SERIES_ORDER (5,000);
+these last two have no override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -473,7 +474,6 @@ def _cmd_table(args) -> Output:
     counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
     if counted_claim is not None:
         claims.validate((counted_claim,), n_max=args.n_max, ms=ms)
-        oracle.sweep(args.n_max)  # levels 1..n_max in one pass
     if args.kind == "descent-matrix" and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if args.kind == "gf-coeffs" and ms is not None and len(ms) > 1:

@@ -1,13 +1,14 @@
 """Brute-force counts and claim checkers.
 
 Every permutation of n is one of n - 1 with n inserted, and the permutation
-oracles rest on that one step (see :class:`Sweep`).  Counts are carried
-over classes of descent data, keyed by one int, in one pass over the levels
-1..n; Theorem 4 and its corollaries read the classes with a peakless
-inverse by descent composition.  Words and tilings are enumerated.  Every
-permutation an oracle keeps or constructs is tested with raw statistics,
-and the constructions being verified are only ever used on the other side
-of a comparison, never inside a count.
+oracles rest on that one step.  Theorems 1 and 2 count on two finite
+automata of it on the inverse, up to :data:`AUTOMATON_MAX_N`.  The rest are
+carried over classes of descent data, keyed by one int, in one pass over the
+levels 1..n (see :class:`Sweep`); Theorem 4 and its corollaries read the
+classes with a peakless inverse by descent composition.  Words and tilings
+are enumerated.  Every permutation an oracle keeps or constructs is tested
+with raw statistics, and the constructions being verified are only ever
+used on the other side of a comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -253,31 +254,48 @@ def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
 # Counting oracles
 
 
-def _count_sweep(n: int, m: int) -> Sweep:
-    if m < 3:
-        raise InvalidInputError(f"m must be >= 3, got {m}")
-    return sweep(n)
+#: The largest n the insertion automata count; no override lifts it.
+AUTOMATON_MAX_N = 300
+#: Insertion automata on sigma = pi^-1.  Inserting k into pi appends a rise to
+#: sigma exactly when k lands right of k - 1.  A phase maps to its moves (next
+#: phase, bit is a rise, slots out of k); pi = 1 is in the first phase and
+#: counts once out of phase inc.  V keeps pk(pi) = 0.  N keeps lpk(pi) <= 1:
+#: pi is increasing (inc), k is its left peak (peak), or k is last (end).
+_V = {"v": (("v", False, lambda k: 1), ("v", True, lambda k: 1))}
+_N = {
+    "inc": (("inc", True, lambda k: 1), ("peak", False, lambda k: k - 1)),
+    "peak": (("peak", False, lambda k: 1), ("peak", True, lambda k: 1), ("end", True, lambda k: 1)),
+    "end": (("peak", False, lambda k: 2), ("end", True, lambda k: 1)),
+}
+#: The states at n = 1, 2, ... of each automaton's phases and m, as far as
+#: counted: a phase and sigma's trailing run of the banned bit, below m - 1.
+_LEVELS: dict[tuple[tuple[str, ...], int], list[Counter]] = {}
+
+
+def _transfer(n: int, m: int, moves: dict, banned: bool) -> int:
+    """The permutations of n that ``moves`` leads out of phase inc."""
+    if m < 3 or n < 1:
+        raise InvalidInputError(f"need m >= 3 and n >= 1, got m = {m}, n = {n}")
+    if n > AUTOMATON_MAX_N:
+        raise ResourceLimitError(f"the insertion automata count n <= {AUTOMATON_MAX_N}, got {n}")
+    levels = _LEVELS.setdefault((tuple(moves), m), [Counter({(next(iter(moves)), 0): 1})])
+    for k in range(len(levels) + 1, n + 1):
+        states: Counter = Counter()
+        for (phase, run), count in levels[-1].items():
+            for target, rise, ways in moves[phase]:
+                states[target, run + 1 if rise == banned else 0] += ways(k) * count
+        levels.append(Counter({state: c for state, c in states.items() if state[1] < m - 1}))
+    return sum(count for (phase, _), count in levels[n - 1].items() if phase != "inc")
 
 
 def count_ipk0_avoiders(n: int, m: int) -> int:
     """Permutations of n avoiding an ascending m-run whose inverse is peakless."""
-    return _count_sweep(n, m).ipk_counts(m).get(0, 0)
+    return _transfer(n, m, _V, True)
 
 
 def count_ilpk1_avoiders(n: int, m: int = 3) -> int:
     """Permutations of n avoiding a descending m-run with ilpk exactly 1."""
-    return _count_sweep(n, m).ilpk_counts(m).get(1, 0)
-
-
-def count_n_shaped_inverse_avoiders(n: int, m: int = 3) -> int:
-    """Permutations with one left peak whose inverse avoids a descending m-run.
-
-    Inversion maps this set onto the one :func:`count_ilpk1_avoiders`
-    counts: with sigma the inverse of pi, lpk(pi) is ilpk(sigma), and pi's
-    inverse avoids a descending m-run exactly when sigma does.  So the count
-    is the transfer's, read through inversion.
-    """
-    return _count_sweep(n, m).ilpk_counts(m).get(1, 0)
+    return _transfer(n, m, _N, False)
 
 
 def count_block_words_by_definition(n: int, m: int = 3) -> int:
@@ -414,11 +432,12 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
 
 
 def triangulated_counts(n: int, m: int = 3) -> dict[str, int]:
-    """One number, four pipelines: permutation enumeration, word definition,
+    """One number, four pipelines: the insertion automaton, word definition,
     word automaton, and the tiling sum."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    by_permutations = count_n_shaped_inverse_avoiders(n, m)
+    check_enumeration_size(n)  # the word definition walks about 3^n block words
+    by_permutations = count_ilpk1_avoiders(n, m)
     by_definition = count_block_words_by_definition(n, m)
     by_dfa = regex.block_word_dfa(m).count_words(n)
     out = {

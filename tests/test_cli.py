@@ -47,9 +47,13 @@ class TestVerify:
         assert "PASS" in out
 
     def test_bound_guard_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--claim", "theorem1", "--n-max", "99")
+        code, _, err = run_cli(capsys, "verify", "--claim", "theorem4", "--n-max", "99")
         assert code == 2
         assert "--n-max 99 exceeds the S_n cap 12 (set PERMFIB_MAX_N to raise it)" in err
+        # Theorem 1 counts on an insertion automaton: its own cap, no override
+        code, out, err = run_cli(capsys, "verify", "--claim", "theorem1", "--n-max", "301")
+        assert (code, out) == (2, "")
+        assert err == "usage error: theorem1: --n-max must be in 1..300, got 301\n"
 
     def test_eq1_n_max_is_bounded(self, capsys):
         """The identity sums run to 4 n_max, and their own cap is 60."""
@@ -92,7 +96,7 @@ class TestVerify:
     def test_env_cap_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMFIB_MAX_N", "5")
         code, _, err = run_cli(
-            capsys, "verify", "--claim", "theorem1", "--n-max", "7"
+            capsys, "verify", "--claim", "corollaries", "--n-max", "7"
         )
         assert code == 2
         assert "PERMFIB_MAX_N" in err

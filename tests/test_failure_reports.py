@@ -80,7 +80,7 @@ def test_prop6_word(monkeypatch, name, wrong):
 
 
 def test_prop6_count(monkeypatch):
-    _off_at(monkeypatch, oracle, "count_n_shaped_inverse_avoiders", 4, position=0)
+    _off_at(monkeypatch, oracle, "count_ilpk1_avoiders", 4, position=0)
     report = _failed(("prop6",))
     assert report.counterexample == {"n": 4, "words": 13, "permutations": 14}
     assert list(report.counterexample) == ["n", "words", "permutations"]

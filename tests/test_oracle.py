@@ -28,25 +28,43 @@ class TestCounts:
 
     def test_counts_respect_cap(self):
         with pytest.raises(ResourceLimitError):
-            oracle.count_ipk0_avoiders(13, 3)
+            oracle.count_ipk0_avoiders(301, 3)
         with pytest.raises(InvalidInputError):
             oracle.count_ipk0_avoiders(0, 3)
         with pytest.raises(InvalidInputError):
             oracle.count_ilpk1_avoiders(3, 2)
 
     def test_documented_bounds(self):
-        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
-            oracle.count_ilpk1_avoiders(13, 3)
+        with pytest.raises(ResourceLimitError, match="n <= 300, got 301"):
+            oracle.count_ilpk1_avoiders(301, 3)
         with pytest.raises(ResourceLimitError):
             oracle.descent_pair_matrix(9)
 
 
-#: Every public entry point backed by the S_n sweep, called at n = 6.
+class TestAutomata:
+    """The insertion automata count every n up to their cap, checked
+    against the closed forms and the generating function."""
+
+    def test_theorem1_fibonacci_numbers(self):
+        for m in range(3, 7):
+            for n in range(1, oracle.AUTOMATON_MAX_N + 1):
+                assert oracle.count_ipk0_avoiders(n, m) == fib(m - 1, n), (n, m)
+
+    def test_theorem2_closed_form(self):
+        for n in range(1, oracle.AUTOMATON_MAX_N + 1):
+            expected = fib(2, n - 1) * fib(2, n) - (n + 1) // 2
+            assert oracle.count_ilpk1_avoiders(n, 3) == expected, n
+
+    def test_ilpk_one_ogf_coefficients(self):
+        for m in range(3, 7):
+            expansion = series.ilpk_one_ogf(m, oracle.AUTOMATON_MAX_N)
+            for n in range(1, oracle.AUTOMATON_MAX_N + 1):
+                assert oracle.count_ilpk1_avoiders(n, m) == expansion.coeffs[n], (n, m)
+
+
+#: Every public entry point held to the S_n cap, called at n = 6.
 SWEEP_BACKED = {
     "sweep": lambda: oracle.sweep(6),
-    "count_ipk0_avoiders": lambda: oracle.count_ipk0_avoiders(6, 3),
-    "count_ilpk1_avoiders": lambda: oracle.count_ilpk1_avoiders(6, 3),
-    "count_n_shaped_inverse_avoiders": lambda: oracle.count_n_shaped_inverse_avoiders(6, 3),
     "triangulated_counts": lambda: oracle.triangulated_counts(6),
     "ipk_polynomial": lambda: series.ipk_polynomial(3, 6),
     "ilpk_polynomial": lambda: series.ilpk_polynomial(3, 6),

@@ -1,5 +1,6 @@
-"""Every query over the cached S_n sweep against a direct per-permutation
-reference that shares no code with permfib.permutations."""
+"""Every query over the cached S_n sweep, and the insertion-automaton counts,
+against a direct per-permutation reference that shares no code with
+permfib.permutations."""
 
 import math
 from collections import Counter
@@ -26,9 +27,20 @@ def test_counts_match_reference(n):
         assert oracle.count_ilpk1_avoiders(n, m) == sum(
             1 for r in records if r.down < m and r.ilpk == 1
         )
-        assert oracle.count_n_shaped_inverse_avoiders(n, m) == sum(
+        # Inversion: lpk(pi) is ilpk of pi's inverse, so the same count.
+        assert oracle.count_ilpk1_avoiders(n, m) == sum(
             1 for r in records if r.lpk == 1 and r.inverse_down < m
         )
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_automaton_counts_match_the_sweep(n):
+    """Two independent transfers over S_n: the automata insert into pi, the
+    sweep into its inverse."""
+    swept = oracle.sweep(n)
+    for m in range(3, 7):
+        assert oracle.count_ipk0_avoiders(n, m) == swept.ipk_counts(m).get(0, 0)
+        assert oracle.count_ilpk1_avoiders(n, m) == swept.ilpk_counts(m).get(1, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -111,16 +123,14 @@ def test_a_run_builds_each_level_once(monkeypatch):
         return step(n, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_classes", counted)
-    reports = claims.run(("theorem1", "theorem2"), n_max=8, k_max=10)
+    reports = claims.run(("theorem4", "corollaries"), n_max=8, k_max=10)
     assert all(r.passed for r in reports)
     assert built == {n: 1 for n in range(2, 9)}
 
 
 def test_caps_are_checked_on_a_warm_cache(monkeypatch):
-    oracle.count_ipk0_avoiders(6, 3)
+    oracle.sweep(6)
     monkeypatch.setenv("PERMFIB_MAX_N", "5")
-    with pytest.raises(ResourceLimitError):
-        oracle.count_ipk0_avoiders(6, 3)
     with pytest.raises(ResourceLimitError):
         series.ipk_polynomial(3, 6)
     with pytest.raises(ResourceLimitError):
