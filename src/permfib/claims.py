@@ -127,7 +127,10 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 
     The block words of each length are generated once and checked for
     every m that has no counterexample yet, so the first report carries the
-    time of the whole walk.
+    time of the whole walk.  Each word's block form is tested once, with
+    ``words.is_block_word``, and then, for each m, ``dfa.accepts`` and
+    ``words.avoids_forbidden_factors``; the generator's block form is never
+    taken on trust.
     """
     dfas = {m: regex.block_word_dfa(m) for m in ms}
     counterexamples: dict[int, dict] = {}
@@ -148,10 +151,12 @@ def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
     mismatches: dict[int, dict] = {}
     accepted = dict.fromkeys(dfas, 0)
     checking = list(dfas.items())
+    is_block_word, avoids_forbidden_factors = words.is_block_word, words.avoids_forbidden_factors
     for word in words.iter_block_words(n):
+        block = is_block_word(word)
         for m, dfa in checking:
             verdict = dfa.accepts(word)
-            if verdict != words.is_avoiding_block_word(word, m):
+            if verdict != (block and avoids_forbidden_factors(word, m)):
                 mismatches[m] = {"word": word, "dfa": verdict}
                 checking = [entry for entry in checking if entry[0] != m]
             accepted[m] += verdict

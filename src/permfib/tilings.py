@@ -79,14 +79,24 @@ class Tiling:
 
 
 def enumerate_tilings(k: int) -> Iterator[Tiling]:
-    """All width-k tilings with a top-left monomino, (top, bottom) lex order."""
+    """All width-k tilings with a top-left monomino, (top, bottom) lex order.
+
+    The rows are the compositions of k into parts 1 and 2, as tuples, and
+    a top row is used only when it starts with 1, so every tiling is built
+    valid: it is made without rerunning ``Tiling.__post_init__``, whose
+    checks still guard ``Tiling(...)`` and ``Tiling.from_text``.
+    """
     if k < 1:
         raise InvalidInputError(f"width must be >= 1, got {k}")
     rows = [composition.parts for composition in enumerate_compositions(k, max_part=2)]
+    new, put = object.__new__, object.__setattr__
     for top in rows:
         if top[0] == 1:
             for bottom in rows:
-                yield Tiling(top, bottom)
+                tiling = new(Tiling)
+                put(tiling, "top", top)
+                put(tiling, "bottom", bottom)
+                yield tiling
 
 
 def _brick_row(first: int, width: int) -> tuple[int, ...]:

@@ -4,7 +4,10 @@ A "block word" is a word of the form  a^i c u a c^j  (i, j >= 0, u arbitrary):
 a run of a's, a mandatory c, anything, a mandatory a, a run of c's.  These are
 exactly the words that encode an N-shaped permutation (see bijections).  The
 avoiding block words additionally avoid four forbidden factors that depend on
-a pattern length m >= 3.
+a pattern length m >= 3.  The definition is the two tests in sequence:
+:func:`is_block_word` (form, and the alphabet) and
+:func:`avoids_forbidden_factors` (the factors of one m), so a walk over
+several m tests the form once per word.
 """
 
 from __future__ import annotations
@@ -61,12 +64,26 @@ def forbidden_factors(m: int = 3) -> tuple[str, str, str, str]:
     return (b + "ba", b + "bb", "c" + b + "a", "c" + b + "b")
 
 
-def is_avoiding_block_word(word: str, m: int = 3) -> bool:
-    """Block-word form plus avoidance of the four order-m forbidden factors."""
-    if not is_block_word(word):
-        return False
+def avoids_forbidden_factors(word: str, m: int = 3) -> bool:
+    """True when none of the four order-m forbidden factors occurs in ``word``.
+
+    The word is not validated: this is a factor test and answers for any
+    string.  Callers that walk generated words test block form once per
+    word with :func:`is_block_word` and this once per m.
+
+    >>> avoids_forbidden_factors("acbca", 3), avoids_forbidden_factors("acbba", 3)
+    (True, False)
+    """
     first, second, third, fourth = forbidden_factors(m)
     return first not in word and second not in word and third not in word and fourth not in word
+
+
+def is_avoiding_block_word(word: str, m: int = 3) -> bool:
+    """Block-word form plus avoidance of the four order-m forbidden factors.
+
+    A word outside block form is rejected before m is read.
+    """
+    return is_block_word(word) and avoids_forbidden_factors(word, m)
 
 
 def iter_words(n: int) -> Iterator[str]:

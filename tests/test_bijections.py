@@ -224,13 +224,29 @@ class TestTilings:
             for z in regex.core_dfa().language(k):
                 assert tiling_to_word(word_to_tiling(z)) == z
 
+    def test_enumerated_tilings_equal_checked_ones(self):
+        # enumerate_tilings builds its tilings without __post_init__
+        for k in range(1, 11):
+            for tiling in enumerate_tilings(k):
+                checked = Tiling(tiling.top, tiling.bottom)
+                assert tiling == checked
+                assert hash(tiling) == hash(checked)
+                assert type(tiling.top) is tuple and type(tiling.bottom) is tuple
+                assert tiling.width == k
+
     def test_invalid_tilings_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Tiling((2, 1), (1, 2))  # top-left not a monomino
-        with pytest.raises(InvalidInputError):
-            Tiling((1, 2), (1,))  # widths differ
-        with pytest.raises(InvalidInputError):
-            Tiling((1, 3), (2, 2))  # bad block length
+        cases = [
+            ((2, 1), (1, 2), "the top row must start with a monomino"),
+            ((1, 2), (1,), "rows cover different widths: 3 vs 1"),
+            ((1, 3), (2, 2), r"blocks must be 1 or 2: \(1, 3\)"),
+            ([1, 1], (2, 0), r"blocks must be 1 or 2: \(2, 0\)"),
+        ]
+        for top, bottom, message in cases:
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                Tiling(top, bottom)
+            text = " ".join(map(str, top)) + "\n" + " ".join(map(str, bottom))
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                Tiling.from_text(text)
 
     def test_serialize_round_trip(self):
         tiling = word_to_tiling("aacbcccaaabbcac")

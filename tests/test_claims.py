@@ -2,7 +2,7 @@
 
 import pytest
 
-from permfib import claims, regex
+from permfib import claims, regex, words
 
 
 def test_pattern_lengths_no_named_claim_reads_are_rejected():
@@ -74,3 +74,25 @@ def test_prop7_reports_each_m_alone_from_the_shared_walk(monkeypatch):
     for r in reports:
         (alone,) = claims._prop7(ms=(r.params["m"],), n_max=6)
         assert alone == r
+
+
+def test_prop7_reports_a_word_whose_factor_test_is_flipped_at_every_m(monkeypatch):
+    # "acbbca" has the order-3 factor cbb and none of order 4 to 6, so the
+    # flipped test disagrees with a DFA that rejects it at m = 3 and with
+    # one that accepts it at every larger m.
+    real = words.avoids_forbidden_factors
+    monkeypatch.setattr(
+        words, "avoids_forbidden_factors", lambda word, m: real(word, m) != (word == "acbbca")
+    )
+    reports = list(claims._prop7(ms=(3, 4, 5, 6), n_max=7))
+    assert [r.counterexample for r in reports] == [
+        {"word": "acbbca", "dfa": m != 3} for m in (3, 4, 5, 6)
+    ]
+
+
+def test_prop7_tests_block_form_itself_on_generated_words(monkeypatch):
+    first = next(word for n in range(1, 7) for word in words.iter_block_words(n))
+    assert first == "ca"
+    monkeypatch.setattr(words, "is_block_word", lambda word: False)
+    reports = list(claims._prop7(ms=(3, 4, 5, 6), n_max=6))
+    assert [r.counterexample for r in reports] == [{"word": first, "dfa": True}] * 4

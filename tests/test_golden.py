@@ -44,6 +44,7 @@ COMMANDS = {
     "series_fib_ogf_m4_order10.csv": "series --kind fib-ogf --m 4 --order 10 --format csv",
     "verify_prop8_gf3.csv": "verify --claim prop8,gf3 --format csv",
     "verify_words_n11.txt": "verify --claim prop7,prop8,eq1 --n-max 11 --m 3,4,5 --k-max 12",
+    "verify_prop7_n12.txt": "verify --claim prop7 --n-max 12 --m 3,4,5,6",
 }
 
 

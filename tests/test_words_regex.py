@@ -5,6 +5,7 @@ from permfib import regex
 from permfib.errors import InvalidInputError, NotInLanguageError
 from permfib.words import (
     avoids_factor,
+    avoids_forbidden_factors,
     check_word,
     forbidden_factors,
     is_avoiding_block_word,
@@ -78,6 +79,24 @@ class TestBlockWordForm:
         assert not is_avoiding_block_word("acba", 3)  # form holds, factor cba present
         assert is_block_word("acba")
         assert not is_avoiding_block_word("aac", 3)
+
+    def test_definition_is_block_form_then_the_factors(self):
+        for n in range(9):
+            for w in iter_words(n):
+                block = is_block_word(w)
+                for m in range(3, 7):
+                    assert is_avoiding_block_word(w, m) == (
+                        block and avoids_forbidden_factors(w, m)
+                    ), (w, m)
+
+    @pytest.mark.parametrize("test", [avoids_forbidden_factors, is_avoiding_block_word])
+    def test_m_below_three_raises_the_forbidden_factors_error(self, test):
+        for m in (2, 0, -1):
+            with pytest.raises(InvalidInputError) as expected:
+                forbidden_factors(m)
+            with pytest.raises(InvalidInputError) as raised:
+                test("acbca", m)
+            assert str(raised.value) == str(expected.value) == f"m must be >= 3, got {m}"
 
     def test_generator_agrees_with_predicate(self):
         for n in range(9):
