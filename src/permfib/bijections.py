@@ -38,11 +38,8 @@ class CanonicalDecomposition:
 
     def word(self) -> str:
         """Letter i names the part (a: alpha, b: beta, c: gamma) holding the value i."""
-        symbols = [""] * (len(self.alpha) + len(self.beta) + len(self.gamma))
-        for part, symbol in ((self.alpha, "a"), (self.beta, "b"), (self.gamma, "c")):
-            for value in part:
-                symbols[value - 1] = symbol
-        return "".join(symbols)
+        first = len(self.alpha)
+        return _word(self.alpha + self.beta + self.gamma, first, first + len(self.beta))
 
 
 @dataclass(frozen=True)
@@ -87,23 +84,54 @@ def zero_ipk_permutation(composition: Composition) -> Permutation:
     return Permutation(tuple(letters))
 
 
+def _split(letters: tuple[int, ...]) -> tuple[int, int]:
+    """Where alpha ends and gamma starts in an N-shaped permutation's
+    letters, read with the left peak count from one rise word."""
+    rises = rise_word(letters)
+    if ("1" + rises).count("10") != 1:
+        raise NotInDomainError(
+            f"lpk != 1: not an N-shaped permutation: {Permutation(letters)}"
+        )
+    # the descent at rise-word index i is the 1-based position i + 1
+    return rises.find("0") + 1, rises.rfind("0") + 1
+
+
+def _word(letters: tuple[int, ...], first: int, last: int) -> str:
+    """The word whose letter v names the part holding the value v, with
+    alpha = letters[:first], beta = letters[first:last], gamma the rest."""
+    symbols = ["c"] * len(letters)
+    for value in letters[:first]:
+        symbols[value - 1] = "a"
+    for value in letters[first:last]:
+        symbols[value - 1] = "b"
+    return "".join(symbols)
+
+
+def _encode(letters: tuple[int, ...]) -> str:
+    """:func:`block_word` on the letters of a permutation."""
+    return _word(letters, *_split(letters))
+
+
+def _decode(word: str) -> tuple[int, ...]:
+    """:func:`word_to_permutation` on a word already known to be a block
+    word: the positions of the a's increasing, then those of the b's
+    decreasing, then those of the c's increasing."""
+    parts: dict[str, list[int]] = {"a": [], "b": [], "c": []}
+    for position, symbol in enumerate(word, start=1):
+        parts[symbol].append(position)
+    return (*parts["a"], *reversed(parts["b"]), *parts["c"])
+
+
 def canonical_decomposition(p: Permutation) -> CanonicalDecomposition:
     """Split an N-shaped permutation at its left peak and right valley.
 
     The letter at the left peak goes to alpha and the letter at the right
     valley to gamma, which makes beta as short as possible.  One left peak
     makes the descents one run, so the peak sits at the first descent and
-    the valley just after the last.  Both, and the left peak count, are
-    read from one rise word.
+    the valley just after the last.
     """
     letters = p.letters
-    rises = rise_word(letters)
-    if ("1" + rises).count("10") != 1:
-        raise NotInDomainError(
-            f"lpk != 1: not an N-shaped permutation: {p}"
-        )
-    # the descent at rise-word index i is the 1-based position i + 1
-    first, last = rises.find("0") + 1, rises.rfind("0") + 1
+    first, last = _split(letters)
     return CanonicalDecomposition(
         alpha=letters[:first], beta=letters[first:last], gamma=letters[last:]
     )
@@ -116,7 +144,7 @@ def block_word(p: Permutation) -> str:
     >>> block_word(Permutation.from_text("1 2 5 10 12 8 6 4 3 7 9 11"))
     'aacbabcbcaca'
     """
-    return canonical_decomposition(p).word()
+    return _encode(p.letters)
 
 
 def word_to_permutation(word: str) -> Permutation:
@@ -129,11 +157,7 @@ def word_to_permutation(word: str) -> Permutation:
         raise NotInDomainError(
             f"not of the form a^i c u a c^j, so not an encoding: {word!r}"
         )
-    alpha = [i for i, symbol in enumerate(word, start=1) if symbol == "a"]
-    beta = [i for i, symbol in enumerate(word, start=1) if symbol == "b"]
-    gamma = [i for i, symbol in enumerate(word, start=1) if symbol == "c"]
-    letters = tuple(alpha) + tuple(reversed(beta)) + tuple(gamma)
-    return Permutation(letters)
+    return Permutation(_decode(word))
 
 
 def is_tiling_mappable(p: Permutation, m: int = 3) -> bool:

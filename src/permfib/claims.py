@@ -32,7 +32,7 @@ class Claim(NamedTuple):
     #: Whether the check reads n_max.
     reads_n_max: bool = False
     #: Whether the check sweeps S_n for every n up to n_max, or up to
-    #: GF_X_ORDER if it does not read n_max; prop6 is marked only for the cap.
+    #: GF_X_ORDER if it does not read n_max.
     sweeps: bool = False
     #: Largest n_max, and largest k_max, the check accepts; None: no cap.
     max_n: Optional[int] = None
@@ -84,7 +84,10 @@ def _prop6(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     that ``block_word`` encodes back to the word.  So decoding is an
     injection into that set, and as the number of words equals the set's
     size, counted by the oracle, it is a bijection whose inverse is
-    ``block_word``.
+    ``block_word``.  The words come from ``words.iter_avoiding_block_words``
+    and the round trip runs on letter tuples, through the decoder and
+    encoder behind ``word_to_permutation`` and ``block_word``; no S_n is
+    swept, so only ``max_n`` bounds the walk.
     """
     for m in ms:
         counterexample = next(
@@ -95,14 +98,16 @@ def _prop6(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 
 def _prop6_mismatch(m: int, n: int) -> Optional[dict]:
     decoded = 0
-    for word in words.iter_block_words(n):
-        if not words.is_avoiding_block_word(word, m):
-            continue
-        p = bijections.word_to_permutation(word)
+    left_peak_count, inverse_letters = permutations.left_peak_count, permutations.inverse_letters
+    contains_descending_run = permutations.contains_descending_run
+    decode, encode = bijections._decode, bijections._encode
+    # The generator's own definition test has checked each word's block form.
+    for word in words.iter_avoiding_block_words(n, m):
+        letters = decode(word)
         if (
-            permutations.left_peak_count(p.letters) != 1
-            or permutations.contains_descending_run(permutations.inverse_letters(p.letters), m)
-            or bijections.block_word(p) != word
+            left_peak_count(letters) != 1
+            or contains_descending_run(inverse_letters(letters), m)
+            or encode(letters) != word
         ):
             return {"n": n, "word": word}
         decoded += 1
@@ -249,7 +254,7 @@ CLAIMS: dict[str, Claim] = {
         Claim("theorem2", _theorem2, reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
         Claim("theorem4", _theorem4, reads_n_max=True, sweeps=True),
         Claim("corollaries", _corollaries, reads_n_max=True, sweeps=True),
-        Claim("prop6", _prop6, (3,), reads_n_max=True, sweeps=True),
+        Claim("prop6", _prop6, (3,), reads_n_max=True, max_n=13),
         Claim("prop7", _prop7, (3,), reads_n_max=True, max_n=12),
         Claim("prop8", _prop8, max_k=12),
         Claim("eq1", _eq1, reads_n_max=True, max_n=15),

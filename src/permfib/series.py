@@ -65,9 +65,10 @@ class TruncatedSeries:
     N * nnz(self).  The rational generating functions have at most seven
     nonzero terms in any operand, so their expansions are linear in N.
 
-    ``a * b`` and ``invert`` multiply and add integer numerators, scaled to
-    the lcm of each operand's denominators, and reduce once per output
-    coefficient; for an integral operand that lcm is 1.  ``sqrt``, ``+``,
+    ``a * b`` and ``invert`` multiply and add integer numerators and reduce
+    once per output coefficient: ``a * b`` scales each operand to the lcm of
+    its denominators, ``invert`` each term a_i / a_0 by δ^i for one scale δ
+    (see there); for an integral operand both scales are 1.  ``sqrt``, ``+``,
     ``-`` and scalar products stay on Fractions: the 1/(2n) factor of each
     root coefficient would make unreduced denominators grow factorially.
     """
@@ -181,24 +182,29 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be invertible.
 
-        The recurrence runs on ints: coefficient n is D*C_n / A0^(n+1), with
-        D the lcm of the denominators, A0 the lead's numerator over D and C_n
-        an integer.  For an integral series with constant term 1 or -1, as
-        every closed form here, that is +-C_n itself; a large |A0| adds about
-        log10|A0| digits per coefficient before the one reduction.
+        The recurrence runs on ints.  With r_i = a_i / a_0 and a scale δ such
+        that every denominator of r_i divides δ^i, coefficient n is
+        C_n / (a_0 δ^n) for integers C_0 = 1 and C_n = -sum over i >= 1 of
+        r_i δ^i C_(n-i).  δ grows only by the factors some r_i needs, so for
+        an integral series with constant term 1 or -1, as every closed form
+        here, δ = 1 and C_n is the coefficient itself up to sign; for
+        1/sqrt(1 - t), δ = 4 and C_n = binomial(2n, n).
 
         >>> geometric = from_coeffs([1, -1], order=4).invert()
         >>> geometric == from_coeffs([1, 1, 1, 1, 1])
         True
         """
         a = self.coeffs
-        if not a[0]:
+        lead = a[0]
+        if not lead:
             raise SingularSeriesError("cannot invert a series with zero constant term")
-        terms, scale = _numerators(a)
-        lead = terms[0][1]  # a[0] is nonzero, checked above
-        # With a_i = A_i/D and b_n = D*C_n / A0^(n+1), sum a_i b_(n-i) = [n = 0]
-        # reads C_0 = 1 and C_n = -sum over i >= 1 of A_i A0^(i-1) C_(n-i).
-        tail = [(i, c * lead ** (i - 1)) for i, c in terms[1:]]
+        ratios = [(i, c / lead) for i, c in _terms(a)[1:]]
+        delta = 1
+        for i, r in ratios:
+            d = r.denominator
+            # afterwards d divides delta^i, and each earlier d_j still divides delta^j
+            delta *= d // math.gcd(d, pow(delta, i, d))
+        tail = [(i, r.numerator * (delta**i // r.denominator)) for i, r in ratios]
         out = [1]
         for n in range(1, len(a)):
             acc = 0
@@ -209,8 +215,8 @@ class TruncatedSeries:
             out.append(-acc)
         power = 1
         for n, c in enumerate(out):
-            power *= lead
-            out[n] = Fraction(scale * c, power)
+            out[n] = Fraction(lead.denominator * c, lead.numerator * power)
+            power *= delta
         return TruncatedSeries(tuple(out))
 
     def sqrt(self) -> "TruncatedSeries":

@@ -7,7 +7,8 @@ avoiding block words additionally avoid four forbidden factors that depend on
 a pattern length m >= 3.  The definition is the two tests in sequence:
 :func:`is_block_word` (form, and the alphabet) and
 :func:`avoids_forbidden_factors` (the factors of one m), so a walk over
-several m tests the form once per word.
+several m tests the form once per word.  :func:`iter_avoiding_block_words`
+generates the avoiding block words of one m without walking the others.
 """
 
 from __future__ import annotations
@@ -107,3 +108,35 @@ def iter_block_words(n: int) -> Iterator[str]:
             middle = n - i - j - 2
             for u in itertools.product(ALPHABET, repeat=middle):
                 yield "a" * i + "c" + "".join(u) + "a" + "c" * j
+
+
+def iter_avoiding_block_words(n: int, m: int = 3) -> Iterator[str]:
+    """The avoiding block words of length n, in :func:`iter_block_words` order.
+
+    The middle u of a^i c u a c^j grows one letter at a time after the
+    mandatory c, and a prefix c u is dropped as soon as its last m letters
+    are a forbidden factor: every word that extends it holds that factor.
+    Which prefixes survive depends only on the length of u, so each length
+    is grown once and read for every pair of run lengths.  Each word built
+    from them still passes :func:`is_avoiding_block_word`, which catches the
+    factors that end in the mandatory a.
+
+    >>> list(iter_avoiding_block_words(3, 3))  # cba holds the factor cba
+    ['caa', 'cca', 'cac', 'aca']
+    """
+    if n < 0:
+        raise InvalidInputError("n must be nonnegative")
+    factors = frozenset(forbidden_factors(m))
+    levels = [["c"]]
+    for _ in range(n - 2):
+        levels.append(
+            [grown for prefix in levels[-1] for symbol in ALPHABET
+             if (grown := prefix + symbol)[-m:] not in factors]
+        )
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            head, tail = "a" * i, "a" + "c" * j
+            for middle in levels[n - 2 - i - j]:
+                word = head + middle + tail
+                if is_avoiding_block_word(word, m):
+                    yield word

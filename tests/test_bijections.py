@@ -1,6 +1,6 @@
 import pytest
 
-from permfib import regex
+from permfib import bijections, regex
 from permfib.bijections import (
     TilingTriple,
     block_word,
@@ -134,6 +134,29 @@ class TestBlockWord:
                 if is_n_shaped(p)
             }
             assert encoded == set(iter_block_words(n))
+
+    def test_private_decoder_returns_a_permutation_of_every_block_word(self):
+        for n in range(9):
+            for word in iter_block_words(n):
+                letters = bijections._decode(word)
+                assert sorted(letters) == list(range(1, n + 1))
+                assert Permutation(letters) == word_to_permutation(word)
+                assert bijections._encode(letters) == word
+
+    def test_decomposition_and_encoding_spell_the_same_word(self):
+        for n in range(2, 8):
+            for p in enumerate_symmetric_group(n):
+                if is_n_shaped(p):
+                    assert canonical_decomposition(p).word() == block_word(p)
+
+    def test_encoding_rejects_what_the_decomposition_rejects(self):
+        for text in ("1234", "1", "2143"):
+            with pytest.raises(NotInDomainError) as expected:
+                canonical_decomposition(perm(text))
+            with pytest.raises(NotInDomainError) as raised:
+                block_word(perm(text))
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value) == f"lpk != 1: not an N-shaped permutation: {perm(text)}"
 
 
 class TestInverseDescentCharacterization:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from permfib import claims, regex, words
+from permfib import claims, oracle, regex, words
 
 
 def test_pattern_lengths_no_named_claim_reads_are_rejected():
@@ -96,3 +96,28 @@ def test_prop7_tests_block_form_itself_on_generated_words(monkeypatch):
     monkeypatch.setattr(words, "is_block_word", lambda word: False)
     reports = list(claims._prop7(ms=(3, 4, 5, 6), n_max=6))
     assert [r.counterexample for r in reports] == [{"word": first, "dfa": True}] * 4
+
+
+def test_prop6_builds_no_s_n_level(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("prop6 swept S_n")
+
+    monkeypatch.setattr(oracle, "sweep", refuse)
+    monkeypatch.setattr(oracle, "_levels", refuse)
+    (report,) = claims.run(("prop6",), n_max=12, k_max=10)
+    assert report.passed
+    assert report.params == {"m": 3, "n_max": 12}
+
+
+@pytest.mark.parametrize("m", (3, 4, 5, 6))
+def test_prop6_passes_at_every_bound(m):
+    for n_max in range(1, 9):
+        (report,) = claims._prop6(ms=(m,), n_max=n_max)
+        assert report.passed, report.counterexample
+
+
+def test_prop6_is_bounded_by_its_own_cap_alone(monkeypatch):
+    monkeypatch.setenv("PERMFIB_MAX_N", "5")
+    claims.validate(("prop6",), n_max=13)
+    with pytest.raises(claims.UsageError, match=r"^prop6: --n-max must be in 1\.\.13, got 14$"):
+        claims.validate(("prop6",), n_max=14)

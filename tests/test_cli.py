@@ -55,6 +55,16 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "usage error: theorem1: --n-max must be in 1..300, got 301\n"
 
+    def test_prop6_runs_to_its_own_cap_without_the_s_n_override(self, capsys, monkeypatch):
+        monkeypatch.delenv("PERMFIB_MAX_N", raising=False)
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "prop6", "--n-max", "13", "--no-timestamp"
+        )
+        assert (code, err) == (0, "")
+        assert out == "PASS  prop6  (m=3, n_max=13)\nresult: all claims pass\n"
+        code, out, err = run_cli(capsys, "verify", "--claim", "prop6", "--n-max", "14")
+        assert (code, out, err) == (2, "", "usage error: prop6: --n-max must be in 1..13, got 14\n")
+
     def test_eq1_n_max_is_bounded(self, capsys):
         """The identity sums run to 4 n_max, and their own cap is 60."""
         code, out, err = run_cli(capsys, "verify", "--claim", "eq1", "--n-max", "16")

@@ -132,8 +132,8 @@ class TestKernelsAgainstDenseReference:
 
 
 class TestKernelsAtHighOrder:
-    """Unreduced numerators grow with the order, through the lead's powers
-    A0^(n+1) and the lcm of an operand's denominators, so the integer
+    """Unreduced numerators grow with the order, through the powers of
+    invert's scale and the lcm of an operand's denominators, so the integer
     kernels are checked well past the orders the property tests reach."""
 
     ORDER = 300
@@ -147,11 +147,24 @@ class TestKernelsAtHighOrder:
             from_coeffs(
                 [1, Fraction(1, 2), Fraction(1, 3), 0, Fraction(-1, 5), Fraction(1, 7)], ORDER
             ),
+            from_coeffs([1, -1], ORDER).sqrt(),
+            from_coeffs([Fraction(2, 3), Fraction(1, 6), Fraction(-1, 27)], ORDER),
         ],
-        ids=["integer-lead-3", "negative-rational-lead", "denominators-differ"],
+        ids=[
+            "integer-lead-3", "negative-rational-lead", "denominators-differ",
+            "root-of-one-minus-t", "denominator-powers",
+        ],
     )
     def test_invert(self, s):
         assert s.invert() == dense_invert(s)
+
+    def test_inverse_root_is_central_binomials_over_powers_of_four(self):
+        # coefficient i >= 1 of sqrt(1 - t) has a denominator dividing
+        # 2^(2i - 1), so invert's scale is 4 and its integers are binomial(2n, n)
+        inverse = from_coeffs([1, -1], self.ORDER).sqrt().invert()
+        assert inverse.coeffs == tuple(
+            Fraction(math.comb(2 * n, n), 4**n) for n in range(self.ORDER + 1)
+        )
 
     @pytest.mark.parametrize(
         "a, b",

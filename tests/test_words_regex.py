@@ -10,6 +10,7 @@ from permfib.words import (
     forbidden_factors,
     is_avoiding_block_word,
     is_block_word,
+    iter_avoiding_block_words,
     iter_block_words,
     iter_words,
 )
@@ -103,6 +104,28 @@ class TestBlockWordForm:
             generated = sorted(iter_block_words(n))
             assert len(generated) == len(set(generated))
             assert generated == sorted(w for w in iter_words(n) if is_block_word(w))
+
+    @pytest.mark.parametrize("m", (3, 4, 5, 6))
+    def test_avoiding_generator_is_the_filtered_block_words_in_order(self, m):
+        for n in range(11):
+            expected = [w for w in iter_block_words(n) if is_avoiding_block_word(w, m)]
+            assert list(iter_avoiding_block_words(n, m)) == expected
+
+    def test_avoiding_generator_at_the_smallest_lengths(self):
+        assert list(iter_avoiding_block_words(0, 3)) == []
+        assert list(iter_avoiding_block_words(1, 3)) == []
+        assert list(iter_avoiding_block_words(2, 3)) == ["ca"]
+
+    def test_avoiding_generator_catches_a_factor_that_ends_in_the_mandatory_a(self):
+        # cba is in no prefix c u, only across into the final a
+        assert "cba" not in iter_avoiding_block_words(3, 3)
+        assert "acbac" not in iter_avoiding_block_words(5, 3)
+
+    def test_avoiding_generator_rejects_bad_sizes(self):
+        with pytest.raises(InvalidInputError, match="n must be nonnegative"):
+            list(iter_avoiding_block_words(-1, 3))
+        with pytest.raises(InvalidInputError, match="m must be >= 3, got 2"):
+            list(iter_avoiding_block_words(4, 2))
 
 
 class TestRegexShapes:
