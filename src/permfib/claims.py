@@ -12,6 +12,9 @@ Theorems 1 and 2 and gf-general count on insertion automata, not S_n.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from functools import lru_cache
+from itertools import chain, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import bijections, compositions, oracle, permutations, regex, series, tilings, words
@@ -130,12 +133,16 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     a count mismatch as the first non-block word of ``language(n)``, which
     is found only after every block word of that length agrees.
 
-    The block words of each length are generated once and checked for
-    every m that has no counterexample yet, so the first report carries the
-    time of the whole walk.  Each word's block form is tested once, with
-    ``words.is_block_word``, and then, for each m, ``dfa.accepts`` and
-    ``words.avoids_forbidden_factors``; the generator's block form is never
-    taken on trust.
+    Each length is walked once for every m that has no counterexample yet,
+    on the product of their DFAs, so the first report carries the time of
+    the whole walk.  The product is stepped through each head a^i c once,
+    then level by level through every middle u, once per shared prefix
+    a^i c u, and each word's verdicts for every m are read from a table of
+    its state and tail a c^j.  The walk builds each word itself, in
+    ``iter_block_words`` order, and tests its block form once, with
+    ``words.is_block_word``, and then, for each m,
+    ``words.avoids_forbidden_factors``; the built form is never taken on
+    trust.
     """
     dfas = {m: regex.block_word_dfa(m) for m in ms}
     counterexamples: dict[int, dict] = {}
@@ -152,27 +159,75 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 
 def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
     """The counterexample of length n of each m whose DFA has one, from one
-    walk over the block words of length n."""
+    walk of the product automaton over the block words of length n."""
+    table, verdicts = _product(tuple(dfas.values()))
+    a, c = words.ALPHABET.index("a"), words.ALPHABET.index("c")
+    # levels[h][L]: the states after each middle u of length L, read from
+    # the state h after a head a^i c, in the lexicographic order of u.  They
+    # are kept as bytes when the ids fit; a word's text is built only to
+    # check it.
+    pack = bytes if len(table) <= 0x100 else list
+    levels: dict[int, list] = {}
+    # tails[j][s]: the verdicts after reading a c^j from state s.
+    tails, ends = [], [row[a] for row in table]
+    for _ in range(n - 1):
+        tails.append([verdicts[end] for end in ends])
+        ends = [table[end][c] for end in ends]
     mismatches: dict[int, dict] = {}
-    accepted = dict.fromkeys(dfas, 0)
-    checking = list(dfas.items())
+    checking = list(enumerate(dfas))
+    accepted: Counter[tuple[bool, ...]] = Counter()
     is_block_word, avoids_forbidden_factors = words.is_block_word, words.avoids_forbidden_factors
-    for word in words.iter_block_words(n):
-        block = is_block_word(word)
-        for m, dfa in checking:
-            verdict = dfa.accepts(word)
-            if verdict != (block and avoids_forbidden_factors(word, m)):
-                mismatches[m] = {"word": word, "dfa": verdict}
-                checking = [entry for entry in checking if entry[0] != m]
-            accepted[m] += verdict
-        if not checking:
-            break
-    for m, dfa in checking:
-        if accepted[m] != dfa.count_words(n):
+    state = 0  # the product's state after a^i
+    for i in range(n - 1):
+        head = "a" * i + "c"
+        after_head = table[state][c]
+        grown = levels.setdefault(after_head, [pack((after_head,))])
+        while len(grown) < n - 1 - i:
+            grown.append(pack(chain.from_iterable(map(table.__getitem__, grown[-1]))))
+        state = table[state][a]
+        for j in range(n - 1 - i):
+            tail, verdict_after = "a" + "c" * j, tails[j]
+            level = grown[n - 2 - i - j]
+            for middle_end, count in Counter(level).items():
+                accepted[verdict_after[middle_end]] += count
+            texts = map("".join, product((head,), *repeat(words.ALPHABET, n - 2 - i - j), (tail,)))
+            for word, verdict in zip(texts, map(verdict_after.__getitem__, level)):
+                block = is_block_word(word)
+                for k, m in checking:
+                    if verdict[k] != (block and avoids_forbidden_factors(word, m)):
+                        mismatches[m] = {"word": word, "dfa": verdict[k]}
+                        checking = [entry for entry in checking if entry[1] != m]
+                if not checking:
+                    return mismatches
+    for k, m in checking:
+        dfa = dfas[m]
+        if sum(count for verdict, count in accepted.items() if verdict[k]) != dfa.count_words(n):
             # The word is None only if the block-word walk or the path count is wrong.
             stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
             mismatches[m] = {"word": stray, "dfa": True}
     return mismatches
+
+
+@lru_cache(maxsize=8)
+def _product(dfas: tuple[regex.Dfa, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The reachable part of the automata read in lockstep: its table, with
+    state 0 the tuple of their start states, and each state's verdicts.
+    The last few are kept, as prop7 reads one for every length."""
+    start = tuple(dfa.start for dfa in dfas)
+    index = {start: 0}
+    order = [start]
+    table = []
+    for states in order:
+        row = []
+        for letter in range(len(words.ALPHABET)):
+            target = tuple(dfa.table[s][letter] for dfa, s in zip(dfas, states))
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row.append(index[target])
+        table.append(tuple(row))
+    verdicts = tuple(tuple(s in dfa.accepting for dfa, s in zip(dfas, states)) for states in order)
+    return tuple(table), verdicts
 
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:

@@ -630,21 +630,21 @@ class Dfa:
         if n < 0:
             raise InvalidInputError("n must be nonnegative")
         viable = self._viable_table(n)
-        word: list[str] = []
-
-        def walk(state: int, remaining: int) -> Iterator[str]:
-            if remaining == 0:
-                if state in self.accepting:
-                    yield "".join(word)
-                return
-            for index, symbol in enumerate(ALPHABET):
-                target = self.table[state][index]
-                if viable[remaining - 1][target]:
-                    word.append(symbol)
-                    yield from walk(target, remaining - 1)
-                    word.pop()
-
-        yield from walk(self.start, n)
+        # Depth first on an explicit stack of (state, prefix) pairs: the
+        # children go on in reverse letter order, so they come off in
+        # order, and only prefixes that reach an accepting state go on.
+        steps = [tuple(zip(reversed(row), reversed(ALPHABET))) for row in self.table]
+        stack = [(self.start, "")] if viable[n][self.start] else []
+        while stack:
+            state, prefix = stack.pop()
+            remaining = n - len(prefix)
+            if not remaining:
+                yield prefix
+                continue
+            alive = viable[remaining - 1]
+            for target, symbol in steps[state]:
+                if alive[target]:
+                    stack.append((target, prefix + symbol))
 
     def _viable_table(self, n: int) -> list[list[bool]]:
         # viable[r][s]: some length-r word leads from s to an accepting state

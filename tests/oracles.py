@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from permfib import regex
+from permfib import regex, words
 from permfib.errors import InvalidInputError
 from permfib.series import TruncatedSeries
 
@@ -152,6 +152,35 @@ def descent_pair_counts(n: int) -> Counter:
         (ascending_runs(letters), ascending_runs(inverse(letters)))
         for letters in itertools.permutations(range(1, n + 1))
     )
+
+
+# ---------------------------------------------------------------------------
+# prop7's check one word and one automaton at a time: each block word of
+# iter_block_words goes through every DFA's accepts, with no product
+# automaton and no shared prefix.  It stands as a reference for
+# claims._prop7_mismatches.
+
+
+def per_word_prop7_mismatches(dfas: dict, n: int) -> dict[int, dict]:
+    """The counterexample of length n of each m whose DFA has one."""
+    mismatches: dict[int, dict] = {}
+    accepted = dict.fromkeys(dfas, 0)
+    checking = list(dfas.items())
+    for word in words.iter_block_words(n):
+        block = words.is_block_word(word)
+        for m, dfa in checking:
+            verdict = dfa.accepts(word)
+            if verdict != (block and words.avoids_forbidden_factors(word, m)):
+                mismatches[m] = {"word": word, "dfa": verdict}
+                checking = [entry for entry in checking if entry[0] != m]
+            accepted[m] += verdict
+        if not checking:
+            break
+    for m, dfa in checking:
+        if accepted[m] != dfa.count_words(n):
+            stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
+            mismatches[m] = {"word": stray, "dfa": True}
+    return mismatches
 
 
 # ---------------------------------------------------------------------------

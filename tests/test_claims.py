@@ -1,6 +1,9 @@
 """Parameter checks of the claim registry."""
 
+import tracemalloc
+
 import pytest
+from oracles import per_word_prop7_mismatches
 
 from permfib import claims, oracle, regex, words
 
@@ -96,6 +99,58 @@ def test_prop7_tests_block_form_itself_on_generated_words(monkeypatch):
     monkeypatch.setattr(words, "is_block_word", lambda word: False)
     reports = list(claims._prop7(ms=(3, 4, 5, 6), n_max=6))
     assert [r.counterexample for r in reports] == [{"word": first, "dfa": True}] * 4
+
+
+B = regex.block_word_dfa
+
+
+@pytest.mark.parametrize(
+    "dfas",
+    [
+        # every DFA right
+        {3: B(3)},
+        {3: B(3), 4: B(4), 5: B(5)},
+        {6: B(6), 4: B(4)},
+        # one m fails by a word, one by the count, one passes
+        {3: B(4), 4: B(4), 5: regex.core_dfa()},
+        # the same with a second m failing by a word
+        {3: B(4), 5: regex.core_dfa(), 4: B(3)},
+        # every m fails, so the walk stops early
+        {3: B(4), 4: B(3)},
+        {3: B(5), 4: B(3), 5: B(3), 6: B(3)},
+        {4: regex.core_dfa(), 3: B(4)},
+    ],
+)
+def test_prop7_walk_matches_the_per_word_reference(dfas):
+    for n in range(1, 11):
+        assert claims._prop7_mismatches(dfas, n) == per_word_prop7_mismatches(dfas, n), n
+
+
+def test_prop7_walk_checks_every_block_word_in_generator_order(monkeypatch):
+    real = words.is_block_word
+    seen = []
+
+    def record(word):
+        seen.append(word)
+        return real(word)
+
+    monkeypatch.setattr(words, "is_block_word", record)
+    for n in range(1, 10):
+        seen.clear()
+        assert claims._prop7_mismatches({3: B(3), 5: B(5)}, n) == {}
+        assert seen == list(words.iter_block_words(n)), n
+
+
+def test_prop7_walk_keeps_no_word_text_levels():
+    list(claims._prop7(ms=(3, 4, 5), n_max=5))  # compile the automata first
+    tracemalloc.start()
+    try:
+        reports = list(claims._prop7(ms=(3, 4, 5), n_max=11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 512 * 1024, peak
 
 
 def test_prop6_builds_no_s_n_level(monkeypatch):

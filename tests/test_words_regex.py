@@ -196,6 +196,21 @@ class TestCompile:
             assert words == sorted(words)
             assert all(dfa.accepts(w) for w in words)
 
+    @pytest.mark.parametrize(
+        "dfa",
+        [regex.core_dfa(), *(regex.block_word_dfa(m) for m in range(3, 7)),
+         # no accepting state: the language is empty at every length
+         regex.Dfa(table=((0, 0, 0),), start=0, accepting=frozenset())],
+    )
+    def test_language_is_the_sorted_accepted_words(self, dfa):
+        for n in range(9):
+            assert list(dfa.language(n)) == sorted(w for w in iter_words(n) if dfa.accepts(w))
+
+    def test_language_refuses_a_negative_length_when_read(self):
+        walk = regex.core_dfa().language(-1)
+        with pytest.raises(InvalidInputError):
+            next(walk)
+
     def test_m3_language_inside_m4_language(self):
         d3, d4 = regex.block_word_dfa(3), regex.block_word_dfa(4)
         for n in range(1, 11):
