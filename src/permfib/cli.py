@@ -12,8 +12,9 @@ more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
 past the cap that PERMFIB_MAX_N moves, a PERMFIB_MAX_N that is not an
 integer >= 1, a descent matrix past n = 8, an --n-max past 300 (theorem1,
 theorem2, gf-general, table --kind counts-thm1|counts-thm2), or a series
-order or table --kind fib --n-max above series.MAX_SERIES_ORDER (5,000);
-these last two have no override.
+order or table --kind fib --n-max above series.MAX_SERIES_ORDER (5,000)
+(these last two have no override), or an --output path that cannot be
+written (the report is then not written anywhere).
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -78,7 +79,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PermfibError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    _render(args, out)
+    try:
+        _render(args, out)
+    except OSError as exc:
+        if not args.output:
+            raise
+        print(f"usage error: cannot write --output {args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return out.code
 
 

@@ -13,10 +13,11 @@ function per star, plus or bounded repetition of more than one letter, and
 straight-line int code between them.  The counter runs a strict variant of
 the same kernel, which gives up where two derivations end at one position;
 if it finishes, every count is 0 or 1.  Otherwise the counter runs again
-on bit planes (a tuple of bitsets, plane k holding bit k of every count),
-through a closure per node built once per node object.  The two
-canonical decompositions used by the bijections (greedy segmentation of
-core words, suffix split of full block words) live here as well.
+on weighted ends, a {position: derivations} dict, with the ends of each
+star, plus or bounded repetition from each start computed once per word.
+The two canonical decompositions used by the bijections (greedy
+segmentation of core words, suffix split of full block words) live here as
+well.
 """
 
 from __future__ import annotations
@@ -36,22 +37,11 @@ from .words import ALPHABET, check_word
 #: is set when letter i of the word is x.
 Masks = tuple[int, ...]
 
-#: Derivation counts by end position: bit p of plane k is bit k of the
-#: number of derivations that end at p.  The top plane is nonzero, so the
-#: empty set is ``()``.
-Planes = tuple[int, ...]
-
 
 class _Node:
-    """The evaluation kernels every node class shares, each built on first
-    use and kept on the node object.
-
-    ``_kernel`` and its strict variant are compiled from the whole tree
-    under the node, once per node object they are called on.  ``_ways`` is
-    a closure built from the ``_ways`` closures of the node's children, so
-    it is built once per node object (once for a subtree shared by several
-    parents).
-    """
+    """The two evaluation kernels every node class shares, each compiled on
+    first use from the whole tree under the node and kept on the node
+    object: once per node object they are called on."""
 
     @cached_property
     def _kernel(self) -> Callable[..., int]:
@@ -61,18 +51,16 @@ class _Node:
     def _strict_kernel(self) -> Callable[..., int]:
         return _build_kernel(self, strict=True)
 
-    @cached_property
-    def _ways(self) -> Callable[[Planes, Masks], Planes]:
-        return _ways_kernel(self)
-
 
 @dataclass(frozen=True)
 class Lit(_Node):
     symbol: str
 
     def __post_init__(self) -> None:
-        if self.symbol not in ALPHABET:
-            raise InvalidInputError(f"literal must be one of {ALPHABET!r}")
+        if self.symbol not in tuple(ALPHABET):
+            raise InvalidInputError(
+                f"literal must be one letter of {ALPHABET!r}, got {self.symbol!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,8 +91,10 @@ class Repeat(_Node):
     most: int
 
     def __post_init__(self) -> None:
-        if self.most < 0:
-            raise InvalidInputError("bounded repetition needs most >= 0")
+        if not isinstance(self.most, int) or isinstance(self.most, bool) or self.most < 0:
+            raise InvalidInputError(
+                f"bounded repetition needs an int most >= 0, got {self.most!r}"
+            )
 
 
 Node = TypingUnion[Lit, Concat, Union, Star, Plus, Repeat]
@@ -405,14 +395,14 @@ def count_parses(node: Node, word: str) -> int:
     iteration that adds two intersecting position sets.  If there is none,
     every derivation count is 0 or 1, and the answer is bit n of its ends.
 
-    Otherwise the count runs again on bit planes in place of the bitset:
-    bit p of plane k is bit k of the number of derivations that end at p.
-    A literal masks and shifts every plane, and union, star, plus and
-    repetition add plane tuples with a ripple carry.  The number of parses
-    is linear in the start weights, so one pass over the tree per word is
-    exact for any count.  This pass runs one closure per node visit, and
-    costs the number of planes (the bit length of the largest count
-    reached) times as many big-int operations as the matcher.
+    Otherwise the count runs again on weighted ends, a {position:
+    derivations} dict that each node maps forward: a literal by a shift, a
+    concatenation through its parts in turn, a union by adding the ends of
+    its options.  The number of parses is linear in the start weights, so this is exact for
+    any count.  A star, plus or bounded repetition computes its ends from
+    each start once per word, and scales them by the start's weight, so it
+    runs its body at most n + 1 times per start whatever the nesting: the
+    cost is polynomial in n, with no factor exponential in the depth.
 
     Star and plus require a non-nullable inner expression so that the count
     is finite; every expression in this package satisfies that.  A star or
@@ -426,108 +416,56 @@ def count_parses(node: Node, word: str) -> int:
         return node._strict_kernel(1, *masks) >> n & 1
     except _Overlap:
         pass
-    planes = node._ways((1,), masks)
-    return sum((plane >> n & 1) << k for k, plane in enumerate(planes))
+    return _weighted_ends(node, {0: 1}, word, {}).get(n, 0)
 
 
-def _add(x: Planes, y: Planes) -> Planes:
-    """The position-wise sum of two weighted position sets."""
-    if not x:
-        return y
-    if not y:
-        return x
-    if len(x) == 1 == len(y):
-        carry = x[0] & y[0]
-        return (x[0] ^ y[0], carry) if carry else (x[0] | y[0],)
-    if len(x) < len(y):
-        x, y = y, x
-    out = []
-    carry = 0
-    for k, plane in enumerate(x):
-        other = y[k] if k < len(y) else 0
-        half = plane ^ other
-        out.append(half ^ carry)
-        carry = plane & other | half & carry
-    if carry:
-        out.append(carry)
-    return tuple(out)
-
-
-def _support(planes: Planes) -> int:
-    support = 0
-    for plane in planes:
-        support |= plane
-    return support
-
-
-def _ways_kernel(node: Node) -> Callable[[Planes, Masks], Planes]:
-    """The closure mapping weighted start positions of ``node`` to its ends."""
+def _weighted_ends(
+    node: Node, starts: dict[int, int], word: str, memo: dict[tuple[int, int], dict[int, int]]
+) -> dict[int, int]:
+    """The derivation counts of ``node`` by end position, from start
+    positions weighted by their own derivation counts."""
     if isinstance(node, Lit):
-        index = ALPHABET.index(node.symbol)
-
-        def ways(starts: Planes, masks: Masks) -> Planes:
-            mask = masks[index]
-            if len(starts) == 1:
-                ends = (starts[0] & mask) << 1
-                return (ends,) if ends else ()
-            out = [(plane & mask) << 1 for plane in starts]
-            while out and not out[-1]:
-                out.pop()
-            return tuple(out)
-
-    elif isinstance(node, Concat):
-        parts = tuple(part._ways for part in node.parts)
-
-        def ways(starts: Planes, masks: Masks) -> Planes:
-            for part in parts:
-                if not starts:
-                    break
-                starts = part(starts, masks)
-            return starts
-
-    elif isinstance(node, Union):
-        options = tuple(option._ways for option in node.options)
-
-        def ways(starts: Planes, masks: Masks) -> Planes:
-            out: Planes = ()
-            for option in options:
-                out = _add(out, option(starts, masks))
-            return out
-
-    elif isinstance(node, (Star, Plus)):
-        inner, keep_starts = node.inner._ways, isinstance(node, Star)
-
-        def ways(starts: Planes, masks: Masks) -> Planes:
-            frontier = inner(starts, masks)
-            # Ends never lie left of their start, so the leftmost start comes
-            # back in one step only through an empty match of the body.
-            if frontier:
-                support = _support(starts)
-                if _support(frontier) & support & -support:
-                    raise InvalidInputError(
-                        "parse counting requires a non-nullable star/plus body"
-                    )
-            out = starts if keep_starts else ()
-            while frontier:
-                out = _add(out, frontier)
-                frontier = inner(frontier, masks)
-            return out
-
-    elif isinstance(node, Repeat):
-        inner, most = node.inner._ways, node.most
-
-        def ways(starts: Planes, masks: Masks) -> Planes:
-            out = current = starts
-            for _ in range(most):
-                current = inner(current, masks)
-                if not current:
-                    break
-                out = _add(out, current)
-            return out
-
-    else:
+        return {s + 1: ways for s, ways in starts.items() if word.startswith(node.symbol, s)}
+    if isinstance(node, Concat):
+        for part in node.parts:
+            if starts:
+                starts = _weighted_ends(part, starts, word, memo)
+        return starts
+    ends: dict[int, int] = {}
+    if isinstance(node, Union):
+        for option in node.options:
+            for e, ways in _weighted_ends(option, starts, word, memo).items():
+                ends[e] = ends.get(e, 0) + ways
+        return ends
+    if not isinstance(node, (Star, Plus, Repeat)):
         raise TypeError(f"not a regex node: {node!r}")
-    return ways
+    for s, ways in starts.items():
+        key = (id(node), s)
+        if key not in memo:
+            memo[key] = _loop_ends(node, s, word, memo)
+        for e, loop_ways in memo[key].items():
+            ends[e] = ends.get(e, 0) + ways * loop_ways
+    return ends
+
+
+def _loop_ends(
+    node: Star | Plus | Repeat, start: int, word: str, memo: dict[tuple[int, int], dict[int, int]]
+) -> dict[int, int]:
+    """The derivation counts of a star, plus or bounded repetition by end
+    position, from the one start ``start``."""
+    ends = {} if isinstance(node, Plus) else {start: 1}
+    frontier = {start: 1}
+    # Ends never lie left of their start, so a body that does not end at the
+    # start moves every frontier right: n + 1 rounds run a star to its end.
+    for _ in range(node.most if isinstance(node, Repeat) else len(word) + 1):
+        frontier = _weighted_ends(node.inner, frontier, word, memo)
+        if not frontier:
+            break
+        if start in frontier and not isinstance(node, Repeat):
+            raise InvalidInputError("parse counting requires a non-nullable star/plus body")
+        for e, ways in frontier.items():
+            ends[e] = ends.get(e, 0) + ways
+    return ends
 
 
 # ---------------------------------------------------------------------------

@@ -361,3 +361,81 @@ def _memo_parse_ways(node, word: str, start: int, memo) -> dict[int, int]:
         raise TypeError(f"not a regex node: {node!r}")
     memo[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Forward bit-plane regex reference: the whole set of start positions at
+# once, as bit planes.  It stands as a second reference for count_parses,
+# with no memo and no per-start evaluation.
+
+
+def plane_count_parses(node, word: str) -> int:
+    """Parse counts on bit planes: bit p of plane k is bit k of the number
+    of derivations that end at p.  A literal masks and shifts every plane,
+    and union, star, plus and repetition add plane tuples with a ripple
+    carry.  Costs (n + 1)^d on d nested stars."""
+    masks = {x: sum(1 << i for i, y in enumerate(word) if y == x) for x in "abc"}
+    planes = _plane_ways(node, (1,), masks)
+    return sum((plane >> len(word) & 1) << k for k, plane in enumerate(planes))
+
+
+def _plane_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The position-wise sum of two weighted position sets; the top plane
+    is nonzero, so the empty set is ``()``."""
+    if len(x) < len(y):
+        x, y = y, x
+    out = []
+    carry = 0
+    for k, plane in enumerate(x):
+        other = y[k] if k < len(y) else 0
+        half = plane ^ other
+        out.append(half ^ carry)
+        carry = plane & other | half & carry
+    if carry:
+        out.append(carry)
+    return tuple(out)
+
+
+def _plane_support(planes: tuple[int, ...]) -> int:
+    support = 0
+    for plane in planes:
+        support |= plane
+    return support
+
+
+def _plane_ways(node, starts: tuple[int, ...], masks: dict[str, int]) -> tuple[int, ...]:
+    if not starts:
+        return ()
+    if isinstance(node, regex.Lit):
+        out = [(plane & masks[node.symbol]) << 1 for plane in starts]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+    if isinstance(node, regex.Concat):
+        for part in node.parts:
+            starts = _plane_ways(part, starts, masks)
+        return starts
+    if isinstance(node, regex.Union):
+        out = ()
+        for option in node.options:
+            out = _plane_add(out, _plane_ways(option, starts, masks))
+        return out
+    if isinstance(node, (regex.Star, regex.Plus)):
+        frontier = _plane_ways(node.inner, starts, masks)
+        # Ends never lie left of their start, so the leftmost start comes
+        # back in one step only through an empty match of the body.
+        support = _plane_support(starts)
+        if _plane_support(frontier) & support & -support:
+            raise InvalidInputError("parse counting requires a non-nullable star/plus body")
+        out = starts if isinstance(node, regex.Star) else ()
+        while frontier:
+            out = _plane_add(out, frontier)
+            frontier = _plane_ways(node.inner, frontier, masks)
+        return out
+    if isinstance(node, regex.Repeat):
+        out = current = starts
+        for _ in range(node.most):
+            current = _plane_ways(node.inner, current, masks)
+            out = _plane_add(out, current)
+        return out
+    raise TypeError(f"not a regex node: {node!r}")

@@ -608,6 +608,16 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert target.read_text().startswith("n,value")
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", "3", "--no-timestamp", "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write --output {target}: ")
+        assert not target.parent.exists()
+
 
 def test_module_entry_point():
     result = subprocess.run(

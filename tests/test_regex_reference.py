@@ -1,7 +1,8 @@
 """The forward reference matcher and parse counter against the top-down
-memoised references in ``oracles``, and against the DFA pipeline only
-through the results they report; the compiled DFA against the reference
-matcher on arbitrary syntax trees."""
+memoised references in ``oracles`` (and the counter against the bit-plane
+reference there too), and against the DFA pipeline only through the results
+they report; the compiled DFA against the reference matcher on arbitrary
+syntax trees."""
 
 import collections
 import contextlib
@@ -11,7 +12,7 @@ import signal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import memo_count_parses, memo_match_ends
+from oracles import memo_count_parses, memo_match_ends, plane_count_parses
 
 from permfib import regex
 from permfib.compositions import fib
@@ -66,13 +67,21 @@ def test_forward_evaluation_agrees_with_the_memoised_reference(node, word):
         for start in range(len(word) + 1):
             assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
         assert regex.ast_matches(node, word) == (len(word) in memo_match_ends(node, word, 0))
-        try:
-            expected = memo_count_parses(node, word)
-        except InvalidInputError:
+        _assert_counts_agree(node, word)
+
+
+def _assert_counts_agree(node, word):
+    """count_parses equals both references, or raises the nullable-body
+    error where both of them do."""
+    try:
+        expected = memo_count_parses(node, word)
+    except InvalidInputError:
+        for count in (plane_count_parses, regex.count_parses):
             with pytest.raises(InvalidInputError, match="non-nullable"):
-                regex.count_parses(node, word)
-        else:
-            assert regex.count_parses(node, word) == expected
+                count(node, word)
+    else:
+        assert plane_count_parses(node, word) == expected
+        assert regex.count_parses(node, word) == expected
 
 
 WORDS_UP_TO_5 = [
@@ -109,8 +118,8 @@ def test_match_ends_rejects_a_start_past_the_end_of_the_word():
 
 A = regex.lit("a")
 
-#: Expressions whose parse counts on a^n need many bit planes, with the
-#: closed form of each count.
+#: Expressions whose parse counts on a^n grow exponentially (many bit planes
+#: in the plane reference), with the closed form of each count.
 MANY_PLANES = [
     (regex.Star(regex.Union((A, A))), lambda n: 2**n),
     # three addends per step, so the ripple carries across planes
@@ -125,7 +134,7 @@ def test_counts_of_many_bit_planes_match_the_closed_forms(node, closed_form):
     for n in range(41):
         assert regex.count_parses(node, "a" * n) == closed_form(n), n
     for n in range(9):
-        assert regex.count_parses(node, "a" * n) == memo_count_parses(node, "a" * n), n
+        _assert_counts_agree(node, "a" * n)
 
 
 def _distinct_nodes(node) -> dict[int, object]:
@@ -146,57 +155,60 @@ def _distinct_nodes(node) -> dict[int, object]:
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """Counts the kernel builds: by (builder name, strict, node id) for the
-    compiled kernels, by (builder name, node id) for the bit-plane closures."""
+    """Counts the compiled kernel builds by (strict, node id)."""
     builds = collections.Counter()
-    build_kernel, ways_kernel = regex._build_kernel, regex._ways_kernel
+    build_kernel = regex._build_kernel
 
     def counted_kernel(node, strict):
-        builds["_build_kernel", strict, id(node)] += 1
+        builds[strict, id(node)] += 1
         return build_kernel(node, strict)
 
-    def counted_ways(node):
-        builds["_ways_kernel", id(node)] += 1
-        return ways_kernel(node)
-
     monkeypatch.setattr(regex, "_build_kernel", counted_kernel)
-    monkeypatch.setattr(regex, "_ways_kernel", counted_ways)
     return builds
+
+
+@pytest.fixture
+def fallback_nodes(monkeypatch):
+    """The ids of the nodes that the weighted-ends fallback visits."""
+    visited = []
+    weighted_ends = regex._weighted_ends
+
+    def recorded(node, *args):
+        visited.append(id(node))
+        return weighted_ends(node, *args)
+
+    monkeypatch.setattr(regex, "_weighted_ends", recorded)
+    return visited
 
 
 @pytest.mark.parametrize("make", [regex.core_regex, lambda: regex.block_word_regex(5)])
 def test_kernels_are_built_once_per_node_object(kernel_builds, make):
     node = make()  # fresh node objects, with no kernel yet
-    words = ("aacbc", "b", "aacbcccaaabbcacaaccc")
+    # m = 5 parses "bbc" as padding b then segment bc, or as padding bb
+    # then c, so its counts also take the fallback, which builds nothing
+    words = ("aacbc", "b", "aacbcccaaabbcacaaccc", "cbbcbcac")
     for word in words:
         regex.ast_matches(node, word)
         regex.count_parses(node, word)
+    # one compiled kernel of each variant, for the root
     built = collections.Counter(kernel_builds)
-    # one compiled kernel of each variant, for the root; the bit-plane
-    # closures, where the counter needs them (m = 5 parses "bbc" as padding
-    # b then segment bc, or as padding bb then c), one per node object
-    compiled = {key for key in built if key[0] == "_build_kernel"}
-    assert compiled == {("_build_kernel", strict, id(node)) for strict in (False, True)}
-    assert set(built) - compiled <= {("_ways_kernel", key) for key in _distinct_nodes(node)}
-    assert set(built.values()) == {1}
+    assert built == {(strict, id(node)): 1 for strict in (False, True)}
     for word in words:
         regex.ast_matches(node, word)
         regex.count_parses(node, word)
     assert kernel_builds == built
 
 
-def test_a_shared_subtree_gets_one_kernel(kernel_builds):
+def test_a_shared_subtree_gets_one_kernel(kernel_builds, fallback_nodes):
     shared = regex.Plus(regex.lit("a"))
     node = regex.Concat((shared, shared))
     assert regex.match_ends(node, "aaa", 0) == frozenset({2, 3})
     assert regex.count_parses(node, "aaa") == 2
     assert len(_distinct_nodes(node)) == 3
-    # the compiled kernels cover the whole tree from its root ...
-    assert kernel_builds[("_build_kernel", False, id(node))] == 1
-    assert kernel_builds[("_build_kernel", True, id(node))] == 1
-    # ... and the count of 2 falls back to the closures, one per node object
-    assert kernel_builds[("_ways_kernel", id(shared))] == 1
-    assert sum(kernel_builds.values()) == 2 + 3
+    # the compiled kernels cover the whole tree from its root, and the count
+    # of 2 falls back to the weighted ends, which build no kernel
+    assert kernel_builds == {(False, id(node)): 1, (True, id(node)): 1}
+    assert id(shared) in fallback_nodes
 
 
 def _star_nest(depth: int):
@@ -230,11 +242,19 @@ WORDS_UP_TO_8 = [
 
 
 @pytest.mark.parametrize("make", [regex.core_regex, regex.block_word_regex])
-def test_unambiguous_expressions_count_on_the_strict_kernel_alone(kernel_builds, make):
-    node = make()  # fresh node objects, with no kernel yet
+def test_unambiguous_expressions_count_on_the_strict_kernel_alone(monkeypatch, make):
+    def unavailable(*args):
+        raise AssertionError("an unambiguous expression reached the fallback")
+
+    monkeypatch.setattr(regex, "_weighted_ends", unavailable)
+    node = make()
     for word in WORDS_UP_TO_8:
         assert regex.count_parses(node, word) == memo_count_parses(node, word), word
-    assert not [key for key in kernel_builds if key[0] == "_ways_kernel"]
+    # every accepted word up to the length of the word-sweep parse check
+    dfa = regex.compile_ast(node)
+    for n in range(9, 11):
+        for word in dfa.language(n):
+            assert regex.count_parses(node, word) == 1, word
 
 
 FALLBACKS = [
@@ -253,16 +273,29 @@ FALLBACKS = [
 
 
 @pytest.mark.parametrize("make, word", FALLBACKS)
-def test_overlapping_derivations_fall_back_to_the_bit_planes(kernel_builds, make, word):
+def test_overlapping_derivations_fall_back_to_the_bit_planes(fallback_nodes, make, word):
+    # the fallback runs weighted ends; the bit planes are the reference's
     node = make()
-    try:
-        expected = memo_count_parses(node, word)
-    except InvalidInputError:
-        with pytest.raises(InvalidInputError, match="non-nullable"):
-            regex.count_parses(node, word)
-    else:
-        assert regex.count_parses(node, word) == expected
-    assert kernel_builds[("_ways_kernel", id(node))] == 1
+    _assert_counts_agree(node, word)
+    assert id(node) in fallback_nodes
+
+
+def _ambiguous_star_nest(depth: int):
+    """(b (b ... (b a)* ...)*)*: ``depth`` nested stars, every body a
+    concatenation, which parse b^k a in many ways once k > depth."""
+    node = regex.lit("a")
+    for _ in range(depth):
+        node = regex.Star(regex.Concat((regex.lit("b"), node)))
+    return node
+
+
+def test_an_ambiguous_star_nest_counts_in_polynomial_time():
+    # no plane reference here: it reruns each star on every frontier, (n + 1)^d
+    node = _ambiguous_star_nest(32)
+    word = "b" * 39 + "a"
+    with _time_limit(1):
+        count = regex.count_parses(node, word)
+    assert count == memo_count_parses(node, word) == 30_311_259
 
 
 WORKED_EXAMPLES = [
@@ -293,3 +326,17 @@ def test_block_word_regex_is_ambiguous_from_m_4():
     assert regex.count_parses(regex.block_word_regex(4), "cbca") == 2
     assert regex.block_word_dfa(4).accepts("cbca")
     assert regex.count_parses(regex.block_word_regex(3), "cbca") == 1
+
+
+@pytest.mark.parametrize("symbol", ["", "ab", "bc", "abc", "x", 1])
+def test_a_literal_is_one_letter_of_the_alphabet(symbol):
+    # a substring test let "", "ab", "bc" and "abc" through, which the
+    # kernels then read as variable names
+    with pytest.raises(InvalidInputError, match="literal must be one letter of 'abc'"):
+        regex.Lit(symbol)
+
+
+@pytest.mark.parametrize("most", [-1, 1.5, True, "2"])
+def test_a_bounded_repetition_takes_an_int_most(most):
+    with pytest.raises(InvalidInputError, match="needs an int most >= 0"):
+        regex.Repeat(A, most)
