@@ -1,12 +1,14 @@
 """The registry of checkable claims behind ``permfib verify``.
 
 Each claim has a name, its default pattern lengths, whether it reads n_max
-and whether it sweeps S_n, the caps on its size parameters, and a check
-taking explicit parameters that yields one report per checked case.
-:func:`validate` rejects bad parameters before any work starts, the S_n a
-claim would sweep past :func:`permutations.enumeration_cap` among them,
-and :func:`run` validates, runs and times every report the same way.
-Theorems 1 and 2 and gf-general count on insertion automata, not S_n.
+and whether it is held to the S_n cap, the caps on its size parameters, and
+a check taking explicit parameters that yields one report per checked case.
+:func:`validate` rejects bad parameters before any work starts, an n past
+:func:`permutations.enumeration_cap` among them, and :func:`run` validates,
+runs and times every report the same way.  Theorems 1 and 2 and gf-general
+count on insertion automata, not S_n; Theorem 4 and the corollaries read
+only the permutations with a peakless inverse, through
+:func:`oracle.peakless`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class Claim(NamedTuple):
     default_ms: tuple[int, ...] = ()
     #: Whether the check reads n_max.
     reads_n_max: bool = False
-    #: Whether the check sweeps S_n for every n up to n_max, or up to
-    #: GF_X_ORDER if it does not read n_max.
+    #: Whether the check is held to the S_n cap for every n up to n_max, or
+    #: up to GF_X_ORDER if it does not read n_max.
     sweeps: bool = False
     #: Largest n_max, and largest k_max, the check accepts; None: no cap.
     max_n: Optional[int] = None
@@ -330,7 +332,7 @@ def reject_repeats(option: str, values: Iterable) -> None:
 
 
 def _swept(claim: Claim, n_max: int) -> int:
-    """The largest n whose S_n the claim sweeps, or 0 if it sweeps none."""
+    """The largest n the claim holds to the S_n cap, or 0 if none."""
     if not claim.sweeps:
         return 0
     return n_max if claim.reads_n_max else GF_X_ORDER
@@ -378,18 +380,16 @@ def run(
 ) -> list[VerificationReport]:
     """Validate every named claim, then run them in order.
 
-    The S_n levels that the claims sweep are built first, in one pass up to
-    the largest n any of them reads.  Each report's millis is the time since
-    the previous report, or since the run started: the first report counts
-    that pass.
+    Each report's millis is the time since the previous report, or since
+    the run started, so a report counts the levels its claim built first:
+    the first x-order report of gf3 or gf5 carries the S_n sweep up to
+    GF_X_ORDER, built largest first, and the first report of theorem4 or
+    the corollaries the levels of :func:`oracle.peakless`.
     """
     names = tuple(names)
     validate(names, n_max=n_max, k_max=k_max, ms=ms)
     reports = []
     started = time.monotonic()
-    largest = max((_swept(CLAIMS[name], n_max) for name in names), default=0)
-    if largest:
-        oracle.sweep(largest)
     for name in names:
         claim = CLAIMS[name]
         for r in claim.check(ms=ms or claim.default_ms, n_max=n_max, k_max=k_max):

@@ -4,11 +4,12 @@ Every permutation of n is one of n - 1 with n inserted, and the permutation
 oracles rest on that one step.  Theorems 1 and 2 count on two finite
 automata of it on the inverse, up to :data:`AUTOMATON_MAX_N`.  The rest are
 carried over classes of descent data, keyed by one int, in one pass over the
-levels 1..n (see :class:`Sweep`); Theorem 4 and its corollaries read the
-classes with a peakless inverse by descent composition.  Words and tilings
-are enumerated.  Every permutation an oracle keeps or constructs is tested
-with raw statistics, and the constructions being verified are only ever
-used on the other side of a comparison, never inside a count.
+levels 1..n (see :class:`Sweep`).  Theorem 4 and its corollaries read
+:func:`peakless`, the same pass with every class whose inverse has a peak
+dropped at each level.  Words and tilings are enumerated.  Every
+permutation an oracle keeps or constructs is tested with raw statistics,
+and the constructions being verified are only ever used on the other side
+of a comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -189,15 +190,12 @@ class Sweep:
     the inverse's last bit is a rise and the new one a descent, and ilpk is
     ipk plus one when its first bit is a descent.  :func:`sweep` builds the
     levels 1..n once and keeps the Sweep of each.  Only the methods below
-    read its layout.
-
-    ``peakless`` counts the classes with ipk 0 by the increasing runs of
-    their rise bits, the descent composition.
+    read its layout.  Theorem 4 and its corollaries read :func:`peakless`
+    instead, which keeps only the classes with ipk 0.
     """
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
-    peakless: dict[tuple[int, ...], int]
 
     def ipk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding an ascending m-run, by peaks of the inverse."""
@@ -229,25 +227,58 @@ def sweep(n: int) -> Sweep:
 
 
 def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
-    # Both tallies read a class's rise bits, ipk and d; the increasing runs
-    # and the longest descending run are found once per pattern of rise bits.
+    # The histogram reads a class's rise bits, ipk and d; the longest runs
+    # are found once per pattern of rise bits.
     low, mask = _width(n) * indexed, (1 << n + 1) - 1
-    runs: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    runs: dict[int, tuple[int, int]] = {}
     histogram: dict[tuple[int, int, int, int], int] = {}
-    peakless: dict[tuple[int, ...], int] = {}
     for key, count in classes.items():
         rises, ipk, d = key >> low & mask, key >> low + n + 3, key >> low + n + 2 & 1
         pattern = runs.get(rises)
         if pattern is None:
             bits = _rise_string(rises, n)
-            parts = run_lengths(bits)
-            pattern = runs[rises] = (parts, max(parts), max(run_lengths(bits, "1")))
-        parts, up, down = pattern
+            pattern = runs[rises] = (max(run_lengths(bits)), max(run_lengths(bits, "1")))
+        up, down = pattern
         shape = (up, down, ipk, ipk + d)
         histogram[shape] = histogram.get(shape, 0) + count
-        if not ipk:
-            peakless[parts] = peakless.get(parts, 0) + count
-    return Sweep(n, histogram, peakless)
+    return Sweep(n, histogram)
+
+
+#: The classes of levels 1, 2, ... with a peakless inverse, as far as built,
+#: each with its tally by descent composition.
+_PEAKLESS: list[tuple[dict[int, int], dict[tuple[int, ...], int]]] = []
+
+
+def peakless(n: int) -> dict[tuple[int, ...], int]:
+    """The permutations of n whose inverse has no peak, counted by descent
+    composition, the increasing runs of their rise bits.
+
+    The classes of :func:`sweep` are grown level by level, each level from
+    the one below, and after each level every class whose inverse has a
+    peak is dropped.  That is sound: inserting n keeps the inverse's rise
+    bits and appends one, so ipk never falls, and no child of a dropped
+    class has ipk 0.  The levels built are kept, and
+    :func:`~permfib.permutations.check_enumeration_size` is checked on every
+    call, as by :func:`sweep`.
+    """
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_enumeration_size(n)
+    while len(_PEAKLESS) < n:
+        level = len(_PEAKLESS) + 1
+        if level == 1:
+            classes = {0b01: 1}  # the seed of _levels, with no fold bits
+        else:
+            children = _classes(level, _peaks, _PEAKLESS[-1][0])
+            ipk_at = _width(level) + level + 3
+            classes = {key: count for key, count in children.items() if not key >> ipk_at}
+        low, mask = _width(level), (1 << level + 1) - 1
+        tally = _tally(
+            (run_lengths(_rise_string(key >> low & mask, level)), count)
+            for key, count in classes.items()
+        )
+        _PEAKLESS.append((classes, tally))
+    return _PEAKLESS[n - 1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +342,9 @@ def verify_descent_uniqueness(n: int) -> VerificationReport:
     """Each descent composition owns exactly one peakless-inverse permutation,
     and the direct construction produces one: a permutation with that
     descent composition whose inverse has no peak, by raw statistics."""
-    peakless = sweep(n).peakless
+    counts = peakless(n)
     for composition in enumerate_compositions(n):
-        count = peakless.get(composition.parts, 0)
+        count = counts.get(composition.parts, 0)
         letters = zero_ipk_permutation(composition).letters
         parts = increasing_run_lengths(letters)
         ipk = peak_count(inverse_letters(letters))
@@ -325,7 +356,7 @@ def verify_descent_uniqueness(n: int) -> VerificationReport:
                 "constructed_composition": str(Composition(parts)),
                 "constructed_ipk": ipk,
             })
-    return report("descent-uniqueness", {"n": n, "classes": len(peakless)}, None)
+    return report("descent-uniqueness", {"n": n, "classes": len(counts)}, None)
 
 
 def verify_corollaries(n: int) -> VerificationReport:
@@ -339,7 +370,7 @@ def verify_corollaries(n: int) -> VerificationReport:
     the composition's permutations, so it has their peaks and left peaks.
     """
     by_rises, by_des, by_pk, by_lpk = Counter(), Counter(), Counter(), Counter()
-    for parts, count in sweep(n).peakless.items():
+    for parts, count in peakless(n).items():
         rises = [k > 0 for part in parts for k in range(part)][1:]
         walk = tuple(itertools.accumulate((2 * rise - 1 for rise in rises), initial=0))
         by_rises[bytes(rises)] += count

@@ -159,6 +159,7 @@ def test_prop6_builds_no_s_n_level(monkeypatch):
 
     monkeypatch.setattr(oracle, "sweep", refuse)
     monkeypatch.setattr(oracle, "_levels", refuse)
+    monkeypatch.setattr(oracle, "peakless", refuse)
     (report,) = claims.run(("prop6",), n_max=12, k_max=10)
     assert report.passed
     assert report.params == {"m": 3, "n_max": 12}

@@ -1,9 +1,9 @@
 """Each check, made to fail by patching one name it calls, reports the first
 disagreeing case with the exact keys, values and key order below.
 
-The shared S_n sweep is cached, so every test that patches a statistic the
-sweep might read warms the sweep first; the patched name then reaches only
-the check.
+The shared S_n sweep and its pruned form, oracle.peakless, are cached, so
+every test that patches a statistic they might read warms them first; the
+patched name then reaches only the check.
 """
 
 import types
@@ -20,6 +20,7 @@ from permfib.permutations import Permutation
 def warm_sweeps():
     for n in range(1, 7):
         oracle.sweep(n)
+        oracle.peakless(n)
 
 
 def _off_at(monkeypatch, module, name, at, position=-1):
@@ -209,7 +210,7 @@ def test_descent_uniqueness(monkeypatch):
 
 
 def test_descent_uniqueness_count(monkeypatch):
-    monkeypatch.setitem(oracle.sweep(3).peakless, (2, 1), 2)
+    monkeypatch.setitem(oracle.peakless(3), (2, 1), 2)
     report = oracle.verify_descent_uniqueness(3)
     assert not report.passed
     assert report.params == {"n": 3}

@@ -34,7 +34,8 @@ def test_insertion_never_decreases_the_pruning_statistics(n):
     """Peaks and left peaks never fall, so the automata of oracle.py drop a
     permutation for good once it has a peak (V) or a second left peak (N).
     The inverse's peaks and longest descending run never fall either: on the
-    inverse, insertion appends a bit."""
+    inverse, insertion appends a bit (the next test).  So oracle.peakless
+    drops a class for good once its inverse has a peak: ipk(pi) >= ipk(tau)."""
     for tau, j, pi in _insertions(n):
         assert peaks(pi) >= peaks(tau), (tau, j)
         assert left_peaks(pi) >= left_peaks(tau), (tau, j)
@@ -45,7 +46,7 @@ def test_insertion_never_decreases_the_pruning_statistics(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_insertion_appends_one_inverse_bit(n):
     """The inverse's rise bits gain one bit at the end, a rise exactly when
-    j is past the index of n - 1 in tau."""
+    j is past the index of n - 1 in tau; the first n - 2 are tau's."""
     for tau, j, pi in _insertions(n):
         expected = rise_bits(inverse(tau)) + (j > tau.index(n - 1),)
         assert rise_bits(inverse(pi)) == expected, (tau, j)

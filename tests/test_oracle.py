@@ -65,6 +65,7 @@ class TestAutomata:
 #: Every public entry point held to the S_n cap, called at n = 6.
 SWEEP_BACKED = {
     "sweep": lambda: oracle.sweep(6),
+    "peakless": lambda: oracle.peakless(6),
     "triangulated_counts": lambda: oracle.triangulated_counts(6),
     "ipk_polynomial": lambda: series.ipk_polynomial(3, 6),
     "ilpk_polynomial": lambda: series.ilpk_polynomial(3, 6),

@@ -1,8 +1,9 @@
-"""Every query over the cached S_n sweep, and the insertion-automaton counts,
-against a direct per-permutation reference that shares no code with
-permfib.permutations."""
+"""Every query over the cached S_n sweep, its pruned form oracle.peakless,
+and the insertion-automaton counts, against a direct per-permutation
+reference that shares no code with permfib.permutations."""
 
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -61,8 +62,7 @@ def test_polynomials_match_reference(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kept_letters_match_reference(n):
     records = list(permutation_records(n))
-    swept = oracle.sweep(n)
-    assert swept.peakless == Counter(ascending_runs(r.letters) for r in records if r.ipk == 0)
+    assert oracle.peakless(n) == Counter(ascending_runs(r.letters) for r in records if r.ipk == 0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -75,12 +75,31 @@ def test_histogram_matches_reference(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_every_child_is_counted_once(n):
-    swept = oracle.sweep(n)
-    assert sum(swept.histogram.values()) == math.factorial(n)
+    assert sum(oracle.sweep(n).histogram.values()) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_descent_composition_is_held_once(n):
+    counts = oracle.peakless(n)
     # 2^(n-1) distinct compositions of n are all of them, each held once
-    assert len(swept.peakless) == 2 ** (n - 1)
-    assert all(sum(parts) == n and min(parts) > 0 for parts in swept.peakless)
-    assert set(swept.peakless.values()) == {1}
+    assert len(counts) == 2 ** (n - 1)
+    assert all(sum(parts) == n and min(parts) > 0 for parts in counts)
+    assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_pruning_keeps_every_peakless_class(n):
+    """The pruned levels end where the unpruned ones do: on the ipk-0
+    classes of the top level of _levels, by the increasing runs of their
+    rise bits.  A top-level key has no index bits: ipk lies above bit
+    n + 3, and padded rise bit i, for i = 1..n - 1, is bit i."""
+    *_, top = oracle._levels(n, oracle._peaks, 0)
+    expected = Counter()
+    for key, count in top.items():
+        if not key >> n + 3:
+            bits = "".join("1" if key >> i & 1 else "0" for i in range(1, n))
+            expected[tuple(len(run) + 1 for run in bits.split("0"))] += count
+    assert oracle.peakless(n) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -95,11 +114,13 @@ def test_one_left_peak_totals(n):
 
 def _cleared_sweeps(monkeypatch):
     monkeypatch.setattr(oracle, "_SWEEPS", {})
+    monkeypatch.setattr(oracle, "_PEAKLESS", [])
 
 
 def _sweep_data(n):
     swept = oracle.sweep(n)
-    return swept.histogram, list(swept.histogram), swept.peakless
+    counts = oracle.peakless(n)
+    return swept.histogram, list(swept.histogram), counts, list(counts)
 
 
 def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
@@ -111,29 +132,50 @@ def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
     assert got[0] == got[1]
 
 
-def test_a_run_builds_each_level_once(monkeypatch):
-    """One pass serves every sweeping claim: levels 2..8 are each built by
-    one insertion step (level 1 is the seed)."""
+def _counted_steps(monkeypatch):
+    """Count the insertion steps by level, and by whether the unpruned
+    _levels or the pruned oracle.peakless took them."""
     _cleared_sweeps(monkeypatch)
     built = Counter()
     step = oracle._classes
 
     def counted(n, *args, **kwargs):
-        built[n] += 1
+        pruned = sys._getframe(1).f_code.co_name == "peakless"
+        built["pruned" if pruned else "unpruned", n] += 1
         return step(n, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_classes", counted)
+    return built
+
+
+def test_a_run_builds_each_level_once(monkeypatch):
+    """Theorem 4 and the corollaries share the pruned levels 2..n_max, each
+    built by one insertion step (level 1 is the seed), and build no
+    unpruned level.  gf3 and gf5 share the unpruned levels 2..7, their x
+    order, and nothing builds an unpruned level above it."""
+    built = _counted_steps(monkeypatch)
     reports = claims.run(("theorem4", "corollaries"), n_max=8, k_max=10)
     assert all(r.passed for r in reports)
-    assert built == {n: 1 for n in range(2, 9)}
+    assert built == {("pruned", n): 1 for n in range(2, 9)}
+
+    built = _counted_steps(monkeypatch)
+    reports = claims.run(("theorem4", "corollaries", "gf3", "gf5"), n_max=9, k_max=10)
+    assert all(r.passed for r in reports)
+    assert built == {
+        **{("unpruned", n): 1 for n in range(2, claims.GF_X_ORDER + 1)},
+        **{("pruned", n): 1 for n in range(2, 10)},
+    }
 
 
 def test_caps_are_checked_on_a_warm_cache(monkeypatch):
     oracle.sweep(6)
+    oracle.peakless(6)
     monkeypatch.setenv("PERMFIB_MAX_N", "5")
     with pytest.raises(ResourceLimitError):
         series.ipk_polynomial(3, 6)
     with pytest.raises(ResourceLimitError):
         oracle.verify_corollaries(6)
+    with pytest.raises(ResourceLimitError):
+        oracle.peakless(6)
     with pytest.raises(ResourceLimitError):
         oracle.sweep(6)
