@@ -7,8 +7,8 @@ a check taking explicit parameters that yields one report per checked case.
 :func:`permutations.enumeration_cap` among them, and :func:`run` validates,
 runs and times every report the same way.  Theorems 1 and 2 and gf-general
 count on insertion automata, not S_n; Theorem 4 and the corollaries read
-only the permutations with a peakless inverse, through
-:func:`oracle.peakless`.
+only the permutations with a peakless inverse, which
+:func:`oracle.peakless` builds outright by end insertion.
 """
 
 from __future__ import annotations
@@ -383,8 +383,9 @@ def run(
     Each report's millis is the time since the previous report, or since
     the run started, so a report counts the levels its claim built first:
     the first x-order report of gf3 or gf5 carries the S_n sweep up to
-    GF_X_ORDER, built largest first, and the first report of theorem4 or
-    the corollaries the levels of :func:`oracle.peakless`.
+    GF_X_ORDER, built largest first, and each report of theorem4 or the
+    corollaries the tally of :func:`oracle.peakless` at its n, if it is the
+    first to read it.
     """
     names = tuple(names)
     validate(names, n_max=n_max, k_max=k_max, ms=ms)

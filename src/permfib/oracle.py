@@ -2,18 +2,19 @@
 
 Every permutation of n is one of n - 1 with n inserted, and the permutation
 oracles rest on that one step.  Theorems 1 and 2 count on two finite
-automata of it on the inverse, up to :data:`AUTOMATON_MAX_N`.  The rest are
-carried over classes of descent data, keyed by one int, in one pass over the
-levels 1..n (see :class:`Sweep`).  Theorem 4 and its corollaries read
-:func:`peakless`, the same pass with every class whose inverse has a peak
-dropped at each level.  Words and tilings are enumerated.  Every
-permutation an oracle keeps or constructs is tested with raw statistics,
-and the constructions being verified are only ever used on the other side
-of a comparison, never inside a count.
+automata of it on the inverse, up to :data:`AUTOMATON_MAX_N`.  Theorem 4
+and its corollaries read :func:`peakless`, which puts n at an end of each
+peakless inverse of n - 1 and so builds only the 2^(n-1) peakless ones.
+The rest are carried over classes of descent data, keyed by one int, in one
+pass over the levels 1..n (see :class:`Sweep`).  Words and tilings are
+enumerated.  Every permutation an oracle keeps or constructs is tested with
+raw statistics, and the constructions being verified are only ever used on
+the other side of a comparison, never inside a count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -191,7 +192,7 @@ class Sweep:
     ipk plus one when its first bit is a descent.  :func:`sweep` builds the
     levels 1..n once and keeps the Sweep of each.  Only the methods below
     read its layout.  Theorem 4 and its corollaries read :func:`peakless`
-    instead, which keeps only the classes with ipk 0.
+    instead, which walks no class.
     """
 
     n: int
@@ -244,41 +245,35 @@ def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
     return Sweep(n, histogram)
 
 
-#: The classes of levels 1, 2, ... with a peakless inverse, as far as built,
-#: each with its tally by descent composition.
-_PEAKLESS: list[tuple[dict[int, int], dict[tuple[int, ...], int]]] = []
-
-
 def peakless(n: int) -> dict[tuple[int, ...], int]:
     """The permutations of n whose inverse has no peak, counted by descent
     composition, the increasing runs of their rise bits.
 
-    The classes of :func:`sweep` are grown level by level, each level from
-    the one below, and after each level every class whose inverse has a
-    peak is dropped.  That is sound: inserting n keeps the inverse's rise
-    bits and appends one, so ipk never falls, and no child of a dropped
-    class has ipk 0.  The levels built are kept, and
+    A peakless sigma of n has n at an end, as n anywhere else is a peak, and
+    taking n off an end leaves a peakless sigma of n - 1.  So each peakless
+    sigma is n put at the front or the end of one of n - 1, from (1,), and
+    the 2^(n-1) of them are built outright; each is kept only if
+    ``peak_count`` finds no peak, and its inverse is tallied by
+    ``increasing_run_lengths``.  The tally of each n is cached, and
     :func:`~permfib.permutations.check_enumeration_size` is checked on every
-    call, as by :func:`sweep`.
+    call, before the cache is read, as by :func:`sweep`.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     check_enumeration_size(n)
-    while len(_PEAKLESS) < n:
-        level = len(_PEAKLESS) + 1
-        if level == 1:
-            classes = {0b01: 1}  # the seed of _levels, with no fold bits
-        else:
-            children = _classes(level, _peaks, _PEAKLESS[-1][0])
-            ipk_at = _width(level) + level + 3
-            classes = {key: count for key, count in children.items() if not key >> ipk_at}
-        low, mask = _width(level), (1 << level + 1) - 1
-        tally = _tally(
-            (run_lengths(_rise_string(key >> low & mask, level)), count)
-            for key, count in classes.items()
-        )
-        _PEAKLESS.append((classes, tally))
-    return _PEAKLESS[n - 1][1]
+    return _peakless_tally(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _peakless_tally(n: int) -> dict[tuple[int, ...], int]:
+    sigmas = [(1,)]
+    for k in range(2, n + 1):
+        sigmas = [grown for sigma in sigmas for grown in ((k, *sigma), (*sigma, k))]
+    return _tally(
+        (increasing_run_lengths(inverse_letters(sigma)), 1)
+        for sigma in sigmas
+        if peak_count(sigma) == 0
+    )
 
 
 # ---------------------------------------------------------------------------

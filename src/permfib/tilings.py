@@ -20,7 +20,7 @@ so the table above is stated once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .errors import InvalidInputError
@@ -131,14 +131,11 @@ def word_to_tiling(word: str) -> Tiling:
     >>> word_to_tiling("c").serialize()
     '1\\n1'
     """
-    segments = regex.core_segments(word)
-    top: tuple[int, ...] = ()
-    bottom: tuple[int, ...] = ()
-    for segment in segments:
-        seg_top, seg_bottom = segment_rows(segment)
-        top += seg_top
-        bottom += seg_bottom
-    return Tiling(top, bottom)
+    rows = [segment_rows(segment) for segment in regex.core_segments(word)]
+    return Tiling(
+        tuple(chain.from_iterable(top for top, _ in rows)),
+        tuple(chain.from_iterable(bottom for _, bottom in rows)),
+    )
 
 
 def tiling_to_word(tiling: Tiling) -> str:

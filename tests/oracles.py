@@ -1,13 +1,39 @@
-"""Tiny independent oracles shared between test modules."""
+"""Tiny independent oracles, and a time guard, shared between test modules."""
 
+import contextlib
 import itertools
+import signal
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+import pytest
+
 from permfib import regex, words
 from permfib.errors import InvalidInputError
 from permfib.series import TruncatedSeries
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail, rather than hang, when an evaluation does not terminate."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # no traceback: the interrupted frame may have no line number
+        pytest.fail(f"evaluation ran longer than {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_force_segmentations(word: str) -> list[tuple[str, ...]]:

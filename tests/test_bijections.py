@@ -1,4 +1,5 @@
 import pytest
+from oracles import time_limit
 
 from permfib import bijections, regex
 from permfib.bijections import (
@@ -221,6 +222,15 @@ class TestTilings:
         tiling = word_to_tiling("aacbcccaaabbcac")
         assert tiling.top == (1, 2, 2, 1, 1, 2, 2, 2, 1, 1)
         assert tiling.bottom == (2, 1, 2, 1, 1, 1, 2, 1, 2, 2)
+
+    def test_a_long_word_maps_in_linear_time(self):
+        # 50,000 segments: ac, then bc ab 24,999 times, then c
+        word = "ac" + "bcab" * 24_999 + "c"
+        with time_limit(3):
+            tiling = word_to_tiling(word)
+            assert tiling.top == (1, 1) + (2, 2) * 24_999 + (1,)
+            assert tiling.bottom == (2,) + (2, 1, 1) * 24_999 + (1,)
+            assert tiling_to_word(tiling) == word
 
     def test_enumeration_counts(self):
         assert sum(1 for _ in enumerate_tilings(1)) == 1

@@ -1,9 +1,10 @@
 """Each check, made to fail by patching one name it calls, reports the first
 disagreeing case with the exact keys, values and key order below.
 
-The shared S_n sweep and its pruned form, oracle.peakless, are cached, so
-every test that patches a statistic they might read warms them first; the
-patched name then reaches only the check.
+The shared S_n sweep and the peakless tallies of oracle.peakless, which
+call raw statistics, are cached, so every test that patches a statistic
+they might read warms them first; the patched name then reaches only the
+check.
 """
 
 import types

@@ -34,8 +34,7 @@ def test_insertion_never_decreases_the_pruning_statistics(n):
     """Peaks and left peaks never fall, so the automata of oracle.py drop a
     permutation for good once it has a peak (V) or a second left peak (N).
     The inverse's peaks and longest descending run never fall either: on the
-    inverse, insertion appends a bit (the next test).  So oracle.peakless
-    drops a class for good once its inverse has a peak: ipk(pi) >= ipk(tau)."""
+    inverse, insertion appends a bit (the next test)."""
     for tau, j, pi in _insertions(n):
         assert peaks(pi) >= peaks(tau), (tau, j)
         assert left_peaks(pi) >= left_peaks(tau), (tau, j)

@@ -5,40 +5,16 @@ they report; the compiled DFA against the reference matcher on arbitrary
 syntax trees."""
 
 import collections
-import contextlib
 import itertools
-import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import memo_count_parses, memo_match_ends, plane_count_parses
+from oracles import memo_count_parses, memo_match_ends, plane_count_parses, time_limit
 
 from permfib import regex
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError
-
-
-@contextlib.contextmanager
-def _time_limit(seconds: float):
-    """Fail, rather than hang, when an evaluation does not terminate."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    except TimeoutError:
-        # no traceback: the interrupted frame may have no line number
-        pytest.fail(f"evaluation ran longer than {seconds} s", pytrace=False)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _extend(children):
@@ -63,7 +39,7 @@ short_words = st.text(alphabet="abc", max_size=7)
 @settings(max_examples=400, deadline=None)
 @given(syntax_trees, short_words)
 def test_forward_evaluation_agrees_with_the_memoised_reference(node, word):
-    with _time_limit(1):
+    with time_limit(1):
         for start in range(len(word) + 1):
             assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
         assert regex.ast_matches(node, word) == (len(word) in memo_match_ends(node, word, 0))
@@ -229,7 +205,7 @@ DEEP_AND_LONG = [
 
 @pytest.mark.parametrize("node, sample", DEEP_AND_LONG)
 def test_deep_nests_and_long_repetitions_evaluate(node, sample):
-    with _time_limit(10):
+    with time_limit(10):
         for word in sample:
             for start in range(len(word) + 1):
                 assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
@@ -293,7 +269,7 @@ def test_an_ambiguous_star_nest_counts_in_polynomial_time():
     # no plane reference here: it reruns each star on every frontier, (n + 1)^d
     node = _ambiguous_star_nest(32)
     word = "b" * 39 + "a"
-    with _time_limit(1):
+    with time_limit(1):
         count = regex.count_parses(node, word)
     assert count == memo_count_parses(node, word) == 30_311_259
 

@@ -1,9 +1,8 @@
-"""Every query over the cached S_n sweep, its pruned form oracle.peakless,
-and the insertion-automaton counts, against a direct per-permutation
-reference that shares no code with permfib.permutations."""
+"""Every query over the cached S_n sweep, the end-insertion tally
+oracle.peakless, and the insertion-automaton counts, against a direct
+per-permutation reference that shares no code with permfib.permutations."""
 
 import math
-import sys
 from collections import Counter
 
 import pytest
@@ -87,12 +86,23 @@ def test_every_descent_composition_is_held_once(n):
     assert set(counts.values()) == {1}
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_peakless_tally_meets_the_theorem1_automaton(n):
+    """A permutation avoids an ascending m-run exactly when every part of
+    its descent composition is below m, so the ipk-0 avoiders the automaton
+    V counts are the peakless tally's compositions with parts below m."""
+    counts = oracle.peakless(n)
+    for m in range(3, 7):
+        kept = sum(count for parts, count in counts.items() if max(parts) < m)
+        assert kept == oracle.count_ipk0_avoiders(n, m), m
+
+
 @pytest.mark.parametrize("n", range(1, 12))
 def test_pruning_keeps_every_peakless_class(n):
-    """The pruned levels end where the unpruned ones do: on the ipk-0
-    classes of the top level of _levels, by the increasing runs of their
-    rise bits.  A top-level key has no index bits: ipk lies above bit
-    n + 3, and padded rise bit i, for i = 1..n - 1, is bit i."""
+    """End insertion, which walks no class, finds every ipk-0 class of the
+    top level of _levels, counted by the increasing runs of its rise bits.
+    A top-level key has no index bits: ipk lies above bit n + 3, and padded
+    rise bit i, for i = 1..n - 1, is bit i."""
     *_, top = oracle._levels(n, oracle._peaks, 0)
     expected = Counter()
     for key, count in top.items():
@@ -114,7 +124,7 @@ def test_one_left_peak_totals(n):
 
 def _cleared_sweeps(monkeypatch):
     monkeypatch.setattr(oracle, "_SWEEPS", {})
-    monkeypatch.setattr(oracle, "_PEAKLESS", [])
+    oracle._peakless_tally.cache_clear()
 
 
 def _sweep_data(n):
@@ -133,15 +143,13 @@ def test_a_level_is_the_same_whichever_is_asked_first(monkeypatch):
 
 
 def _counted_steps(monkeypatch):
-    """Count the insertion steps by level, and by whether the unpruned
-    _levels or the pruned oracle.peakless took them."""
+    """Count the insertion steps of _levels by level."""
     _cleared_sweeps(monkeypatch)
     built = Counter()
     step = oracle._classes
 
     def counted(n, *args, **kwargs):
-        pruned = sys._getframe(1).f_code.co_name == "peakless"
-        built["pruned" if pruned else "unpruned", n] += 1
+        built[n] += 1
         return step(n, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_classes", counted)
@@ -149,22 +157,23 @@ def _counted_steps(monkeypatch):
 
 
 def test_a_run_builds_each_level_once(monkeypatch):
-    """Theorem 4 and the corollaries share the pruned levels 2..n_max, each
-    built by one insertion step (level 1 is the seed), and build no
-    unpruned level.  gf3 and gf5 share the unpruned levels 2..7, their x
-    order, and nothing builds an unpruned level above it."""
+    """Theorem 4 and the corollaries build the peakless tally of each n up
+    to n_max once, as many tallies as cache entries, and no level of
+    _levels.  gf3 and gf5 share the levels 2..7 of _levels, their x order
+    (level 1 is the seed), and nothing builds a level above it."""
     built = _counted_steps(monkeypatch)
     reports = claims.run(("theorem4", "corollaries"), n_max=8, k_max=10)
     assert all(r.passed for r in reports)
-    assert built == {("pruned", n): 1 for n in range(2, 9)}
+    assert built == {}
+    info = oracle._peakless_tally.cache_info()
+    assert (info.misses, info.currsize) == (8, 8)
 
     built = _counted_steps(monkeypatch)
     reports = claims.run(("theorem4", "corollaries", "gf3", "gf5"), n_max=9, k_max=10)
     assert all(r.passed for r in reports)
-    assert built == {
-        **{("unpruned", n): 1 for n in range(2, claims.GF_X_ORDER + 1)},
-        **{("pruned", n): 1 for n in range(2, 10)},
-    }
+    assert built == {n: 1 for n in range(2, claims.GF_X_ORDER + 1)}
+    info = oracle._peakless_tally.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)
 
 
 def test_caps_are_checked_on_a_warm_cache(monkeypatch):
