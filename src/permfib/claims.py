@@ -1,14 +1,14 @@
 """The registry of checkable claims behind ``permfib verify``.
 
-Each claim has a name, its default pattern lengths, whether it reads n_max
-and whether it is held to the S_n cap, the caps on its size parameters, and
-a check taking explicit parameters that yields one report per checked case.
-:func:`validate` rejects bad parameters before any work starts, an n past
-:func:`permutations.enumeration_cap` among them, and :func:`run` validates,
-runs and times every report the same way.  Theorems 1 and 2 and gf-general
-count on insertion automata, not S_n; Theorem 4 and the corollaries read
-only the permutations with a peakless inverse, which
-:func:`oracle.peakless` builds outright by end insertion.
+Each claim has a name, its default pattern lengths, the fixed caps on the
+size parameters it reads, and a check taking explicit parameters that
+yields one report per checked case.  :func:`validate` rejects bad
+parameters before any work starts, and :func:`run` validates, runs and
+times every report the same way.  Theorems 1 and 2 and gf-general count on
+insertion automata, not S_n; Theorem 4 and the corollaries read only the
+permutations with a peakless inverse, which :func:`oracle.peakless` builds
+outright by end insertion.  Only gf3 and gf5 sweep S_n, up to
+:data:`GF_X_ORDER`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ from .errors import UsageError
 from .oracle import VerificationReport, first_disagreement, report
 
 #: The x order at which gf3 and gf5 compare their two sides; their left
-#: sides sweep S_n for every n up to it.
+#: sides sweep S_n for every n up to it, within the S_n cap.
 GF_X_ORDER = 7
+#: The n_max and k_max a claim reads when none is given.
+DEFAULT_N_MAX = 7
+DEFAULT_K_MAX = 10
 
 
 class Claim(NamedTuple):
@@ -34,12 +37,8 @@ class Claim(NamedTuple):
     #: Pattern lengths checked when none are given; empty for claims that
     #: do not read m.  Every m a claim reads must be at least 3.
     default_ms: tuple[int, ...] = ()
-    #: Whether the check reads n_max.
-    reads_n_max: bool = False
-    #: Whether the check is held to the S_n cap for every n up to n_max, or
-    #: up to GF_X_ORDER if it does not read n_max.
-    sweeps: bool = False
-    #: Largest n_max, and largest k_max, the check accepts; None: no cap.
+    #: Largest n_max, and largest k_max, the check accepts; None: the check
+    #: does not read it.
     max_n: Optional[int] = None
     max_k: Optional[int] = None
 
@@ -307,17 +306,17 @@ def _gf_general(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 CLAIMS: dict[str, Claim] = {
     claim.name: claim
     for claim in (
-        Claim("theorem1", _theorem1, (3, 4, 5), reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
-        Claim("theorem2", _theorem2, reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
-        Claim("theorem4", _theorem4, reads_n_max=True, sweeps=True),
-        Claim("corollaries", _corollaries, reads_n_max=True, sweeps=True),
-        Claim("prop6", _prop6, (3,), reads_n_max=True, max_n=13),
-        Claim("prop7", _prop7, (3,), reads_n_max=True, max_n=12),
+        Claim("theorem1", _theorem1, (3, 4, 5), max_n=oracle.AUTOMATON_MAX_N),
+        Claim("theorem2", _theorem2, max_n=oracle.AUTOMATON_MAX_N),
+        Claim("theorem4", _theorem4, max_n=oracle.PEAKLESS_MAX_N),
+        Claim("corollaries", _corollaries, max_n=oracle.PEAKLESS_MAX_N),
+        Claim("prop6", _prop6, (3,), max_n=13),
+        Claim("prop7", _prop7, (3,), max_n=12),
         Claim("prop8", _prop8, max_k=12),
-        Claim("eq1", _eq1, reads_n_max=True, max_n=15),
-        Claim("gf3", _gf3, sweeps=True),
-        Claim("gf5", _gf5, sweeps=True),
-        Claim("gf-general", _gf_general, (3, 4), reads_n_max=True, max_n=oracle.AUTOMATON_MAX_N),
+        Claim("eq1", _eq1, max_n=15),
+        Claim("gf3", _gf3),
+        Claim("gf5", _gf5),
+        Claim("gf-general", _gf_general, (3, 4), max_n=oracle.AUTOMATON_MAX_N),
     )
 }
 
@@ -331,54 +330,50 @@ def reject_repeats(option: str, values: Iterable) -> None:
         seen.add(value)
 
 
-def _swept(claim: Claim, n_max: int) -> int:
-    """The largest n the claim holds to the S_n cap, or 0 if none."""
-    if not claim.sweeps:
-        return 0
-    return n_max if claim.reads_n_max else GF_X_ORDER
-
-
 def validate(
-    names: Iterable[str], *, n_max: int, k_max: Optional[int] = None,
+    names: Iterable[str], *, n_max: Optional[int] = None, k_max: Optional[int] = None,
     ms: Optional[tuple[int, ...]] = None,
 ) -> None:
     """Raise UsageError unless every named claim accepts these parameters.
 
-    ``ms`` of None stands for each claim's default pattern lengths, and
-    ``k_max`` of None for a width bound that was not given.  Pattern lengths
-    that no named claim reads are rejected, not ignored, and so is a claim
-    or a pattern length given twice, which would run twice.
+    A parameter of None was not given: ``n_max`` and ``k_max`` then take
+    DEFAULT_N_MAX and DEFAULT_K_MAX, and ``ms`` each claim's default pattern
+    lengths.  A parameter given to claims none of which reads it is
+    rejected, not ignored, and so is a claim or a pattern length given
+    twice, which would run twice.
     """
     names = tuple(names)
+    for option, value, reads in (
+        ("--n-max", n_max, lambda claim: claim.max_n is not None),
+        ("--k-max", k_max, lambda claim: claim.max_k is not None),
+    ):
+        if value is not None and not any(reads(CLAIMS[name]) for name in names):
+            readers = ", ".join(claim.name for claim in CLAIMS.values() if reads(claim))
+            raise UsageError(f"{option} is read only by {readers}")
     reject_repeats("--claim", names)
     reject_repeats("--m", ms or ())
+    n_max = DEFAULT_N_MAX if n_max is None else n_max
+    k_max = DEFAULT_K_MAX if k_max is None else k_max
     if n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if ms is not None and not any(CLAIMS[name].default_ms for name in names):
         readers = ", ".join(name for name, claim in CLAIMS.items() if claim.default_ms)
         raise UsageError(f"--m is read only by {readers}")
-    cap = permutations.enumeration_cap()
     for name in names:
         claim = CLAIMS[name]
-        largest = _swept(claim, n_max)
-        if largest > cap:
-            size = "--n-max" if claim.reads_n_max else "x_order"
-            raise UsageError(
-                f"{name}: {size} {largest} exceeds the S_n cap {cap} "
-                "(set PERMFIB_MAX_N to raise it)"
-            )
         if claim.default_ms and min(ms or claim.default_ms) < 3:
             raise UsageError(f"{name}: --m must be >= 3, got {min(ms or claim.default_ms)}")
         for option, value, high in ("--n-max", n_max, claim.max_n), ("--k-max", k_max, claim.max_k):
-            if high is not None and (value is None or not 1 <= value <= high):
+            if high is not None and not 1 <= value <= high:
                 raise UsageError(f"{name}: {option} must be in 1..{high}, got {value}")
 
 
 def run(
-    names: Iterable[str], *, n_max: int, k_max: int,
+    names: Iterable[str], *, n_max: Optional[int] = None, k_max: Optional[int] = None,
     ms: Optional[tuple[int, ...]] = None,
 ) -> list[VerificationReport]:
-    """Validate every named claim, then run them in order.
+    """Validate every named claim, then run them in order, with a parameter
+    of None standing for its default, as in :func:`validate`.
 
     Each report's millis is the time since the previous report, or since
     the run started, so a report counts the levels its claim built first:
@@ -389,6 +384,8 @@ def run(
     """
     names = tuple(names)
     validate(names, n_max=n_max, k_max=k_max, ms=ms)
+    n_max = DEFAULT_N_MAX if n_max is None else n_max
+    k_max = DEFAULT_K_MAX if k_max is None else k_max
     reports = []
     started = time.monotonic()
     for name in names:

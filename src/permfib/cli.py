@@ -8,13 +8,13 @@ claim, a claim parameter outside the claim's domain or read by no selected
 claim, a claim or --m value given twice, --claim all with other names, a
 table or series option that the chosen --kind does not read or a
 --m or --order below the least value that the kind reads (see KIND_READS),
-more than one --m for table --kind gf-coeffs, a negative --n-max, an S_n
-past the cap that PERMFIB_MAX_N moves, a PERMFIB_MAX_N that is not an
-integer >= 1, a descent matrix past n = 8, an --n-max past 300 (theorem1,
-theorem2, gf-general, table --kind counts-thm1|counts-thm2), or a series
-order or table --kind fib --n-max above series.MAX_SERIES_ORDER (5,000)
-(these last two have no override), or an --output path that cannot be
-written (the report is then not written anywhere).
+more than one --m for table --kind gf-coeffs, a negative --n-max, a
+descent matrix past n = 8, an --n-max or --k-max past the fixed cap of a
+selected claim (see claims.CLAIMS: 300 for theorem1, theorem2, gf-general
+and table --kind counts-thm1|counts-thm2, 14 for theorem4 and corollaries),
+a series order or table --kind fib --n-max above series.MAX_SERIES_ORDER
+(5,000), or an --output path that cannot be written (the report is then not
+written anywhere).  No cap has an override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """
@@ -253,18 +253,8 @@ def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
 
 
 def _cmd_verify(args) -> Output:
-    names = _selected_claims(args.claim)
-    for option, given, reads in (
-        ("--n-max", args.n_max is not None, lambda claim: claim.reads_n_max),
-        ("--k-max", args.k_max is not None, lambda claim: claim.max_k is not None),
-    ):
-        if given and not any(reads(claims.CLAIMS[name]) for name in names):
-            readers = ", ".join(claim.name for claim in claims.CLAIMS.values() if reads(claim))
-            raise UsageError(f"{option} is read only by {readers}")
     reports = claims.run(
-        names,
-        n_max=7 if args.n_max is None else args.n_max,
-        k_max=10 if args.k_max is None else args.k_max,
+        _selected_claims(args.claim), n_max=args.n_max, k_max=args.k_max,
         ms=_parse_int_list(args.m),
     )
     all_pass = all(r.passed for r in reports)

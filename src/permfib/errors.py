@@ -10,12 +10,12 @@ class InvalidInputError(PermfibError, ValueError):
 
 
 class UsageError(InvalidInputError):
-    """A claim parameter, command-line argument or environment setting
-    outside its domain; the CLI reports it as a usage error."""
+    """A claim parameter or command-line argument outside its domain; the
+    CLI reports it as a usage error."""
 
 
 class ResourceLimitError(PermfibError, RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed its fixed size cap."""
 
 
 class NotInLanguageError(PermfibError, ValueError):

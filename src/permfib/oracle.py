@@ -4,12 +4,13 @@ Every permutation of n is one of n - 1 with n inserted, and the permutation
 oracles rest on that one step.  Theorems 1 and 2 count on two finite
 automata of it on the inverse, up to :data:`AUTOMATON_MAX_N`.  Theorem 4
 and its corollaries read :func:`peakless`, which puts n at an end of each
-peakless inverse of n - 1 and so builds only the 2^(n-1) peakless ones.
-The rest are carried over classes of descent data, keyed by one int, in one
-pass over the levels 1..n (see :class:`Sweep`).  Words and tilings are
-enumerated.  Every permutation an oracle keeps or constructs is tested with
-raw statistics, and the constructions being verified are only ever used on
-the other side of a comparison, never inside a count.
+peakless inverse of n - 1 and so builds only the 2^(n-1) peakless ones, up
+to :data:`PEAKLESS_MAX_N`.  The rest are carried over classes of descent
+data, keyed by one int, in one pass over the levels 1..n (see
+:class:`Sweep`).  Words and tilings are enumerated.  Every permutation an
+oracle keeps or constructs is tested with raw statistics, and the
+constructions being verified are only ever used on the other side of a
+comparison, never inside a count.
 """
 
 from __future__ import annotations
@@ -212,15 +213,14 @@ _SWEEPS: dict[int, Sweep] = {}
 
 
 def sweep(n: int) -> Sweep:
-    """What the oracles need from S_n.  It is cached on n alone, so the one
-    bound on it, :func:`~permfib.permutations.check_enumeration_size`, is
-    checked here, on every call, before the cache is read.  A miss builds
-    levels 1..n in one pass and keeps the Sweep of each, so a caller that
-    will read several levels asks for the largest first."""
+    """What the oracles need from S_n, for n up to
+    :data:`~permfib.permutations.ENUMERATION_CAP`.  A miss builds levels
+    1..n in one pass and keeps the Sweep of each, so a caller that will read
+    several levels asks for the largest first."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    check_enumeration_size(n)
     if n not in _SWEEPS:
+        check_enumeration_size(n)
         for level, classes in enumerate(_levels(n, _peaks, 0), 1):
             if level not in _SWEEPS:
                 _SWEEPS[level] = _level_sweep(level, classes, level < n)
@@ -245,6 +245,7 @@ def _level_sweep(n: int, classes: dict[int, int], indexed: bool) -> Sweep:
     return Sweep(n, histogram)
 
 
+@functools.lru_cache(maxsize=None)
 def peakless(n: int) -> dict[tuple[int, ...], int]:
     """The permutations of n whose inverse has no peak, counted by descent
     composition, the increasing runs of their rise bits.
@@ -254,18 +255,13 @@ def peakless(n: int) -> dict[tuple[int, ...], int]:
     sigma is n put at the front or the end of one of n - 1, from (1,), and
     the 2^(n-1) of them are built outright; each is kept only if
     ``peak_count`` finds no peak, and its inverse is tallied by
-    ``increasing_run_lengths``.  The tally of each n is cached, and
-    :func:`~permfib.permutations.check_enumeration_size` is checked on every
-    call, before the cache is read, as by :func:`sweep`.
+    ``increasing_run_lengths``.  The tally of each n up to
+    :data:`PEAKLESS_MAX_N` is cached.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    check_enumeration_size(n)
-    return _peakless_tally(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _peakless_tally(n: int) -> dict[tuple[int, ...], int]:
+    if n > PEAKLESS_MAX_N:
+        raise ResourceLimitError(f"peakless inverses are built for n <= {PEAKLESS_MAX_N}, got {n}")
     sigmas = [(1,)]
     for k in range(2, n + 1):
         sigmas = [grown for sigma in sigmas for grown in ((k, *sigma), (*sigma, k))]
@@ -280,7 +276,10 @@ def _peakless_tally(n: int) -> dict[tuple[int, ...], int]:
 # Counting oracles
 
 
-#: The largest n the insertion automata count; no override lifts it.
+#: The largest n whose peakless inverses :func:`peakless` builds: 2^(n-1)
+#: of them.
+PEAKLESS_MAX_N = 14
+#: The largest n the insertion automata count.
 AUTOMATON_MAX_N = 300
 #: Insertion automata on sigma = pi^-1.  Inserting k into pi appends a rise to
 #: sigma exactly when k lands right of k - 1.  A phase maps to its moves (next

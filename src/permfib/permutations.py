@@ -16,34 +16,15 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .compositions import Composition, run_lengths
-from .errors import InvalidInputError, ResourceLimitError, UsageError
+from .errors import InvalidInputError, ResourceLimitError
 
 #: The largest n for which S_n is enumerated here or swept by
-#: :func:`permfib.oracle.sweep`, unless PERMFIB_MAX_N moves it.
-DEFAULT_ENUMERATION_CAP = 12
-
-_CAP_ENV_VAR = "PERMFIB_MAX_N"
-
-
-def enumeration_cap() -> int:
-    """Current cap on S_n, enumerated or swept (PERMFIB_MAX_N overrides).
-
-    An override that is not an integer of at least 1 is a usage error."""
-    raw = os.environ.get(_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0  # rejected below, with the same message
-    if cap < 1:
-        raise UsageError(f"{_CAP_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return cap
+#: :func:`permfib.oracle.sweep`.
+ENUMERATION_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +147,12 @@ def _contains_run(letters: Sequence[int], m: int, bit: str) -> bool:
 
 
 def check_enumeration_size(n: int) -> None:
-    """Refuse S_n past :func:`enumeration_cap`, enumerated here or swept by
-    :func:`permfib.oracle.sweep`; only PERMFIB_MAX_N lifts it."""
+    """Refuse S_n past :data:`ENUMERATION_CAP`, enumerated here or swept by
+    :func:`permfib.oracle.sweep`."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    cap = enumeration_cap()
-    if n > cap:
-        raise ResourceLimitError(f"S_{n} exceeds the cap of {cap}; set {_CAP_ENV_VAR} to raise it")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"S_{n} exceeds the cap of {ENUMERATION_CAP}")
 
 
 def letter_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -346,5 +326,5 @@ def monotone_pattern(m: int, *, descending: bool = False) -> Permutation:
 
 def enumerate_symmetric_group(n: int) -> Iterator[Permutation]:
     """Yield all n! permutations exactly once, in lexicographic order; n past
-    :func:`enumeration_cap` is refused before any is made."""
+    :data:`ENUMERATION_CAP` is refused before any is made."""
     return (Permutation(t) for t in letter_tuples(n))

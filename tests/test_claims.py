@@ -25,9 +25,9 @@ def test_pattern_lengths_no_named_claim_reads_are_rejected():
 )
 def test_a_claim_or_pattern_length_given_twice_is_rejected(names, ms, message):
     with pytest.raises(claims.UsageError, match=f"^{message}$"):
-        claims.validate(names, n_max=3, k_max=3, ms=ms)
+        claims.validate(names, n_max=3, ms=ms)
     with pytest.raises(claims.UsageError, match=f"^{message}$"):
-        claims.run(names, n_max=3, k_max=3, ms=ms)
+        claims.run(names, n_max=3, ms=ms)
 
 
 def _prop7(monkeypatch, dfa, m):
@@ -160,7 +160,7 @@ def test_prop6_builds_no_s_n_level(monkeypatch):
     monkeypatch.setattr(oracle, "sweep", refuse)
     monkeypatch.setattr(oracle, "_levels", refuse)
     monkeypatch.setattr(oracle, "peakless", refuse)
-    (report,) = claims.run(("prop6",), n_max=12, k_max=10)
+    (report,) = claims.run(("prop6",), n_max=12)
     assert report.passed
     assert report.params == {"m": 3, "n_max": 12}
 
@@ -172,8 +172,18 @@ def test_prop6_passes_at_every_bound(m):
         assert report.passed, report.counterexample
 
 
-def test_prop6_is_bounded_by_its_own_cap_alone(monkeypatch):
-    monkeypatch.setenv("PERMFIB_MAX_N", "5")
+def test_prop6_is_bounded_by_its_own_cap_alone():
     claims.validate(("prop6",), n_max=13)
     with pytest.raises(claims.UsageError, match=r"^prop6: --n-max must be in 1\.\.13, got 14$"):
         claims.validate(("prop6",), n_max=14)
+
+
+def test_sizes_no_named_claim_reads_are_rejected():
+    """A size of None was not given and takes its default; a given one that
+    no named claim reads is rejected, as on the command line."""
+    with pytest.raises(claims.UsageError, match="^--n-max is read only by theorem1, theorem2,"):
+        claims.validate(("gf3", "prop8"), n_max=5)
+    with pytest.raises(claims.UsageError, match="^--k-max is read only by prop8$"):
+        claims.run(("gf3",), k_max=5)
+    claims.validate(("gf3", "prop8"), k_max=5)
+    claims.validate(("theorem4",))

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import permfib
-from permfib import oracle
+from permfib import claims, oracle, permutations
 from permfib.compositions import fib
 from permfib.cli import TABLE_SCHEMA, main, render_tiling
 from permfib.errors import ResourceLimitError
@@ -49,14 +49,13 @@ class TestVerify:
     def test_bound_guard_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claim", "theorem4", "--n-max", "99")
         assert code == 2
-        assert "--n-max 99 exceeds the S_n cap 12 (set PERMFIB_MAX_N to raise it)" in err
+        assert err == "usage error: theorem4: --n-max must be in 1..14, got 99\n"
         # Theorem 1 counts on an insertion automaton: its own cap, no override
         code, out, err = run_cli(capsys, "verify", "--claim", "theorem1", "--n-max", "301")
         assert (code, out) == (2, "")
         assert err == "usage error: theorem1: --n-max must be in 1..300, got 301\n"
 
-    def test_prop6_runs_to_its_own_cap_without_the_s_n_override(self, capsys, monkeypatch):
-        monkeypatch.delenv("PERMFIB_MAX_N", raising=False)
+    def test_prop6_runs_to_its_own_cap_without_the_s_n_override(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--claim", "prop6", "--n-max", "13", "--no-timestamp"
         )
@@ -82,14 +81,22 @@ class TestVerify:
         assert code == 0
         assert "PASS  theorem2  (n_max=10)" in out
 
-    def test_gf_claims_are_checked_against_the_cap_up_front(self, capsys, monkeypatch):
-        # gf5 sweeps S_n up to its fixed x order 7; prop8 must not run first
-        monkeypatch.setenv("PERMFIB_MAX_N", "5")
-        code, out, err = run_cli(capsys, "verify", "--claim", "prop8,gf5")
-        assert (code, out) == (2, "")
-        assert err == (
-            "usage error: gf5: x_order 7 exceeds the S_n cap 5 (set PERMFIB_MAX_N to raise it)\n"
+    def test_theorem4_and_corollaries_run_to_their_own_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--claim", "theorem4,corollaries", "--n-max", "14", "--no-timestamp"
         )
+        assert (code, err) == (0, "")
+        assert "PASS  descent-uniqueness  (n=14, classes=8192)\n" in out
+        assert out.endswith("PASS  corollaries  (n=14)\nresult: all claims pass\n")
+        for claim in "theorem4", "corollaries":
+            code, out, err = run_cli(capsys, "verify", "--claim", claim, "--n-max", "15")
+            assert (code, out) == (2, "")
+            assert err == f"usage error: {claim}: --n-max must be in 1..14, got 15\n"
+
+    def test_gf_claims_are_checked_against_the_cap_up_front(self):
+        """gf3 and gf5 sweep S_n up to their fixed x order, not --n-max, so
+        the S_n cap needs no check when they are selected."""
+        assert claims.GF_X_ORDER <= permutations.ENUMERATION_CAP
 
     @pytest.mark.parametrize(
         "argv",
@@ -104,28 +111,13 @@ class TestVerify:
         assert "unrecognized arguments: --unsafe-large-n" in err
 
     def test_env_cap_guard(self, capsys, monkeypatch):
+        """PERMFIB_MAX_N once moved the S_n cap; nothing reads it now, so a
+        cap of 5 set there changes no byte of a run past 5."""
+        argv = ("verify", "--claim", "gf3,theorem4,corollaries", "--n-max", "9", "--no-timestamp")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
         monkeypatch.setenv("PERMFIB_MAX_N", "5")
-        code, _, err = run_cli(
-            capsys, "verify", "--claim", "corollaries", "--n-max", "7"
-        )
-        assert code == 2
-        assert "PERMFIB_MAX_N" in err
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # prop7 sweeps no S_n, and still reads the cap
-            ["verify", "--claim", "prop7", "--n-max", "3"],
-            ["verify", "--claim", "theorem1", "--n-max", "3"],
-            ["table", "--kind", "counts-thm2", "--n-max", "3"],
-        ],
-    )
-    def test_env_cap_must_be_a_positive_integer(self, capsys, monkeypatch, value, argv):
-        monkeypatch.setenv("PERMFIB_MAX_N", value)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == f"usage error: PERMFIB_MAX_N must be an integer >= 1, got {value!r}\n"
+        assert run_cli(capsys, *argv) == expected
 
     def test_unknown_claim(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claim", "theoremX")

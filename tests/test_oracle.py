@@ -4,7 +4,7 @@ import math
 import jsonschema
 import pytest
 
-from permfib import oracle, series
+from permfib import oracle, permutations, series
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError, ResourceLimitError
 
@@ -62,27 +62,47 @@ class TestAutomata:
                 assert oracle.count_ilpk1_avoiders(n, m) == expansion.coeffs[n], (n, m)
 
 
-#: Every public entry point held to the S_n cap, called at n = 6.
-SWEEP_BACKED = {
-    "sweep": lambda: oracle.sweep(6),
-    "peakless": lambda: oracle.peakless(6),
-    "triangulated_counts": lambda: oracle.triangulated_counts(6),
-    "ipk_polynomial": lambda: series.ipk_polynomial(3, 6),
-    "ilpk_polynomial": lambda: series.ilpk_polynomial(3, 6),
-    "ipk_gf_sides": lambda: series.ipk_gf_sides(3, 6, 5),
-    "ilpk_gf_sides": lambda: series.ilpk_gf_sides(3, 6, 5),
-    "verify_descent_uniqueness": lambda: oracle.verify_descent_uniqueness(6),
-    "verify_corollaries": lambda: oracle.verify_corollaries(6),
+_PAST_S_N = permutations.ENUMERATION_CAP + 1
+_PAST_PEAKLESS = oracle.PEAKLESS_MAX_N + 1
+_S_N_REFUSAL = f"^S_{_PAST_S_N} exceeds the cap of {permutations.ENUMERATION_CAP}$"
+_PEAKLESS_REFUSAL = (
+    f"^peakless inverses are built for n <= {oracle.PEAKLESS_MAX_N}, got {_PAST_PEAKLESS}$"
+)
+
+#: Every public entry point held to a fixed cap on n, called one past it,
+#: and the refusal it meets.
+CAPPED = {
+    "sweep": (lambda: oracle.sweep(_PAST_S_N), _S_N_REFUSAL),
+    "peakless": (lambda: oracle.peakless(_PAST_PEAKLESS), _PEAKLESS_REFUSAL),
+    "triangulated_counts": (lambda: oracle.triangulated_counts(_PAST_S_N), _S_N_REFUSAL),
+    "ipk_polynomial": (lambda: series.ipk_polynomial(3, _PAST_S_N), _S_N_REFUSAL),
+    "ilpk_polynomial": (lambda: series.ilpk_polynomial(3, _PAST_S_N), _S_N_REFUSAL),
+    "ipk_gf_sides": (lambda: series.ipk_gf_sides(3, _PAST_S_N, 5), _S_N_REFUSAL),
+    "ilpk_gf_sides": (lambda: series.ilpk_gf_sides(3, _PAST_S_N, 5), _S_N_REFUSAL),
+    "verify_descent_uniqueness": (
+        lambda: oracle.verify_descent_uniqueness(_PAST_PEAKLESS), _PEAKLESS_REFUSAL
+    ),
+    "verify_corollaries": (lambda: oracle.verify_corollaries(_PAST_PEAKLESS), _PEAKLESS_REFUSAL),
 }
 
 
-@pytest.mark.parametrize("name", SWEEP_BACKED)
+@pytest.mark.parametrize("name", CAPPED)
 def test_the_sweep_cap_is_the_only_bound(monkeypatch, name):
-    """On a warm cache, PERMFIB_MAX_N alone refuses S_6, with no override."""
-    SWEEP_BACKED[name]()
-    monkeypatch.setenv("PERMFIB_MAX_N", "5")
-    with pytest.raises(ResourceLimitError, match="S_6 exceeds the cap of 5; set PERMFIB_MAX_N"):
-        SWEEP_BACKED[name]()
+    """Each entry point has one fixed bound, the S_n cap of the sweep or,
+    for the peakless tally and the two checks that read it,
+    PEAKLESS_MAX_N, and refuses one past it before any work, on a warm
+    cache too."""
+
+    def refuse(*args):
+        raise AssertionError("work started past the cap")
+
+    oracle.sweep(6)
+    oracle.peakless(6)
+    monkeypatch.setattr(oracle, "_levels", refuse)
+    monkeypatch.setattr(oracle, "peak_count", refuse)
+    call, refusal = CAPPED[name]
+    with pytest.raises(ResourceLimitError, match=refusal):
+        call()
 
 
 class TestDescentUniqueness:

@@ -265,20 +265,10 @@ class TestEnumeration:
     def test_full_count(self):
         assert sum(1 for _ in all_perms(8)) == 40320
 
-    def test_cap(self, monkeypatch):
-        with pytest.raises(ResourceLimitError):
+    def test_cap(self):
+        with pytest.raises(ResourceLimitError, match="^S_13 exceeds the cap of 12$"):
             enumerate_symmetric_group(13)
-        # PERMFIB_MAX_N lifts it (iterator construction only)
-        monkeypatch.setenv("PERMFIB_MAX_N", "13")
-        enumerate_symmetric_group(13)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PERMFIB_MAX_N", "4")
-        with pytest.raises(ResourceLimitError):
-            enumerate_symmetric_group(5)
-        monkeypatch.setenv("PERMFIB_MAX_N", "not-a-number")
-        with pytest.raises(InvalidInputError):
-            enumerate_symmetric_group(3)
+        enumerate_symmetric_group(12)  # iterator construction only
 
 
 class TestParsing:

@@ -323,7 +323,7 @@ class TestStatisticPolynomials:
                 assert total == by_hand
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
+        with pytest.raises(ResourceLimitError, match="^S_13 exceeds the cap of 12$"):
             ipk_polynomial(3, 13)
 
 
@@ -405,7 +405,7 @@ class TestMasterIdentities:
         assert first_mismatch(rhs, fewer_t) == (0, 3, rhs[0].coeffs[3], None)
 
     def test_order_preconditions(self):
-        with pytest.raises(ResourceLimitError, match="PERMFIB_MAX_N"):
+        with pytest.raises(ResourceLimitError, match="^S_13 exceeds the cap of 12$"):
             verify_ipk_gf(3, 13, 5)
         with pytest.raises(InvalidInputError):
             verify_ilpk_gf(3, 5, 6)

@@ -9,7 +9,6 @@ import pytest
 from oracles import ascending_runs, permutation_records
 
 from permfib import claims, oracle, series
-from permfib.errors import ResourceLimitError
 
 
 def _trim(counts):
@@ -124,7 +123,7 @@ def test_one_left_peak_totals(n):
 
 def _cleared_sweeps(monkeypatch):
     monkeypatch.setattr(oracle, "_SWEEPS", {})
-    oracle._peakless_tally.cache_clear()
+    oracle.peakless.cache_clear()
 
 
 def _sweep_data(n):
@@ -162,29 +161,15 @@ def test_a_run_builds_each_level_once(monkeypatch):
     _levels.  gf3 and gf5 share the levels 2..7 of _levels, their x order
     (level 1 is the seed), and nothing builds a level above it."""
     built = _counted_steps(monkeypatch)
-    reports = claims.run(("theorem4", "corollaries"), n_max=8, k_max=10)
+    reports = claims.run(("theorem4", "corollaries"), n_max=8)
     assert all(r.passed for r in reports)
     assert built == {}
-    info = oracle._peakless_tally.cache_info()
+    info = oracle.peakless.cache_info()
     assert (info.misses, info.currsize) == (8, 8)
 
     built = _counted_steps(monkeypatch)
-    reports = claims.run(("theorem4", "corollaries", "gf3", "gf5"), n_max=9, k_max=10)
+    reports = claims.run(("theorem4", "corollaries", "gf3", "gf5"), n_max=9)
     assert all(r.passed for r in reports)
     assert built == {n: 1 for n in range(2, claims.GF_X_ORDER + 1)}
-    info = oracle._peakless_tally.cache_info()
+    info = oracle.peakless.cache_info()
     assert (info.misses, info.currsize) == (9, 9)
-
-
-def test_caps_are_checked_on_a_warm_cache(monkeypatch):
-    oracle.sweep(6)
-    oracle.peakless(6)
-    monkeypatch.setenv("PERMFIB_MAX_N", "5")
-    with pytest.raises(ResourceLimitError):
-        series.ipk_polynomial(3, 6)
-    with pytest.raises(ResourceLimitError):
-        oracle.verify_corollaries(6)
-    with pytest.raises(ResourceLimitError):
-        oracle.peakless(6)
-    with pytest.raises(ResourceLimitError):
-        oracle.sweep(6)
