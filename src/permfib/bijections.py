@@ -12,8 +12,7 @@ given descent composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .compositions import Composition
 from .errors import InvalidInputError, NotInDomainError
 from .permutations import (
@@ -28,13 +27,20 @@ from .tilings import Tiling, tiling_to_word, word_to_tiling
 from .words import forbidden_factors, is_avoiding_block_word, is_block_word
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Value):
     """The rise/fall/rise split of an N-shaped permutation."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
+
+    def __init__(
+        self, alpha: tuple[int, ...], beta: tuple[int, ...], gamma: tuple[int, ...]
+    ) -> None:
+        put = object.__setattr__
+        put(self, "alpha", alpha)
+        put(self, "beta", beta)
+        put(self, "gamma", gamma)
 
     def word(self) -> str:
         """Letter i names the part (a: alpha, b: beta, c: gamma) holding the value i."""
@@ -42,13 +48,18 @@ class CanonicalDecomposition:
         return _word(self.alpha + self.beta + self.gamma, first, first + len(self.beta))
 
 
-@dataclass(frozen=True)
-class TilingTriple:
+class TilingTriple(Value):
     """Image of an N-shaped inverse-avoider: c-run length, core width, tiling."""
 
     j: int
     k: int
     tiling: Tiling
+
+    def __init__(self, j: int, k: int, tiling: Tiling) -> None:
+        put = object.__setattr__
+        put(self, "j", j)
+        put(self, "k", k)
+        put(self, "tiling", tiling)
 
 
 def is_n_shaped(p: Permutation) -> bool:

@@ -354,8 +354,6 @@ def validate(
     reject_repeats("--m", ms or ())
     n_max = DEFAULT_N_MAX if n_max is None else n_max
     k_max = DEFAULT_K_MAX if k_max is None else k_max
-    if n_max < 1:
-        raise UsageError("--n-max must be >= 1")
     if ms is not None and not any(CLAIMS[name].default_ms for name in names):
         readers = ", ".join(name for name, claim in CLAIMS.items() if claim.default_ms)
         raise UsageError(f"--m is read only by {readers}")

@@ -22,8 +22,6 @@ Output is deterministic; the timestamp (and timing fields) disappear under
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import io
 import itertools
 import json
@@ -183,14 +181,20 @@ class Output(NamedTuple):
 def _render(args, out: Output) -> None:
     """Write the chosen format of ``out`` to the sink.  Text is headed by the
     generation time and JSON carries it as a last key, unless --no-timestamp.
-    JSON spells compositions and fractions as strings."""
+    JSON spells compositions and fractions as strings.  ``datetime`` and
+    ``csv`` are imported only where they are used, so a run that needs
+    neither does not pay for their import."""
     stamp = None
     if not args.no_timestamp:
+        import datetime
+
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         payload = dict(out.json, timestamp=stamp) if stamp else out.json
         text = json.dumps(payload, indent=2, default=str)
     elif args.format == "csv":
+        import csv
+
         sink = io.StringIO()
         rows = [[_csv_cell(cell) for cell in row] for row in out.rows]
         csv.writer(sink, lineterminator="\n").writerows([out.columns, *rows])

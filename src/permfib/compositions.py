@@ -7,9 +7,9 @@ that this start differs from the OEIS offset for the same sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
+from ._value import Value
 from .errors import InvalidInputError
 
 _fib_rows: dict[int, list[int]] = {}
@@ -36,17 +36,16 @@ def fib(k: int, n: int) -> int:
     return row[n]
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Value):
     """An ordered tuple of positive parts; n is their sum."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
         if any(part < 1 for part in parts):
             raise InvalidInputError(f"composition parts must be >= 1: {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Composition":

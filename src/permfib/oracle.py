@@ -19,10 +19,10 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import regex, tilings
+from ._value import Value
 from .bijections import zero_ipk_permutation
 from .compositions import Composition, enumerate_compositions, fib, run_lengths
 from .errors import InvalidInputError, ResourceLimitError
@@ -50,15 +50,28 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value, frozen=False):
     """Outcome of one claim check; failures carry reproduction data."""
 
     claim: str
     params: dict[str, Any]
-    passed: bool = False
-    counterexample: Optional[dict[str, Any]] = None
-    millis: int = 0
+    passed: bool
+    counterexample: Optional[dict[str, Any]]
+    millis: int
+
+    def __init__(
+        self,
+        claim: str,
+        params: dict[str, Any],
+        passed: bool = False,
+        counterexample: Optional[dict[str, Any]] = None,
+        millis: int = 0,
+    ) -> None:
+        self.claim = claim
+        self.params = params
+        self.passed = passed
+        self.counterexample = counterexample
+        self.millis = millis
 
     def to_json_dict(self, include_millis: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -178,8 +191,7 @@ def _levels(n_max: int, fold: Callable[[int, bool], int], start: int) -> Iterato
         yield level
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Value):
     """What the permutation oracles need from S_n.
 
     Each permutation of n is a tau in S_(n-1) with n inserted before one
@@ -198,6 +210,11 @@ class Sweep:
 
     n: int
     histogram: dict[tuple[int, int, int, int], int]
+
+    def __init__(self, n: int, histogram: dict[tuple[int, int, int, int], int]) -> None:
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "histogram", histogram)
 
     def ipk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding an ascending m-run, by peaks of the inverse."""

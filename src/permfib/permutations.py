@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._value import Value
 from .compositions import Composition, run_lengths
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -169,19 +169,18 @@ def letter_tuples(n: int) -> Iterator[tuple[int, ...]]:
 # Wrapper layer
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A permutation of {1, ..., n} in one-line notation."""
 
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters: Sequence[int]) -> None:
+        letters = tuple(letters)
         if sorted(letters) != list(range(1, len(letters) + 1)):
             raise InvalidInputError(
                 f"not a rearrangement of 1..{len(letters)}: {letters}"
             )
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -216,8 +215,7 @@ class Permutation:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class StatReport:
+class StatReport(Value):
     """All statistics of one permutation, with 1-based position lists."""
 
     des: int
@@ -233,6 +231,37 @@ class StatReport:
     left_peak_positions: tuple[int, ...]
     valley_positions: tuple[int, ...]
     right_valley_positions: tuple[int, ...]
+
+    def __init__(
+        self,
+        des: int,
+        pk: int,
+        lpk: int,
+        rpk: int,
+        valleys: int,
+        right_valleys: int,
+        ipk: int,
+        ilpk: int,
+        descent_positions: tuple[int, ...],
+        peak_positions: tuple[int, ...],
+        left_peak_positions: tuple[int, ...],
+        valley_positions: tuple[int, ...],
+        right_valley_positions: tuple[int, ...],
+    ) -> None:
+        put = object.__setattr__
+        put(self, "des", des)
+        put(self, "pk", pk)
+        put(self, "lpk", lpk)
+        put(self, "rpk", rpk)
+        put(self, "valleys", valleys)
+        put(self, "right_valleys", right_valleys)
+        put(self, "ipk", ipk)
+        put(self, "ilpk", ilpk)
+        put(self, "descent_positions", descent_positions)
+        put(self, "peak_positions", peak_positions)
+        put(self, "left_peak_positions", left_peak_positions)
+        put(self, "valley_positions", valley_positions)
+        put(self, "right_valley_positions", right_valley_positions)
 
 
 def standardize(values: Sequence[int]) -> Permutation:

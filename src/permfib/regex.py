@@ -22,10 +22,10 @@ well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Union as TypingUnion
 
+from ._value import Value
 from .errors import InvalidInputError, NotInLanguageError
 from .words import ALPHABET, check_word
 
@@ -38,7 +38,7 @@ from .words import ALPHABET, check_word
 Masks = tuple[int, ...]
 
 
-class _Node:
+class _Node(Value):
     """The two evaluation kernels every node class shares, each compiled on
     first use from the whole tree under the node and kept on the node
     object: once per node object they are called on."""
@@ -52,49 +52,59 @@ class _Node:
         return _build_kernel(self, strict=True)
 
 
-@dataclass(frozen=True)
 class Lit(_Node):
     symbol: str
 
-    def __post_init__(self) -> None:
-        if self.symbol not in tuple(ALPHABET):
+    def __init__(self, symbol: str) -> None:
+        if symbol not in tuple(ALPHABET):
             raise InvalidInputError(
-                f"literal must be one letter of {ALPHABET!r}, got {self.symbol!r}"
+                f"literal must be one letter of {ALPHABET!r}, got {symbol!r}"
             )
+        object.__setattr__(self, "symbol", symbol)
 
 
-@dataclass(frozen=True)
 class Concat(_Node):
     parts: tuple["Node", ...]
 
+    def __init__(self, parts: tuple["Node", ...]) -> None:
+        object.__setattr__(self, "parts", parts)
 
-@dataclass(frozen=True)
+
 class Union(_Node):
     options: tuple["Node", ...]
 
+    def __init__(self, options: tuple["Node", ...]) -> None:
+        object.__setattr__(self, "options", options)
 
-@dataclass(frozen=True)
+
 class Star(_Node):
     inner: "Node"
 
+    def __init__(self, inner: "Node") -> None:
+        object.__setattr__(self, "inner", inner)
 
-@dataclass(frozen=True)
+
 class Plus(_Node):
     inner: "Node"
 
+    def __init__(self, inner: "Node") -> None:
+        object.__setattr__(self, "inner", inner)
 
-@dataclass(frozen=True)
+
 class Repeat(_Node):
     """At most ``most`` copies of ``inner`` (including zero)."""
 
     inner: "Node"
     most: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.most, int) or isinstance(self.most, bool) or self.most < 0:
+    def __init__(self, inner: "Node", most: int) -> None:
+        if not isinstance(most, int) or isinstance(most, bool) or most < 0:
             raise InvalidInputError(
-                f"bounded repetition needs an int most >= 0, got {self.most!r}"
+                f"bounded repetition needs an int most >= 0, got {most!r}"
             )
+        put = object.__setattr__
+        put(self, "inner", inner)
+        put(self, "most", most)
 
 
 Node = TypingUnion[Lit, Concat, Union, Star, Plus, Repeat]
@@ -519,13 +529,20 @@ def _positions(
     raise TypeError(f"not a regex node: {node!r}")
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Value):
     """Total deterministic automaton over {a, b, c}."""
 
     table: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
+
+    def __init__(
+        self, table: tuple[tuple[int, ...], ...], start: int, accepting: frozenset[int]
+    ) -> None:
+        put = object.__setattr__
+        put(self, "table", table)
+        put(self, "start", start)
+        put(self, "accepting", accepting)
 
     @property
     def states(self) -> int:

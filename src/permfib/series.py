@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import oracle
+from ._value import Value
 from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
 
 #: Largest order the closed-form expansions accept.  At this order their
@@ -49,8 +49,7 @@ def _rational(value) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Power series in one variable with rational coefficients, kept exactly
     up to a fixed order.
 
@@ -75,10 +74,10 @@ class TruncatedSeries:
 
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[Fraction | int]) -> None:
+        if not coeffs:
             raise InvalidInputError("a series needs at least the constant coefficient")
-        coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in self.coeffs)
+        coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -19,10 +19,10 @@ so the table above is stated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from ._value import Value
 from .errors import InvalidInputError
 from . import regex
 from .compositions import enumerate_compositions
@@ -31,17 +31,14 @@ from .compositions import enumerate_compositions
 _BLOCKS = frozenset((1, 2))
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Value):
     """Rows of block lengths; both rows sum to the width, top starts with 1."""
 
     top: tuple[int, ...]
     bottom: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        top, bottom = tuple(self.top), tuple(self.bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
+    def __init__(self, top: Iterable[int], bottom: Iterable[int]) -> None:
+        top, bottom = tuple(top), tuple(bottom)
         for row in (top, bottom):
             if not _BLOCKS.issuperset(row):
                 raise InvalidInputError(f"blocks must be 1 or 2: {row}")
@@ -51,6 +48,9 @@ class Tiling:
             )
         if not top or top[0] != 1:
             raise InvalidInputError("the top row must start with a monomino")
+        put = object.__setattr__
+        put(self, "top", top)
+        put(self, "bottom", bottom)
 
     @property
     def width(self) -> int:
@@ -83,7 +83,7 @@ def enumerate_tilings(k: int) -> Iterator[Tiling]:
 
     The rows are the compositions of k into parts 1 and 2, as tuples, and
     a top row is used only when it starts with 1, so every tiling is built
-    valid: it is made without rerunning ``Tiling.__post_init__``, whose
+    valid: it is made without rerunning ``Tiling.__init__``, whose
     checks still guard ``Tiling(...)`` and ``Tiling.from_text``.
     """
     if k < 1:

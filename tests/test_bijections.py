@@ -258,7 +258,7 @@ class TestTilings:
                 assert tiling_to_word(word_to_tiling(z)) == z
 
     def test_enumerated_tilings_equal_checked_ones(self):
-        # enumerate_tilings builds its tilings without __post_init__
+        # enumerate_tilings builds its tilings without __init__
         for k in range(1, 11):
             for tiling in enumerate_tilings(k):
                 checked = Tiling(tiling.top, tiling.bottom)

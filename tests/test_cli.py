@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -439,9 +440,13 @@ class TestTable:
 
     @pytest.mark.parametrize("kind", ["counts-thm1", "counts-thm2", "descent-matrix"])
     def test_n_max_zero_is_a_usage_error(self, capsys, kind):
+        message = {
+            "counts-thm1": "theorem1: --n-max must be in 1..300, got 0",
+            "counts-thm2": "theorem2: --n-max must be in 1..300, got 0",
+            "descent-matrix": "--n-max must be >= 1",
+        }[kind]
         code, out, err = run_cli(capsys, "table", "--kind", kind, "--n-max", "0")
-        assert (code, out) == (2, "")
-        assert "--n-max must be >= 1" in err
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
     @pytest.mark.parametrize(
@@ -621,6 +626,34 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
+
+
+def test_import_leaves_out_the_modules_only_some_paths_need():
+    """Importing the package and its CLI loads no ``dataclasses`` (nor the
+    ``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in), and leaves
+    ``datetime`` and ``csv`` to the output branches that use them.  The
+    check compares a fresh interpreter's modules before and after the
+    import, as ``site`` may load modules of its own."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import permfib, permfib.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = Path(permfib.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=src,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"permfib.cli", "argparse", "json"} <= loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "datetime", "csv"}
+    assert not loaded & unwanted
 
 
 def test_render_tiling_shape():

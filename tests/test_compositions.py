@@ -69,6 +69,8 @@ class TestEnumerateCompositions:
             list(enumerate_compositions(0))
         with pytest.raises(InvalidInputError):
             list(enumerate_compositions(3, max_part=0))
+        with pytest.raises(InvalidInputError, match=r"^composition parts must be >= 1: \(0,\)$"):
+            Composition((0,))
 
     def test_lexicographic(self):
         parts = [c.parts for c in enumerate_compositions(6)]

@@ -288,6 +288,8 @@ class TestParsing:
             Permutation.from_text("0 1 2")
         with pytest.raises(InvalidInputError):
             Permutation.from_text("abc")
+        with pytest.raises(InvalidInputError, match=r"^not a rearrangement of 1..2: \(1, 1\)$"):
+            Permutation((1, 1))
 
 
 @given(st.integers(0, 20).flatmap(lambda n: st.permutations(tuple(range(1, n + 1)))))

@@ -6,6 +6,7 @@ syntax trees."""
 
 import collections
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -304,15 +305,17 @@ def test_block_word_regex_is_ambiguous_from_m_4():
     assert regex.count_parses(regex.block_word_regex(3), "cbca") == 1
 
 
-@pytest.mark.parametrize("symbol", ["", "ab", "bc", "abc", "x", 1])
+@pytest.mark.parametrize("symbol", ["", "ab", "bc", "abc", "d", "x", 1])
 def test_a_literal_is_one_letter_of_the_alphabet(symbol):
     # a substring test let "", "ab", "bc" and "abc" through, which the
     # kernels then read as variable names
-    with pytest.raises(InvalidInputError, match="literal must be one letter of 'abc'"):
+    message = f"literal must be one letter of 'abc', got {symbol!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         regex.Lit(symbol)
 
 
 @pytest.mark.parametrize("most", [-1, 1.5, True, "2"])
 def test_a_bounded_repetition_takes_an_int_most(most):
-    with pytest.raises(InvalidInputError, match="needs an int most >= 0"):
+    message = f"bounded repetition needs an int most >= 0, got {most!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         regex.Repeat(A, most)

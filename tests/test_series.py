@@ -233,6 +233,10 @@ class TestBasicOperations:
 
     def test_coefficients_are_rational(self):
         assert TruncatedSeries((1, Fraction(1, 3))).coeffs == (Fraction(1), Fraction(1, 3))
+        with pytest.raises(
+            InvalidInputError, match="^a series needs at least the constant coefficient$"
+        ):
+            TruncatedSeries(())
         for bad in (1.5, "x", one_series(2)):
             with pytest.raises(InvalidInputError, match="ints or Fractions"):
                 TruncatedSeries((1, bad))
