@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -29,13 +28,16 @@ GF_X_ORDER = 7
 #: The n_max and k_max a claim reads when none is given.
 DEFAULT_N_MAX = 7
 DEFAULT_K_MAX = 10
+#: The largest pattern length a claim reads: prop7 and gf-general build an
+#: automaton, and prop6 forbidden factors, that grow linearly in m.
+MAX_M = 1000
 
 
 class Claim(NamedTuple):
     name: str
     check: Callable[..., Iterator[VerificationReport]]
     #: Pattern lengths checked when none are given; empty for claims that
-    #: do not read m.  Every m a claim reads must be at least 3.
+    #: do not read m.  Every m a claim reads must be in 3..MAX_M.
     default_ms: tuple[int, ...] = ()
     #: Largest n_max, and largest k_max, the check accepts; None: the check
     #: does not read it.
@@ -161,7 +163,7 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
     """The counterexample of length n of each m whose DFA has one, from one
     walk of the product automaton over the block words of length n."""
-    table, verdicts = _product(tuple(dfas.values()))
+    table, verdicts = regex.product(tuple(dfas.values()))
     a, c = words.ALPHABET.index("a"), words.ALPHABET.index("c")
     # levels[h][L]: the states after each middle u of length L, read from
     # the state h after a head a^i c, in the lexicographic order of u.  They
@@ -207,28 +209,6 @@ def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
             stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
             mismatches[m] = {"word": stray, "dfa": True}
     return mismatches
-
-
-@lru_cache(maxsize=8)
-def _product(dfas: tuple[regex.Dfa, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """The reachable part of the automata read in lockstep: its table, with
-    state 0 the tuple of their start states, and each state's verdicts.
-    The last few are kept, as prop7 reads one for every length."""
-    start = tuple(dfa.start for dfa in dfas)
-    index = {start: 0}
-    order = [start]
-    table = []
-    for states in order:
-        row = []
-        for letter in range(len(words.ALPHABET)):
-            target = tuple(dfa.table[s][letter] for dfa, s in zip(dfas, states))
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        table.append(tuple(row))
-    verdicts = tuple(tuple(s in dfa.accepting for dfa, s in zip(dfas, states)) for states in order)
-    return tuple(table), verdicts
 
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:
@@ -359,8 +339,11 @@ def validate(
         raise UsageError(f"--m is read only by {readers}")
     for name in names:
         claim = CLAIMS[name]
-        if claim.default_ms and min(ms or claim.default_ms) < 3:
-            raise UsageError(f"{name}: --m must be >= 3, got {min(ms or claim.default_ms)}")
+        claim_ms = (ms or claim.default_ms) if claim.default_ms else ()
+        if claim_ms and min(claim_ms) < 3:
+            raise UsageError(f"{name}: --m must be >= 3, got {min(claim_ms)}")
+        if claim_ms and max(claim_ms) > MAX_M:
+            raise UsageError(f"{name}: --m must be <= {MAX_M}, got {max(claim_ms)}")
         for option, value, high in ("--n-max", n_max, claim.max_n), ("--k-max", k_max, claim.max_k):
             if high is not None and not 1 <= value <= high:
                 raise UsageError(f"{name}: {option} must be in 1..{high}, got {value}")

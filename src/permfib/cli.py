@@ -11,10 +11,11 @@ table or series option that the chosen --kind does not read or a
 more than one --m for table --kind gf-coeffs, a negative --n-max, a
 descent matrix past n = 8, an --n-max or --k-max past the fixed cap of a
 selected claim (see claims.CLAIMS: 300 for theorem1, theorem2, gf-general
-and table --kind counts-thm1|counts-thm2, 14 for theorem4 and corollaries),
-a series order or table --kind fib --n-max above series.MAX_SERIES_ORDER
-(5,000), or an --output path that cannot be written (the report is then not
-written anywhere).  No cap has an override.
+and table --kind counts-thm1|counts-thm2, 14 for theorem4 and corollaries)
+or a --m past claims.MAX_M (1,000), a series order or table --kind fib
+--n-max above series.MAX_SERIES_ORDER (5,000), or an --output path that
+cannot be written (the report is then not written anywhere).  No cap has
+an override.
 Output is deterministic; the timestamp (and timing fields) disappear under
 --no-timestamp so byte-identical reruns are possible.
 """

@@ -287,22 +287,23 @@ def statistics(p: Permutation) -> StatReport:
     """Compute every statistic in one pass; ipk/ilpk are taken on the inverse."""
     letters = p.letters
     inv = inverse_letters(letters)
-    peak_pos = peaks(letters)
-    valley_pos = valleys(letters)
+    descent_pos, peak_pos, left_peak_pos, valley_pos, right_valley_pos = (
+        positions(letters) for positions in (descents, peaks, left_peaks, valleys, right_valleys)
+    )
     return StatReport(
-        des=len(descents(letters)),
+        des=len(descent_pos),
         pk=len(peak_pos),
-        lpk=left_peak_count(letters),
+        lpk=len(left_peak_pos),
         rpk=right_peak_count(letters),
         valleys=len(valley_pos),
-        right_valleys=len(right_valleys(letters)),
+        right_valleys=len(right_valley_pos),
         ipk=peak_count(inv),
         ilpk=left_peak_count(inv),
-        descent_positions=descents(letters),
+        descent_positions=descent_pos,
         peak_positions=peak_pos,
-        left_peak_positions=left_peaks(letters),
+        left_peak_positions=left_peak_pos,
         valley_positions=valley_pos,
-        right_valley_positions=right_valleys(letters),
+        right_valley_positions=right_valley_pos,
     )
 
 

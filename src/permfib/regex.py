@@ -567,49 +567,57 @@ class Dfa(Value):
 
     def count_words(self, n: int) -> int:
         """Number of accepted words of length exactly n, by path counting."""
-        if n < 0:
-            raise InvalidInputError("n must be nonnegative")
-        counts = [0] * self.states
-        counts[self.start] = 1
-        for _ in range(n):
-            nxt = [0] * self.states
-            for state, ways in enumerate(counts):
-                if ways:
-                    for target in self.table[state]:
-                        nxt[target] += ways
-            counts = nxt
-        return sum(counts[state] for state in self.accepting)
+        return self._paths(n)[n][self.start]
 
     def language(self, n: int) -> Iterator[str]:
         """All accepted words of length n, lexicographically."""
-        if n < 0:
-            raise InvalidInputError("n must be nonnegative")
-        viable = self._viable_table(n)
+        paths = self._paths(n)
         # Depth first on an explicit stack of (state, prefix) pairs: the
         # children go on in reverse letter order, so they come off in
         # order, and only prefixes that reach an accepting state go on.
         steps = [tuple(zip(reversed(row), reversed(ALPHABET))) for row in self.table]
-        stack = [(self.start, "")] if viable[n][self.start] else []
+        stack = [(self.start, "")] if paths[n][self.start] else []
         while stack:
             state, prefix = stack.pop()
             remaining = n - len(prefix)
             if not remaining:
                 yield prefix
                 continue
-            alive = viable[remaining - 1]
+            alive = paths[remaining - 1]
             for target, symbol in steps[state]:
                 if alive[target]:
                     stack.append((target, prefix + symbol))
 
-    def _viable_table(self, n: int) -> list[list[bool]]:
-        # viable[r][s]: some length-r word leads from s to an accepting state
-        viable = [[s in self.accepting for s in range(self.states)]]
+    def _paths(self, n: int) -> list[list[int]]:
+        """paths[r][s] for r = 0..n: the number of length-r words that lead
+        from state s to an accepting state."""
+        if n < 0:
+            raise InvalidInputError("n must be nonnegative")
+        paths = [[int(s in self.accepting) for s in range(self.states)]]
         for _ in range(n):
-            previous = viable[-1]
-            viable.append(
-                [any(previous[t] for t in self.table[s]) for s in range(self.states)]
-            )
-        return viable
+            # a row holds one target per letter of ALPHABET: a, b and c
+            previous = paths[-1]
+            paths.append([previous[a] + previous[b] + previous[c] for a, b, c in self.table])
+        return paths
+
+
+def _reachable(start, successors: Callable) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """The states reachable from ``start``, numbered in the order they are
+    first reached with ``start`` as state 0, and their table: one row per
+    state of the ids of ``successors(state)``, one target per letter of
+    ALPHABET in its order."""
+    index = {start: 0}
+    order = [start]
+    table = []
+    for state in order:
+        row = []
+        for target in successors(state):
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row.append(index[target])
+        table.append(tuple(row))
+    return order, tuple(table)
 
 
 def compile_ast(node: Node) -> Dfa:
@@ -623,21 +631,26 @@ def compile_ast(node: Node) -> Dfa:
     nullable, first, last = _positions(node, symbols, follow)
     follow[0] = first
     final = last | {0} if nullable else last
-    initial = frozenset((0,))
-    index: dict[frozenset[int], int] = {initial: 0}
-    order = [initial]
-    table: list[tuple[int, ...]] = []
-    for subset in order:
-        row = []
-        for symbol in ALPHABET:
-            target = frozenset(q for p in subset for q in follow[p] if symbols[q] == symbol)
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        table.append(tuple(row))
+    order, table = _reachable(frozenset((0,)), lambda subset: (
+        frozenset(q for p in subset for q in follow[p] if symbols[q] == symbol)
+        for symbol in ALPHABET
+    ))
     accepting = frozenset(i for i, subset in enumerate(order) if not subset.isdisjoint(final))
-    return Dfa(table=tuple(table), start=0, accepting=accepting)
+    return Dfa(table=table, start=0, accepting=accepting)
+
+
+@lru_cache(maxsize=8)
+def product(dfas: tuple[Dfa, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The reachable part of the automata read in lockstep: its table, with
+    state 0 the tuple of their start states, and each state's verdicts, one
+    per automaton.  The last few are kept, as prop7 reads one per length."""
+    # zip turns the rows of the component states into one target per letter
+    order, table = _reachable(
+        tuple(dfa.start for dfa in dfas),
+        lambda states: zip(*(dfa.table[s] for dfa, s in zip(dfas, states))),
+    )
+    verdicts = tuple(tuple(s in dfa.accepting for dfa, s in zip(dfas, states)) for states in order)
+    return table, verdicts
 
 
 @lru_cache(maxsize=None)

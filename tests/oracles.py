@@ -210,6 +210,25 @@ def per_word_prop7_mismatches(dfas: dict, n: int) -> dict[int, dict]:
 
 
 # ---------------------------------------------------------------------------
+# Forward path counting: the number of ways to reach each state, pushed one
+# letter at a time from the start state.  It reads only the automaton's
+# table, start and accepting states, and stands as a reference for
+# regex.Dfa.count_words, which counts backward from acceptance.
+
+
+def forward_word_count(dfa, n: int) -> int:
+    """Number of length-n words that ``dfa`` accepts."""
+    ways = {dfa.start: 1}
+    for _ in range(n):
+        reached: Counter = Counter()
+        for state, count in ways.items():
+            for target in dfa.table[state]:
+                reached[target] += count
+        ways = reached
+    return sum(count for state, count in ways.items() if state in dfa.accepting)
+
+
+# ---------------------------------------------------------------------------
 # Schoolbook series kernels: O(order^2) loops that touch every coefficient,
 # zero or not.  They stand as a reference for TruncatedSeries.__mul__, invert
 # and sqrt.

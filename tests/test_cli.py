@@ -158,6 +158,26 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "--k-max must be in 1..12" in err
 
+    @pytest.mark.parametrize(
+        "argv, claim",
+        [
+            (["verify", "--claim", "theorem1"], "theorem1"),
+            (["verify", "--claim", "prop6"], "prop6"),
+            (["verify", "--claim", "prop7"], "prop7"),
+            (["verify", "--claim", "gf-general"], "gf-general"),
+            (["table", "--kind", "counts-thm1"], "theorem1"),
+        ],
+    )
+    def test_m_has_one_fixed_cap(self, capsys, argv, claim):
+        """The automaton of prop7 and gf-general, and the forbidden factors
+        of prop6, grow linearly in m: 1000 runs, 1001 is refused."""
+        code, out, _ = run_cli(capsys, *argv, "--m", "1000", "--n-max", "3", "--no-timestamp")
+        assert code == 0
+        assert "1000" in out
+        code, out, err = run_cli(capsys, *argv, "--m", "3,1001", "--n-max", "3")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {claim}: --m must be <= 1000, got 1001\n"
+
     def test_m_read_by_no_selected_claim_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--claim", "theorem2", "--m", "4", "--n-max", "5"

@@ -1,9 +1,10 @@
 import pytest
-from oracles import brute_force_segmentations
+from oracles import brute_force_segmentations, forward_word_count
 
 from permfib import regex
 from permfib.errors import InvalidInputError, NotInLanguageError
 from permfib.words import (
+    ALPHABET,
     avoids_factor,
     avoids_forbidden_factors,
     check_word,
@@ -147,6 +148,17 @@ class TestRegexShapes:
             regex.block_word_regex(2)
 
 
+#: No accepting state: the language is empty at every length.
+EMPTY_DFA = regex.Dfa(table=((0, 0, 0),), start=0, accepting=frozenset())
+#: Start state 2: the words with no b and an odd number of a's; state 0 is dead.
+ODD_A_DFA = regex.Dfa(
+    table=((0, 0, 0), (2, 0, 1), (1, 0, 2)), start=2, accepting=frozenset({1})
+)
+AUTOMATA = [
+    regex.core_dfa(), *(regex.block_word_dfa(m) for m in range(3, 7)), EMPTY_DFA, ODD_A_DFA,
+]
+
+
 class TestCompile:
     def test_single_literal(self):
         dfa = regex.compile_ast(regex.lit("a"))
@@ -196,15 +208,21 @@ class TestCompile:
             assert words == sorted(words)
             assert all(dfa.accepts(w) for w in words)
 
-    @pytest.mark.parametrize(
-        "dfa",
-        [regex.core_dfa(), *(regex.block_word_dfa(m) for m in range(3, 7)),
-         # no accepting state: the language is empty at every length
-         regex.Dfa(table=((0, 0, 0),), start=0, accepting=frozenset())],
-    )
+    @pytest.mark.parametrize("dfa", AUTOMATA)
     def test_language_is_the_sorted_accepted_words(self, dfa):
         for n in range(9):
-            assert list(dfa.language(n)) == sorted(w for w in iter_words(n) if dfa.accepts(w))
+            language = list(dfa.language(n))
+            assert language == sorted(w for w in iter_words(n) if dfa.accepts(w))
+            assert dfa.count_words(n) == len(language)
+
+    @pytest.mark.parametrize("dfa", AUTOMATA)
+    def test_count_words_matches_forward_path_counting(self, dfa):
+        for n in range(61):
+            assert dfa.count_words(n) == forward_word_count(dfa, n), n
+
+    def test_count_words_refuses_a_negative_length(self):
+        with pytest.raises(InvalidInputError, match="n must be nonnegative"):
+            regex.core_dfa().count_words(-1)
 
     def test_language_refuses_a_negative_length_when_read(self):
         walk = regex.core_dfa().language(-1)
@@ -216,6 +234,27 @@ class TestCompile:
         for n in range(1, 11):
             for word in d3.language(n):
                 assert d4.accepts(word)
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "dfas",
+        [
+            (regex.core_dfa(),),
+            tuple(regex.block_word_dfa(m) for m in (3, 4, 5)),
+            tuple(regex.block_word_dfa(m) for m in (3, 4, 5, 6)),
+            (regex.block_word_dfa(3), EMPTY_DFA, ODD_A_DFA),
+        ],
+    )
+    def test_each_component_verdict_is_that_automatons_accepts(self, dfas):
+        table, verdicts = regex.product(dfas)
+        assert len(verdicts) == len(table)
+        for n in range(8):
+            for word in iter_words(n):
+                state = 0
+                for letter in word:
+                    state = table[state][ALPHABET.index(letter)]
+                assert verdicts[state] == tuple(dfa.accepts(word) for dfa in dfas), word
 
 
 class TestDefinitionMatchesRegex:
