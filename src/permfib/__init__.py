@@ -37,16 +37,10 @@ from .errors import (
 from .permutations import (
     Permutation,
     StatReport,
-    avoids_consecutive,
-    contains_consecutive,
     descent_composition,
     enumerate_symmetric_group,
     inverse,
-    is_alternating,
-    is_reverse_alternating,
-    monotone_pattern,
     reverse,
-    standardize,
     statistics,
 )
 from .regex import (
@@ -77,7 +71,6 @@ from .series import (
 )
 from .tilings import Tiling, enumerate_tilings, tiling_to_word, word_to_tiling
 from .words import (
-    avoids_factor,
     avoids_forbidden_factors,
     forbidden_factors,
     is_avoiding_block_word,
@@ -101,8 +94,6 @@ __all__ = [
     "Tiling",
     "TilingTriple",
     "TruncatedSeries",
-    "avoids_consecutive",
-    "avoids_factor",
     "avoids_forbidden_factors",
     "block_word",
     "block_word_dfa",
@@ -110,7 +101,6 @@ __all__ = [
     "canonical_decomposition",
     "compile_ast",
     "composition_reverse",
-    "contains_consecutive",
     "core_dfa",
     "core_regex",
     "core_segments",
@@ -130,17 +120,13 @@ __all__ = [
     "ilpk_polynomial",
     "inverse",
     "ipk_polynomial",
-    "is_alternating",
     "is_avoiding_block_word",
     "is_block_word",
     "is_n_shaped",
-    "is_reverse_alternating",
     "is_tiling_mappable",
-    "monotone_pattern",
     "permutation_to_tiling_triple",
     "reverse",
     "split_block_word",
-    "standardize",
     "statistics",
     "t_substitution",
     "t_substitution_inverse",

@@ -20,20 +20,15 @@ class Value:
     deleting an attribute raises :class:`AttributeError`, so ``__init__``
     sets each field with ``object.__setattr__``; writing to ``__dict__``
     instead would be quicker but, on CPython 3.11 and later, makes every
-    later read of an attribute of that instance slower.  A subclass declared
-    with ``frozen=False`` may be changed and has no hash.  Instances keep
+    later read of an attribute of that instance slower.  Instances keep
     their ``__dict__``, so ``functools.cached_property`` works on them.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -171,11 +171,12 @@ def word_to_permutation(word: str) -> Permutation:
     return Permutation(_decode(word))
 
 
-def is_tiling_mappable(p: Permutation, m: int = 3) -> bool:
-    """N-shaped with an inverse avoiding the descending consecutive pattern."""
+def is_tiling_mappable(p: Permutation) -> bool:
+    """N-shaped with an inverse that has no descending 3-run: exactly the
+    domain of :func:`permutation_to_tiling_triple`."""
     if not is_n_shaped(p):
         return False
-    return not contains_descending_run(inverse_letters(p.letters), m)
+    return not contains_descending_run(inverse_letters(p.letters), 3)
 
 
 def permutation_to_tiling_triple(p: Permutation) -> TilingTriple:

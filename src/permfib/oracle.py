@@ -50,7 +50,7 @@ REPORT_SCHEMA: dict[str, Any] = {
 }
 
 
-class VerificationReport(Value, frozen=False):
+class VerificationReport(Value):
     """Outcome of one claim check; failures carry reproduction data."""
 
     claim: str
@@ -67,11 +67,12 @@ class VerificationReport(Value, frozen=False):
         counterexample: Optional[dict[str, Any]] = None,
         millis: int = 0,
     ) -> None:
-        self.claim = claim
-        self.params = params
-        self.passed = passed
-        self.counterexample = counterexample
-        self.millis = millis
+        put = object.__setattr__
+        put(self, "claim", claim)
+        put(self, "params", params)
+        put(self, "passed", passed)
+        put(self, "counterexample", counterexample)
+        put(self, "millis", millis)
 
     def to_json_dict(self, include_millis: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -264,11 +264,6 @@ class StatReport(Value):
         put(self, "right_valley_positions", right_valley_positions)
 
 
-def standardize(values: Sequence[int]) -> Permutation:
-    """The unique permutation order-isomorphic to a distinct-integer sequence."""
-    return Permutation(standardize_letters(tuple(values)))
-
-
 def inverse(p: Permutation) -> Permutation:
     """The permutation sending each value back to its position.
 
@@ -307,17 +302,6 @@ def statistics(p: Permutation) -> StatReport:
     )
 
 
-def contains_consecutive(p: Permutation, sigma: Permutation) -> bool:
-    """True when some window of adjacent letters of p standardizes to sigma."""
-    if len(sigma) == 0:
-        raise InvalidInputError("the pattern must be nonempty")
-    return contains_consecutive_letters(p.letters, sigma.letters)
-
-
-def avoids_consecutive(p: Permutation, sigma: Permutation) -> bool:
-    return not contains_consecutive(p, sigma)
-
-
 def descent_composition(p: Permutation) -> Composition:
     """Composition of n listing the increasing-run lengths in order.
 
@@ -327,31 +311,6 @@ def descent_composition(p: Permutation) -> Composition:
     '(1,2,3,1,1)'
     """
     return Composition(increasing_run_lengths(p.letters))
-
-
-def is_alternating(p: Permutation) -> bool:
-    """True when the letters go up, down, up, down, ... starting with a rise."""
-    return _zigzags(p, "10")
-
-
-def is_reverse_alternating(p: Permutation) -> bool:
-    """True when the letters go down, up, down, up, ... starting with a fall."""
-    return _zigzags(p, "01")
-
-
-def _zigzags(p: Permutation, cycle: str) -> bool:
-    if len(p) == 0:
-        raise InvalidInputError("alternation is defined for length >= 1")
-    word = rise_word(p.letters)
-    return word == (cycle * len(word))[: len(word)]
-
-
-def monotone_pattern(m: int, *, descending: bool = False) -> Permutation:
-    """The pattern 12...m, or m...21 when descending."""
-    if m < 1:
-        raise InvalidInputError("pattern length must be >= 1")
-    values = range(m, 0, -1) if descending else range(1, m + 1)
-    return Permutation(tuple(values))
 
 
 def enumerate_symmetric_group(n: int) -> Iterator[Permutation]:

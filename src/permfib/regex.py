@@ -110,28 +110,12 @@ class Repeat(_Node):
 Node = TypingUnion[Lit, Concat, Union, Star, Plus, Repeat]
 
 
-def lit(symbol: str) -> Lit:
-    return Lit(symbol)
-
-
 def seq(*parts: Node) -> Node:
     return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
 
 def alt(*options: Node) -> Node:
     return options[0] if len(options) == 1 else Union(tuple(options))
-
-
-def star(inner: Node) -> Star:
-    return Star(inner)
-
-
-def plus(inner: Node) -> Plus:
-    return Plus(inner)
-
-
-def up_to(inner: Node, most: int) -> Repeat:
-    return Repeat(inner, most)
 
 
 def format_ast(node: Node) -> str:
@@ -177,17 +161,13 @@ def _format_tight(node: Node) -> str:
 
 
 def _segment_alternatives() -> Node:
-    return alt(
-        lit("c"),
-        seq(lit("b"), lit("c")),
-        seq(plus(lit("a")), lit("b")),
-        seq(plus(lit("a")), lit("c")),
-    )
+    a, b, c = Lit("a"), Lit("b"), Lit("c")
+    return alt(c, seq(b, c), seq(Plus(a), b), seq(Plus(a), c))
 
 
 def core_regex() -> Node:
     """a* c (c ∪ bc ∪ a⁺b ∪ a⁺c)* — the segmentable core words."""
-    return seq(star(lit("a")), lit("c"), star(_segment_alternatives()))
+    return seq(Star(Lit("a")), Lit("c"), Star(_segment_alternatives()))
 
 
 def block_word_regex(m: int = 3) -> Node:
@@ -200,13 +180,13 @@ def block_word_regex(m: int = 3) -> Node:
         raise InvalidInputError(f"m must be >= 3, got {m}")
     segment = _segment_alternatives()
     if m == 3:
-        middle: Node = star(segment)
+        middle: Node = Star(segment)
         closing: tuple[Node, ...] = ()
     else:
-        padding = up_to(lit("b"), m - 3)
-        middle = star(seq(padding, segment))
-        closing = (up_to(lit("b"), m - 3),)
-    return seq(star(lit("a")), lit("c"), middle, *closing, plus(lit("a")), star(lit("c")))
+        padding = Repeat(Lit("b"), m - 3)
+        middle = Star(seq(padding, segment))
+        closing = (Repeat(Lit("b"), m - 3),)
+    return seq(Star(Lit("a")), Lit("c"), middle, *closing, Plus(Lit("a")), Star(Lit("c")))
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +195,6 @@ def block_word_regex(m: int = 3) -> Node:
 # Both push the whole set of reached positions through each node, in one
 # pass over the tree per word (Baeza-Yates & Gonnet, "A new approach to text
 # searching", CACM 35, 1992, run on the tree rather than on an automaton).
-
-
-def match_ends(node: Node, word: str, start: int) -> frozenset[int]:
-    """All positions where a match of ``node`` beginning at ``start`` may end.
-
-    Forward position-set evaluation from the bitset ``1 << start``, at the
-    cost given in :func:`ast_matches`.
-    """
-    check_word(word)
-    if start < 0:
-        raise InvalidInputError(f"start must be >= 0, got {start}")
-    if start > len(word):
-        raise InvalidInputError(f"start must be <= len(word) = {len(word)}, got {start}")
-    ends = node._kernel(1 << start, *_symbol_masks(word))
-    return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
 
 
 def ast_matches(node: Node, word: str) -> bool:
@@ -567,7 +532,12 @@ class Dfa(Value):
 
     def count_words(self, n: int) -> int:
         """Number of accepted words of length exactly n, by path counting."""
-        return self._paths(n)[n][self.start]
+        return self.counts(n)[n]
+
+    def counts(self, n: int) -> list[int]:
+        """The numbers of accepted words of each length 0..n, from one path
+        table."""
+        return [row[self.start] for row in self._paths(n)]
 
     def language(self, n: int) -> Iterator[str]:
         """All accepted words of length n, lexicographically."""

@@ -29,15 +29,6 @@ def check_word(word: str) -> str:
     return word
 
 
-def avoids_factor(word: str, factor: str) -> bool:
-    """True when ``factor`` never occurs as a contiguous block of ``word``."""
-    check_word(word)
-    check_word(factor)
-    if not factor:
-        raise InvalidInputError("the factor must be nonempty")
-    return factor not in word
-
-
 def is_block_word(word: str) -> bool:
     """True for words of the form a^i c u a c^j.
 

@@ -142,11 +142,6 @@ def right_valley_positions(values):
     return valley_positions(values) + last
 
 
-def is_up_down(values, rising_first):
-    """True when the rise bits alternate, the first one being ``rising_first``."""
-    return all(rise == (rising_first == (i % 2 == 0)) for i, rise in enumerate(rise_bits(values)))
-
-
 class Record(NamedTuple):
     letters: tuple[int, ...]
     up: int  # longest ascending run
@@ -304,7 +299,7 @@ def _dense_rational(numerator: list, denominator: list, order: int) -> Truncated
 # ---------------------------------------------------------------------------
 # Top-down memoised regex references: one start position at a time, memo
 # keyed by (node, start).  They stand as a reference for the forward
-# position-set evaluation of regex.match_ends, ast_matches and count_parses.
+# position-set evaluation of the matcher kernel, ast_matches and count_parses.
 
 
 def memo_match_ends(node, word: str, start: int, memo=None) -> frozenset[int]:

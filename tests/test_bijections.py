@@ -305,11 +305,15 @@ class TestTilingTriple:
             permutation_to_tiling_triple(N_EXAMPLE)
 
     def test_round_trip(self):
-        for n in range(2, 9):
+        # is_tiling_mappable is exactly the map's domain: outside it the map refuses
+        for n in range(1, 9):
             for p in enumerate_symmetric_group(n):
                 if is_tiling_mappable(p):
                     triple = permutation_to_tiling_triple(p)
                     assert tiling_triple_to_permutation(triple, n) == p
+                else:
+                    with pytest.raises(NotInDomainError):
+                        permutation_to_tiling_triple(p)
 
     def test_triple_bounds_checked(self):
         triple = TilingTriple(j=5, k=1, tiling=Tiling((1,), (1,)))

@@ -216,9 +216,7 @@ class TestReports:
         jsonschema.validate(payload, oracle.REPORT_SCHEMA)
 
     def test_failure_carries_counterexample(self):
-        report = oracle.VerificationReport(claim="demo", params={})
-        report.passed = False
-        report.counterexample = {"n": 3}
+        report = oracle.VerificationReport(claim="demo", params={}, counterexample={"n": 3})
         payload = report.to_json_dict()
         assert payload["pass"] is False
         assert payload["counterexample"] == {"n": 3}

@@ -33,6 +33,13 @@ def _extend(children):
     )
 
 
+def kernel_ends(node, word: str, start: int) -> frozenset[int]:
+    """The positions where a match of ``node`` from ``start`` may end, read
+    from the bitset of its compiled matcher kernel."""
+    ends = node._kernel(1 << start, *regex._symbol_masks(word))
+    return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
+
+
 syntax_trees = st.recursive(st.sampled_from("abc").map(regex.Lit), _extend, max_leaves=8)
 short_words = st.text(alphabet="abc", max_size=7)
 
@@ -42,7 +49,7 @@ short_words = st.text(alphabet="abc", max_size=7)
 def test_forward_evaluation_agrees_with_the_memoised_reference(node, word):
     with time_limit(1):
         for start in range(len(word) + 1):
-            assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
+            assert kernel_ends(node, word, start) == memo_match_ends(node, word, start)
         assert regex.ast_matches(node, word) == (len(word) in memo_match_ends(node, word, 0))
         _assert_counts_agree(node, word)
 
@@ -75,25 +82,14 @@ def test_compiled_dfa_agrees_with_the_reference_on_arbitrary_trees(node):
 
 
 def test_nullable_body_raises_only_when_reached():
-    nullable = regex.star(regex.up_to(regex.lit("a"), 1))
+    nullable = regex.Star(regex.Repeat(regex.Lit("a"), 1))
     with pytest.raises(InvalidInputError, match="non-nullable"):
         regex.count_parses(nullable, "a")
     # the concatenation dies at its first letter, so the star is never reached
-    assert regex.count_parses(regex.seq(regex.lit("b"), nullable), "a") == 0
+    assert regex.count_parses(regex.seq(regex.Lit("b"), nullable), "a") == 0
 
 
-def test_match_ends_rejects_a_negative_start():
-    with pytest.raises(InvalidInputError, match="start must be >= 0"):
-        regex.match_ends(regex.core_regex(), "c", -1)
-
-
-def test_match_ends_rejects_a_start_past_the_end_of_the_word():
-    assert regex.match_ends(regex.star(regex.lit("a")), "ab", 2) == frozenset({2})
-    with pytest.raises(InvalidInputError, match=r"start must be <= len\(word\) = 2, got 5"):
-        regex.match_ends(regex.star(regex.lit("a")), "ab", 5)
-
-
-A = regex.lit("a")
+A = regex.Lit("a")
 
 #: Expressions whose parse counts on a^n grow exponentially (many bit planes
 #: in the plane reference), with the closed form of each count.
@@ -177,9 +173,9 @@ def test_kernels_are_built_once_per_node_object(kernel_builds, make):
 
 
 def test_a_shared_subtree_gets_one_kernel(kernel_builds, fallback_nodes):
-    shared = regex.Plus(regex.lit("a"))
+    shared = regex.Plus(regex.Lit("a"))
     node = regex.Concat((shared, shared))
-    assert regex.match_ends(node, "aaa", 0) == frozenset({2, 3})
+    assert kernel_ends(node, "aaa", 0) == frozenset({2, 3})
     assert regex.count_parses(node, "aaa") == 2
     assert len(_distinct_nodes(node)) == 3
     # the compiled kernels cover the whole tree from its root, and the count
@@ -191,16 +187,16 @@ def test_a_shared_subtree_gets_one_kernel(kernel_builds, fallback_nodes):
 def _star_nest(depth: int):
     """(b (b ... (b a c)* ... c)* c)*: a star nest ``depth`` deep, every body
     a concatenation, so every level is a loop of its own."""
-    node = regex.lit("a")
+    node = regex.Lit("a")
     for _ in range(depth):
-        node = regex.Star(regex.Concat((regex.lit("b"), node, regex.lit("c"))))
+        node = regex.Star(regex.Concat((regex.Lit("b"), node, regex.Lit("c"))))
     return node
 
 
 DEEP_AND_LONG = [
     (_star_nest(32), ["", "bac", "bbacc", "bbacbacc", "bacbac", "bbac", "b" * 32 + "a" + "c" * 32]),
-    (regex.Repeat(regex.lit("b"), 1000), ["", "b", "bbbbbbbbbbbb", "bbab", "a"]),
-    (regex.Repeat(regex.seq(regex.lit("b"), regex.lit("b")), 1000), ["", "bb", "b" * 12, "bbb"]),
+    (regex.Repeat(regex.Lit("b"), 1000), ["", "b", "bbbbbbbbbbbb", "bbab", "a"]),
+    (regex.Repeat(regex.seq(regex.Lit("b"), regex.Lit("b")), 1000), ["", "bb", "b" * 12, "bbb"]),
 ]
 
 
@@ -209,7 +205,7 @@ def test_deep_nests_and_long_repetitions_evaluate(node, sample):
     with time_limit(10):
         for word in sample:
             for start in range(len(word) + 1):
-                assert regex.match_ends(node, word, start) == memo_match_ends(node, word, start)
+                assert kernel_ends(node, word, start) == memo_match_ends(node, word, start)
             assert regex.count_parses(node, word) == memo_count_parses(node, word), word
 
 
@@ -244,7 +240,7 @@ FALLBACKS = [
     (lambda: regex.Concat((regex.Repeat(A, 1), regex.Repeat(A, 1))), "a"),
     (lambda: regex.block_word_regex(5), "cbbcbcac"),
     # a nullable body adds its starts to themselves before the error
-    (lambda: regex.Plus(regex.Repeat(regex.lit("a"), 2)), "aa"),
+    (lambda: regex.Plus(regex.Repeat(regex.Lit("a"), 2)), "aa"),
     (lambda: regex.Star(regex.Star(regex.Concat((A, A)))), "aaaa"),
 ]
 
@@ -260,9 +256,9 @@ def test_overlapping_derivations_fall_back_to_the_bit_planes(fallback_nodes, mak
 def _ambiguous_star_nest(depth: int):
     """(b (b ... (b a)* ...)*)*: ``depth`` nested stars, every body a
     concatenation, which parse b^k a in many ways once k > depth."""
-    node = regex.lit("a")
+    node = regex.Lit("a")
     for _ in range(depth):
-        node = regex.Star(regex.Concat((regex.lit("b"), node)))
+        node = regex.Star(regex.Concat((regex.Lit("b"), node)))
     return node
 
 

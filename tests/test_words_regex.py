@@ -5,7 +5,6 @@ from permfib import regex
 from permfib.errors import InvalidInputError, NotInLanguageError
 from permfib.words import (
     ALPHABET,
-    avoids_factor,
     avoids_forbidden_factors,
     check_word,
     forbidden_factors,
@@ -15,33 +14,6 @@ from permfib.words import (
     iter_block_words,
     iter_words,
 )
-
-
-class TestFactors:
-    def test_contained_factor(self):
-        # the encoding of the N-shaped example contains "cba" at position 3
-        assert avoids_factor("aacbabcbcaca", "cba") is False
-
-    def test_word_equal_to_factor(self):
-        assert avoids_factor("cba", "cba") is False
-
-    def test_empty_word(self):
-        assert avoids_factor("", "cba") is True
-
-    def test_empty_factor_rejected(self):
-        with pytest.raises(InvalidInputError):
-            avoids_factor("abc", "")
-
-    def test_alphabet_checked(self):
-        with pytest.raises(InvalidInputError):
-            avoids_factor("abd", "a")
-
-    def test_matches_window_scan(self):
-        for n in range(5):
-            for w in iter_words(n):
-                for v in ("a", "ba", "cba"):
-                    windows = [w[i : i + len(v)] for i in range(len(w) - len(v) + 1)]
-                    assert avoids_factor(w, v) == (v not in windows)
 
 
 class TestCheckWord:
@@ -161,14 +133,14 @@ AUTOMATA = [
 
 class TestCompile:
     def test_single_literal(self):
-        dfa = regex.compile_ast(regex.lit("a"))
+        dfa = regex.compile_ast(regex.Lit("a"))
         assert dfa.accepts("a")
         assert not dfa.accepts("")
         assert not dfa.accepts("aa")
         assert not dfa.accepts("b")
 
     def test_union_star(self):
-        dfa = regex.compile_ast(regex.star(regex.alt(regex.lit("a"), regex.lit("b"))))
+        dfa = regex.compile_ast(regex.Star(regex.alt(regex.Lit("a"), regex.Lit("b"))))
         assert dfa.accepts("")
         assert dfa.accepts("abba")
         assert not dfa.accepts("abca")
@@ -217,8 +189,10 @@ class TestCompile:
 
     @pytest.mark.parametrize("dfa", AUTOMATA)
     def test_count_words_matches_forward_path_counting(self, dfa):
+        expected = [forward_word_count(dfa, n) for n in range(61)]
         for n in range(61):
-            assert dfa.count_words(n) == forward_word_count(dfa, n), n
+            assert dfa.count_words(n) == expected[n], n
+            assert dfa.counts(n) == expected[: n + 1], n
 
     def test_count_words_refuses_a_negative_length(self):
         with pytest.raises(InvalidInputError, match="n must be nonnegative"):
