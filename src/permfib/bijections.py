@@ -34,14 +34,6 @@ class CanonicalDecomposition(Value):
     beta: tuple[int, ...]
     gamma: tuple[int, ...]
 
-    def __init__(
-        self, alpha: tuple[int, ...], beta: tuple[int, ...], gamma: tuple[int, ...]
-    ) -> None:
-        put = object.__setattr__
-        put(self, "alpha", alpha)
-        put(self, "beta", beta)
-        put(self, "gamma", gamma)
-
     def word(self) -> str:
         """Letter i names the part (a: alpha, b: beta, c: gamma) holding the value i."""
         first = len(self.alpha)
@@ -54,12 +46,6 @@ class TilingTriple(Value):
     j: int
     k: int
     tiling: Tiling
-
-    def __init__(self, j: int, k: int, tiling: Tiling) -> None:
-        put = object.__setattr__
-        put(self, "j", j)
-        put(self, "k", k)
-        put(self, "tiling", tiling)
 
 
 def is_n_shaped(p: Permutation) -> bool:

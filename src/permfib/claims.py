@@ -130,11 +130,12 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     The definition rejects every word outside block form, so two checks per
     length cover all 3^n words: the DFA agrees with the definition on every
     block word, and the number of block words it accepts equals its path
-    count ``count_words(n)``, so it accepts no other word.  A disagreement
-    is reported as the first block word in ``iter_block_words`` order (run
-    lengths first, then the middle), not the lexicographically first word;
-    a count mismatch as the first non-block word of ``language(n)``, which
-    is found only after every block word of that length agrees.
+    count, row n of one ``counts(n_max)`` per m, so it accepts no other
+    word.  A disagreement is reported as the first block word in
+    ``iter_block_words`` order (run lengths first, then the middle), not the
+    lexicographically first word; a count mismatch as the first non-block
+    word of ``language(n)``, which is found only after every block word of
+    that length agrees.
 
     Each length is walked once for every m that has no counterexample yet,
     on the product of their DFAs, so the first report carries the time of
@@ -148,21 +149,25 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     trust.
     """
     dfas = {m: regex.block_word_dfa(m) for m in ms}
+    path_counts = {m: dfa.counts(n_max) for m, dfa in dfas.items()}
     counterexamples: dict[int, dict] = {}
     for n in range(1, n_max + 1):
         pending = {m: dfa for m, dfa in dfas.items() if m not in counterexamples}
         if not pending:
             break
-        counterexamples.update(_prop7_mismatches(pending, n))
+        counterexamples.update(_prop7_mismatches(pending, n, path_counts))
     for m in ms:
         expression = regex.format_ast(regex.block_word_regex(m))
         params = {"m": m, "n_max": n_max, "expression": expression}
         yield report("prop7", params, counterexamples.get(m))
 
 
-def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
+def _prop7_mismatches(
+    dfas: dict[int, regex.Dfa], n: int, path_counts: dict[int, list[int]]
+) -> dict[int, dict]:
     """The counterexample of length n of each m whose DFA has one, from one
-    walk of the product automaton over the block words of length n."""
+    walk of the product automaton over the block words of length n;
+    ``path_counts[m][n]`` is the number of length-n words m's DFA accepts."""
     table, verdicts = regex.product(tuple(dfas.values()))
     a, c = words.ALPHABET.index("a"), words.ALPHABET.index("c")
     # levels[h][L]: the states after each middle u of length L, read from
@@ -204,7 +209,7 @@ def _prop7_mismatches(dfas: dict[int, regex.Dfa], n: int) -> dict[int, dict]:
                     return mismatches
     for k, m in checking:
         dfa = dfas[m]
-        if sum(count for verdict, count in accepted.items() if verdict[k]) != dfa.count_words(n):
+        if sum(count for verdict, count in accepted.items() if verdict[k]) != path_counts[m][n]:
             # The word is None only if the block-word walk or the path count is wrong.
             stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
             mismatches[m] = {"word": stray, "dfa": True}

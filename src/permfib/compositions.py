@@ -45,7 +45,7 @@ class Composition(Value):
         parts = tuple(parts)
         if any(part < 1 for part in parts):
             raise InvalidInputError(f"composition parts must be >= 1: {parts}")
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Composition":

@@ -55,24 +55,9 @@ class VerificationReport(Value):
 
     claim: str
     params: dict[str, Any]
-    passed: bool
-    counterexample: Optional[dict[str, Any]]
-    millis: int
-
-    def __init__(
-        self,
-        claim: str,
-        params: dict[str, Any],
-        passed: bool = False,
-        counterexample: Optional[dict[str, Any]] = None,
-        millis: int = 0,
-    ) -> None:
-        put = object.__setattr__
-        put(self, "claim", claim)
-        put(self, "params", params)
-        put(self, "passed", passed)
-        put(self, "counterexample", counterexample)
-        put(self, "millis", millis)
+    passed: bool = False
+    counterexample: Optional[dict[str, Any]] = None
+    millis: int = 0
 
     def to_json_dict(self, include_millis: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -212,11 +197,6 @@ class Sweep(Value):
     n: int
     histogram: dict[tuple[int, int, int, int], int]
 
-    def __init__(self, n: int, histogram: dict[tuple[int, int, int, int], int]) -> None:
-        put = object.__setattr__
-        put(self, "n", n)
-        put(self, "histogram", histogram)
-
     def ipk_counts(self, m: int) -> dict[int, int]:
         """Permutations avoiding an ascending m-run, by peaks of the inverse."""
         return _tally((ipk, c) for (up, _, ipk, _), c in self.histogram.items() if up < m)
@@ -339,11 +319,6 @@ def count_ipk0_avoiders(n: int, m: int) -> int:
 def count_ilpk1_avoiders(n: int, m: int = 3) -> int:
     """Permutations of n avoiding a descending m-run with ilpk exactly 1."""
     return _transfer(n, m, _N, False)
-
-
-def count_block_words_by_definition(n: int, m: int = 3) -> int:
-    """Avoiding block words of length n, generated from the definition."""
-    return sum(1 for _ in iter_avoiding_block_words(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +456,7 @@ def triangulated_counts(n: int, m: int = 3) -> dict[str, int]:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     check_enumeration_size(n)  # the word definition's walk grows exponentially in n
     by_permutations = count_ilpk1_avoiders(n, m)
-    by_definition = count_block_words_by_definition(n, m)
+    by_definition = sum(1 for _ in iter_avoiding_block_words(n, m))
     by_dfa = regex.block_word_dfa(m).count_words(n)
     out = {
         "permutations": by_permutations,

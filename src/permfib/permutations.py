@@ -180,7 +180,7 @@ class Permutation(Value):
             raise InvalidInputError(
                 f"not a rearrangement of 1..{len(letters)}: {letters}"
             )
-        object.__setattr__(self, "letters", letters)
+        super().__init__(letters)
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -232,37 +232,6 @@ class StatReport(Value):
     valley_positions: tuple[int, ...]
     right_valley_positions: tuple[int, ...]
 
-    def __init__(
-        self,
-        des: int,
-        pk: int,
-        lpk: int,
-        rpk: int,
-        valleys: int,
-        right_valleys: int,
-        ipk: int,
-        ilpk: int,
-        descent_positions: tuple[int, ...],
-        peak_positions: tuple[int, ...],
-        left_peak_positions: tuple[int, ...],
-        valley_positions: tuple[int, ...],
-        right_valley_positions: tuple[int, ...],
-    ) -> None:
-        put = object.__setattr__
-        put(self, "des", des)
-        put(self, "pk", pk)
-        put(self, "lpk", lpk)
-        put(self, "rpk", rpk)
-        put(self, "valleys", valleys)
-        put(self, "right_valleys", right_valleys)
-        put(self, "ipk", ipk)
-        put(self, "ilpk", ilpk)
-        put(self, "descent_positions", descent_positions)
-        put(self, "peak_positions", peak_positions)
-        put(self, "left_peak_positions", left_peak_positions)
-        put(self, "valley_positions", valley_positions)
-        put(self, "right_valley_positions", right_valley_positions)
-
 
 def inverse(p: Permutation) -> Permutation:
     """The permutation sending each value back to its position.
@@ -279,27 +248,19 @@ def reverse(p: Permutation) -> Permutation:
 
 
 def statistics(p: Permutation) -> StatReport:
-    """Compute every statistic in one pass; ipk/ilpk are taken on the inverse."""
-    letters = p.letters
-    inv = inverse_letters(letters)
-    descent_pos, peak_pos, left_peak_pos, valley_pos, right_valley_pos = (
-        positions(letters) for positions in (descents, peaks, left_peaks, valleys, right_valleys)
+    """Every statistic, read from one rise word of p and one of its inverse;
+    ipk/ilpk are taken on the inverse."""
+    word, inv_word = rise_word(p.letters), rise_word(inverse_letters(p.letters))
+    positions = (
+        _starts(word, "0", 1),  # descents
+        _starts(word, "10", 2),  # peaks
+        _starts("1" + word, "10", 1),  # left peaks
+        _starts(word, "01", 2),  # valleys
+        _starts(word + "1", "01", 2),  # right valleys
     )
-    return StatReport(
-        des=len(descent_pos),
-        pk=len(peak_pos),
-        lpk=len(left_peak_pos),
-        rpk=right_peak_count(letters),
-        valleys=len(valley_pos),
-        right_valleys=len(right_valley_pos),
-        ipk=peak_count(inv),
-        ilpk=left_peak_count(inv),
-        descent_positions=descent_pos,
-        peak_positions=peak_pos,
-        left_peak_positions=left_peak_pos,
-        valley_positions=valley_pos,
-        right_valley_positions=right_valley_pos,
-    )
+    des, pk, lpk, valleys, right_valleys = map(len, positions)
+    rpk, ipk, ilpk = (word + "0").count("10"), inv_word.count("10"), ("1" + inv_word).count("10")
+    return StatReport(des, pk, lpk, rpk, valleys, right_valleys, ipk, ilpk, *positions)
 
 
 def descent_composition(p: Permutation) -> Composition:

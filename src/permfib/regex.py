@@ -60,35 +60,23 @@ class Lit(_Node):
             raise InvalidInputError(
                 f"literal must be one letter of {ALPHABET!r}, got {symbol!r}"
             )
-        object.__setattr__(self, "symbol", symbol)
+        super().__init__(symbol)
 
 
 class Concat(_Node):
     parts: tuple["Node", ...]
 
-    def __init__(self, parts: tuple["Node", ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-
 
 class Union(_Node):
     options: tuple["Node", ...]
-
-    def __init__(self, options: tuple["Node", ...]) -> None:
-        object.__setattr__(self, "options", options)
 
 
 class Star(_Node):
     inner: "Node"
 
-    def __init__(self, inner: "Node") -> None:
-        object.__setattr__(self, "inner", inner)
-
 
 class Plus(_Node):
     inner: "Node"
-
-    def __init__(self, inner: "Node") -> None:
-        object.__setattr__(self, "inner", inner)
 
 
 class Repeat(_Node):
@@ -102,9 +90,7 @@ class Repeat(_Node):
             raise InvalidInputError(
                 f"bounded repetition needs an int most >= 0, got {most!r}"
             )
-        put = object.__setattr__
-        put(self, "inner", inner)
-        put(self, "most", most)
+        super().__init__(inner, most)
 
 
 Node = TypingUnion[Lit, Concat, Union, Star, Plus, Repeat]
@@ -500,14 +486,6 @@ class Dfa(Value):
     table: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
-
-    def __init__(
-        self, table: tuple[tuple[int, ...], ...], start: int, accepting: frozenset[int]
-    ) -> None:
-        put = object.__setattr__
-        put(self, "table", table)
-        put(self, "start", start)
-        put(self, "accepting", accepting)
 
     @property
     def states(self) -> int:

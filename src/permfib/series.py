@@ -78,7 +78,7 @@ class TruncatedSeries(Value):
         if not coeffs:
             raise InvalidInputError("a series needs at least the constant coefficient")
         coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:

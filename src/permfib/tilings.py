@@ -48,9 +48,7 @@ class Tiling(Value):
             )
         if not top or top[0] != 1:
             raise InvalidInputError("the top row must start with a monomino")
-        put = object.__setattr__
-        put(self, "top", top)
-        put(self, "bottom", bottom)
+        super().__init__(top, bottom)
 
     @property
     def width(self) -> int:

@@ -1,5 +1,5 @@
-"""The value types: equality, hashing, repr and immutability from their
-fields."""
+"""The value types: field binding, equality, hashing, repr and immutability
+from their fields."""
 
 from fractions import Fraction
 
@@ -86,6 +86,44 @@ def test_frozen_values(make, text):
     with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         value.extra = 1
     assert value == same
+
+
+@pytest.mark.parametrize("make, text", FROZEN)
+def test_positional_and_keyword_construction_agree(make, text):
+    value = make()
+    cls, fields = type(value), vars(value)
+    names, values = list(fields), list(fields.values())
+    for k in range(len(values) + 1):
+        # the first k fields by position, the rest by keyword
+        built = cls(*values[:k], **dict(zip(names[k:], values[k:])))
+        assert built == value and repr(built) == text
+
+
+def test_binding_errors_name_the_class_and_the_field():
+    table, none = ((0, 0, 0),), frozenset()
+    with pytest.raises(
+        TypeError,
+        match=r"^Dfa\(\) takes 3 fields \('table', 'start', 'accepting'\), got 4 values$",
+    ):
+        Dfa(table, 0, none, 1)
+    with pytest.raises(TypeError, match=r"^Dfa\(\) has no field 'stop'$"):
+        Dfa(table, 0, accepting=none, stop=1)
+    with pytest.raises(TypeError, match=r"^Dfa\(\) got field 'start' by position and by keyword$"):
+        Dfa(table, 0, none, start=0)
+    with pytest.raises(TypeError, match=r"^Dfa\(\) missing field 'accepting'$"):
+        Dfa(table, start=0)
+    with pytest.raises(TypeError, match=r"^TilingTriple\(\) missing field 'j'$"):
+        TilingTriple()
+    with pytest.raises(TypeError, match=r"^VerificationReport\(\) missing field 'params'$"):
+        VerificationReport("x", passed=True)
+
+
+def test_defaults_are_bound_on_the_instance():
+    assert vars(VerificationReport("x", {})) == {
+        "claim": "x", "params": {}, "passed": False, "counterexample": None, "millis": 0
+    }
+    report = VerificationReport("x", {}, millis=5)
+    assert (report.passed, report.counterexample, report.millis) == (False, None, 5)
 
 
 def test_hash_is_the_hash_of_the_field_values():
