@@ -27,7 +27,7 @@ import io
 import itertools
 import json
 import sys
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bijections, claims, oracle, regex, series, tilings
 from .compositions import Composition, fib
@@ -169,22 +169,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class Output(NamedTuple):
-    """What a command reports: the JSON payload, the CSV columns and rows, the
-    text lines and the exit code.  :func:`_render` writes one format of it."""
+    """What a command reports: the JSON payload, the CSV columns and rows, a
+    function that returns the text lines, and the exit code.  :func:`_render`
+    writes one format of it; the text lines are built only when that format
+    is text."""
 
     json: dict[str, Any]
     columns: list[str]
     rows: Sequence[Sequence[Any]]
-    text: list[str]
+    text: Callable[[], list[str]]
     code: int = EXIT_OK
 
 
 def _render(args, out: Output) -> None:
-    """Write the chosen format of ``out`` to the sink.  Text is headed by the
-    generation time and JSON carries it as a last key, unless --no-timestamp.
-    JSON spells compositions and fractions as strings.  ``datetime`` and
-    ``csv`` are imported only where they are used, so a run that needs
-    neither does not pay for their import."""
+    """Write the chosen format of ``out`` to the sink; ``out.text`` is called
+    only for --format text.  Text is headed by the generation time and JSON
+    carries it as a last key, unless --no-timestamp.  JSON spells
+    compositions and fractions as strings.  ``datetime`` and ``csv`` are
+    imported only where they are used, so a run that needs neither does not
+    pay for their import."""
     stamp = None
     if not args.no_timestamp:
         import datetime
@@ -201,7 +204,7 @@ def _render(args, out: Output) -> None:
         csv.writer(sink, lineterminator="\n").writerows([out.columns, *rows])
         text = sink.getvalue()
     else:
-        text = "\n".join(([f"generated-at: {stamp}"] if stamp else []) + out.text)
+        text = "\n".join(([f"generated-at: {stamp}"] if stamp else []) + out.text())
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -220,12 +223,13 @@ def _csv_cell(cell: Any) -> str:
 
 def _table(kind: str, params: dict[str, Any], columns: list[str],
            rows: list[list[Any]], note: str | None = None) -> Output:
-    widths = [max(len(str(row[i])) for row in [columns, *rows]) for i in range(len(columns))]
-    text = [f"note: {note}"] if note else []
-    text += [
-        "  ".join(str(cell).ljust(width) for cell, width in zip(row, widths))
-        for row in [columns, *rows]
-    ]
+    def text() -> list[str]:
+        widths = [max(len(str(row[i])) for row in [columns, *rows]) for i in range(len(columns))]
+        return ([f"note: {note}"] if note else []) + [
+            "  ".join(str(cell).ljust(width) for cell, width in zip(row, widths))
+            for row in [columns, *rows]
+        ]
+
     payload: dict[str, Any] = {"kind": kind, "params": params, "columns": columns, "rows": rows}
     if note:
         payload["note"] = note
@@ -234,10 +238,11 @@ def _table(kind: str, params: dict[str, Any], columns: list[str],
 
 def _pairs(kind: str, pairs: list[tuple[str, Any]], tiling: tilings.Tiling | None = None) -> Output:
     """Field/value output; in text, a tiling is drawn below the fields."""
-    width = max(len(key) for key, _ in pairs)
-    text = [f"{key.ljust(width)}  {value}" for key, value in pairs]
-    if tiling is not None:
-        text += render_tiling(tiling).split("\n")
+    def text() -> list[str]:
+        width = max(len(key) for key, _ in pairs)
+        lines = [f"{key.ljust(width)}  {value}" for key, value in pairs]
+        return lines + (render_tiling(tiling).split("\n") if tiling is not None else [])
+
     return Output({"kind": kind, **dict(pairs)}, ["field", "value"], pairs, text)
 
 
@@ -264,14 +269,17 @@ def _cmd_verify(args) -> Output:
     )
     all_pass = all(r.passed for r in reports)
     timed = not args.no_timestamp
-    text = []
-    for r in reports:
-        params = ", ".join(f"{k}={v}" for k, v in r.params.items())
-        suffix = f"  [{r.millis} ms]" if timed else ""
-        text.append(f"{'PASS' if r.passed else 'FAIL'}  {r.claim}  ({params}){suffix}")
-        if r.counterexample is not None:
-            text.append(f"      counterexample: {r.counterexample}")
-    text.append("result: " + ("all claims pass" if all_pass else "FAILURES FOUND"))
+
+    def text() -> list[str]:
+        lines = []
+        for r in reports:
+            params = ", ".join(f"{k}={v}" for k, v in r.params.items())
+            suffix = f"  [{r.millis} ms]" if timed else ""
+            lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.claim}  ({params}){suffix}")
+            if r.counterexample is not None:
+                lines.append(f"      counterexample: {r.counterexample}")
+        return lines + ["result: " + ("all claims pass" if all_pass else "FAILURES FOUND")]
+
     return Output(
         {"reports": [r.to_json_dict(include_millis=timed) for r in reports], "all_pass": all_pass},
         ["claim", "pass", "params"],
@@ -547,7 +555,7 @@ def _cmd_series(args) -> Output:
         },
         ["n", "coefficient"],
         list(enumerate(expansion.coeffs)),
-        [f"{label}:", series.format_series(expansion, var=var)],
+        lambda: [f"{label}:", series.format_series(expansion, var=var)],
     )
 
 

@@ -2,11 +2,14 @@
 
 Coefficients are rationals (stdlib :class:`~fractions.Fraction`).  All
 arithmetic is exact; floating point is deliberately absent from this module.
-The two quadratic kernels, series product and inverse, run on ints: each
+The two quadratic kernels, the product and the quotient, run on ints: each
 operand is read once as integer numerators over one common denominator, and
-one Fraction is built per output coefficient.  Every denominator polynomial
-of the closed forms has integer coefficients and constant term 1 or -1, so
-their expansions are integer recurrences (Knuth, TAOCP Vol. 2, §4.7).
+one Fraction is built per output coefficient.  The quotient kernel
+:func:`_divide` serves ``/``, ``invert`` and :func:`rational_series` alike.
+Every denominator polynomial of the closed forms has integer coefficients
+and constant term 1 or -1, so their expansions are integer recurrences
+(Knuth, TAOCP Vol. 2, §4.7) whose coefficients need no reduction.  The
+square root stays on Fractions.
 Operations on series of different orders truncate to the smaller order.  A
 bivariate series in x and t is held as rows: a tuple whose entry n is the
 coefficient of x^n, a series in t.
@@ -29,14 +32,15 @@ from .errors import InvalidInputError, ResourceLimitError, SingularSeriesError
 MAX_SERIES_ORDER = 5000
 
 
-def _terms(coeffs: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+def _terms(coeffs: Sequence[Fraction | int]) -> list[tuple[int, Fraction | int]]:
     """The (index, coefficient) pairs of the nonzero coefficients, in order."""
     return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
-def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero coefficients as (index, integer numerator) pairs over one
-    common denominator, the lcm of theirs, returned beside them."""
+def _numerators(coeffs: Sequence[Fraction | int]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero coefficients, ints or Fractions, as (index, integer
+    numerator) pairs over one common denominator, the lcm of theirs, returned
+    beside them."""
     scale = math.lcm(*(c.denominator for c in coeffs))
     return [(i, c.numerator * (scale // c.denominator)) for i, c in _terms(coeffs)], scale
 
@@ -60,16 +64,18 @@ class TruncatedSeries(Value):
     The kernels loop over nonzero coefficients only.  With nnz(s) the number
     of nonzero coefficients of s and N the order of the result, ``a * b``
     costs at most min(nnz(a) * nnz(b), min(nnz(a), nnz(b)) * (N + 1))
-    coefficient products, and ``invert`` and ``sqrt`` cost at most
-    N * nnz(self).  The rational generating functions have at most seven
-    nonzero terms in any operand, so their expansions are linear in N.
+    coefficient products, ``a / b`` at most N * nnz(b) beyond reading a, and
+    ``invert`` and ``sqrt`` at most N * nnz(self).  The rational generating
+    functions have at most seven nonzero terms in any operand, so their
+    expansions are linear in N.
 
-    ``a * b`` and ``invert`` multiply and add integer numerators and reduce
-    once per output coefficient: ``a * b`` scales each operand to the lcm of
-    its denominators, ``invert`` each term a_i / a_0 by δ^i for one scale δ
-    (see there); for an integral operand both scales are 1.  ``sqrt``, ``+``,
-    ``-`` and scalar products stay on Fractions: the 1/(2n) factor of each
-    root coefficient would make unreduced denominators grow factorially.
+    ``a * b``, ``a / b`` and ``invert`` multiply and add integer numerators
+    and reduce once per output coefficient: ``a * b`` scales each operand to
+    the lcm of its denominators, and :func:`_divide` scales the dividend the
+    same way and each term b_i / b_0 of the divisor by δ^i for one scale δ;
+    for integral operands every scale is 1.  ``sqrt``, ``+``, ``-`` and scalar
+    products stay on Fractions: the 1/(2n) factor of each root coefficient
+    would make unreduced denominators grow factorially.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -155,7 +161,7 @@ class TruncatedSeries(Value):
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            return self * other.invert()
+            return _divide(self.coeffs, other.coeffs, min(self.order, other.order))
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise SingularSeriesError("cannot divide a series by zero")
@@ -179,44 +185,13 @@ class TruncatedSeries(Value):
     # -- the interesting operations ------------------------------------------
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be invertible.
-
-        The recurrence runs on ints.  With r_i = a_i / a_0 and a scale δ such
-        that every denominator of r_i divides δ^i, coefficient n is
-        C_n / (a_0 δ^n) for integers C_0 = 1 and C_n = -sum over i >= 1 of
-        r_i δ^i C_(n-i).  δ grows only by the factors some r_i needs, so for
-        an integral series with constant term 1 or -1, as every closed form
-        here, δ = 1 and C_n is the coefficient itself up to sign; for
-        1/sqrt(1 - t), δ = 4 and C_n = binomial(2n, n).
+        """Multiplicative inverse; the constant term must be nonzero.
 
         >>> geometric = from_coeffs([1, -1], order=4).invert()
         >>> geometric == from_coeffs([1, 1, 1, 1, 1])
         True
         """
-        a = self.coeffs
-        lead = a[0]
-        if not lead:
-            raise SingularSeriesError("cannot invert a series with zero constant term")
-        ratios = [(i, c / lead) for i, c in _terms(a)[1:]]
-        delta = 1
-        for i, r in ratios:
-            d = r.denominator
-            # afterwards d divides delta^i, and each earlier d_j still divides delta^j
-            delta *= d // math.gcd(d, pow(delta, i, d))
-        tail = [(i, r.numerator * (delta**i // r.denominator)) for i, r in ratios]
-        out = [1]
-        for n in range(1, len(a)):
-            acc = 0
-            for i, w in tail:
-                if i > n:
-                    break
-                acc += w * out[n - i]
-            out.append(-acc)
-        power = 1
-        for n, c in enumerate(out):
-            out[n] = Fraction(lead.denominator * c, lead.numerator * power)
-            power *= delta
-        return TruncatedSeries(tuple(out))
+        return _divide((1,), self.coeffs, self.order)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1.
@@ -249,6 +224,54 @@ class TruncatedSeries(Value):
         for k in range(order - 1, -1, -1):
             result = (result * inner_t).add_constant(self.coeffs[k])
         return result
+
+
+def _divide(p: Sequence, q: Sequence, order: int) -> TruncatedSeries:
+    """P/Q to the given order, for coefficient sequences p and q of ints or
+    Fractions of any length; q_0 must be nonzero.
+
+    Coefficient n of the quotient solves q_0 out_n = p_n - sum over i >= 1
+    of q_i out_(n-i) (Knuth, TAOCP Vol. 2, §4.7), and the recurrence runs on
+    ints.  With S the lcm of P's denominators, r_i = q_i / q_0 and a scale δ
+    such that every denominator of r_i divides δ^i, y_n = S q_0 δ^n out_n is
+    an integer: y_n = S p_n δ^n - sum over i >= 1 of r_i δ^i y_(n-i).  δ
+    grows only by the factors some r_i needs, so for an integral P over an
+    integral Q with constant term 1 or -1, as every closed form here, S = 1,
+    δ = 1 and y_n is the coefficient itself up to sign, which Fraction's int
+    constructor takes without a gcd; for 1/sqrt(1 - t), δ = 4 and y_n =
+    binomial(2n, n).
+    """
+    divisor = _terms(q[: order + 1])
+    if not divisor or divisor[0][0]:
+        raise SingularSeriesError("cannot divide by a series with zero constant term")
+    lead = Fraction(divisor[0][1])
+    ratios = [(i, c / lead) for i, c in divisor[1:]]
+    delta = 1
+    for i, r in ratios:
+        d = r.denominator
+        # afterwards d divides delta^i, and each earlier d_j still divides delta^j
+        delta *= d // math.gcd(d, pow(delta, i, d))
+    tail = [(i, r.numerator * (delta**i // r.denominator)) for i, r in ratios]
+    dividend, scale = _numerators(p[: order + 1])
+    out = [0] * (order + 1)
+    for n, a in dividend:
+        out[n] = a * delta**n
+    for n in range(1, order + 1):
+        acc = out[n]
+        for i, w in tail:
+            if i > n:
+                break
+            acc -= w * out[n - i]
+        out[n] = acc
+    unit = scale * lead.numerator
+    if delta == 1 and unit in (1, -1):
+        factor = unit * lead.denominator
+        return TruncatedSeries(tuple(Fraction(y * factor) for y in out))
+    power = 1
+    for n, y in enumerate(out):
+        out[n] = Fraction(y * lead.denominator, unit * power)
+        power *= delta
+    return TruncatedSeries(tuple(out))
 
 
 #: A bivariate series in x and t as rows: entry n is the coefficient of x^n.
@@ -308,8 +331,19 @@ def format_series(s: TruncatedSeries, var: str = "t") -> str:
 
 
 def rational_series(numerator: Sequence, denominator: Sequence, order: int) -> TruncatedSeries:
-    """Expand numerator/denominator; the denominator constant must be nonzero."""
-    return from_coeffs(numerator, order) * from_coeffs(denominator, order).invert()
+    """Expand numerator/denominator to the given order.  Both are coefficient
+    lists of ints or Fractions, of any length; the denominator's constant
+    term must be nonzero.
+
+    >>> [int(c) for c in rational_series([1], [1, -1, -1], 9).coeffs]
+    [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    """
+    if order < 0:
+        raise InvalidInputError(f"order must be >= 0, got {order}")
+    for c in itertools.chain(numerator, denominator):
+        if not isinstance(c, Fraction):
+            _rational(c)  # refuses what TruncatedSeries refuses
+    return _divide(numerator, denominator, order)
 
 
 # ---------------------------------------------------------------------------

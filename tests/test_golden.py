@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from permfib import series
 from permfib.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,3 +54,27 @@ def test_output_matches_golden_file(name, capsys):
     assert main(COMMANDS[name].split() + ["--no-timestamp"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["series_substitution_inverse_order6.json", "series_fib_ogf_m4_order10.csv"]
+)
+def test_non_text_formats_render_no_text(name, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("format_series ran for a format other than text")
+
+    monkeypatch.setattr(series, "format_series", refuse)
+    test_output_matches_golden_file(name, capsys)
+
+
+def test_text_format_renders_the_series_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return format_series(*args, **kwargs)
+
+    format_series = series.format_series
+    monkeypatch.setattr(series, "format_series", counted)
+    test_output_matches_golden_file("series_ilpk_ogf_order30.txt", capsys)
+    assert len(calls) == 1

@@ -31,6 +31,7 @@ from permfib.series import (
     ipk_gf_sides,
     ipk_polynomial,
     one_series,
+    rational_series,
     t_substitution,
     t_substitution_inverse,
     variable,
@@ -129,6 +130,96 @@ class TestKernelsAgainstDenseReference:
     def test_sqrt(self, s):
         s = with_constant(s, 1)
         assert s.sqrt() == dense_sqrt(s)
+
+
+class TestDivisionKernel:
+    """``/`` and ``rational_series`` share the quotient kernel with
+    ``invert`` (checked above); each is checked against the schoolbook
+    inverse and product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_series(), sparse_series(), nonzero_rationals)
+    @example(from_coeffs([1, 2, 3]), from_coeffs([3, 1]), Fraction(3))
+    @example(from_coeffs([Fraction(1, 2), 0, Fraction(-2, 3)]), from_coeffs([0, 5]), Fraction(-2))
+    @example(from_coeffs([Fraction(5, 7)]), from_coeffs([0, Fraction(1, 3), 1]), Fraction(2, 3))
+    def test_quotient(self, a, b, constant):
+        b = with_constant(b, constant)
+        quotient = a / b
+        assert quotient == dense_mul(a, dense_invert(b))
+        assert quotient.order == min(a.order, b.order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(rationals, max_size=12),
+        st.lists(rationals, max_size=12),
+        nonzero_rationals,
+        st.integers(0, 10),
+    )
+    @example([1, -1], [-2, 0, 1], Fraction(1), 6)
+    @example([Fraction(1, 3), 2, Fraction(-5, 4), 1, 1, 1, 1, 1], [0, 4], Fraction(3), 3)
+    @example([], [0, 1], Fraction(-1, 2), 4)
+    def test_rational_series(self, numerator, denominator, constant, order):
+        denominator = [constant] + denominator
+        p, q = from_coeffs(numerator, order), from_coeffs(denominator, order)
+        assert rational_series(numerator, denominator, order) == dense_mul(p, dense_invert(q))
+
+    def test_numerator_longer_than_the_order_is_truncated(self):
+        assert rational_series([1, 2, 3, 4, 5], [1, -1], 2) == from_coeffs([1, 3, 6])
+        assert rational_series([0, 0, 0, 7], [2], 2) == from_coeffs([0, 0, 0])
+
+    def test_unit_free_constant_terms(self):
+        # q_0 = 2 and q_0 = -3/2 scale every coefficient; P = 1/3 - t/4 is rational
+        assert rational_series([1], [2, -1], 3) == from_coeffs(
+            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+        )
+        assert rational_series([Fraction(1, 3), Fraction(-1, 4)], [Fraction(-3, 2)], 2) == (
+            from_coeffs([Fraction(-2, 9), Fraction(1, 6), 0])
+        )
+
+    def test_zero_constant_term_is_singular(self):
+        with pytest.raises(SingularSeriesError, match="zero constant term"):
+            rational_series([1], [0, 1], 3)
+        with pytest.raises(SingularSeriesError, match="zero constant term"):
+            rational_series([1], [], 3)
+        with pytest.raises(SingularSeriesError, match="zero constant term"):
+            from_coeffs([1, 2, 3]) / from_coeffs([0, 0, 1])
+        with pytest.raises(SingularSeriesError, match="zero constant term"):
+            from_coeffs([Fraction(0), 1]).invert()
+
+    def test_order_and_coefficient_checks(self):
+        with pytest.raises(InvalidInputError, match="order must be >= 0, got -1"):
+            rational_series([1], [1], -1)
+        for bad in (1.5, "x", one_series(2)):
+            with pytest.raises(InvalidInputError, match="ints or Fractions"):
+                rational_series([1, bad], [1], 3)
+            with pytest.raises(InvalidInputError, match="ints or Fractions"):
+                rational_series([1], [1, bad], 3)
+
+    @pytest.mark.parametrize("order", [*range(13), 300])
+    def test_closed_forms_match_product_with_inverse(self, order):
+        def monomials(*terms):
+            out = [0] * (max(e for e, _ in terms) + 1)
+            for e, c in terms:
+                out[e] += c
+            return out
+
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def product_with_inverse(p, q):
+            return from_coeffs(p, order) * from_coeffs(q, order).invert()
+
+        for m in range(2, 7):
+            q = monomials((0, 1), (1, -2), (m, 1))
+            assert fibonacci_ogf(m, order) == product_with_inverse([1, -1], q), m
+        for m in range(3, 7):
+            p = monomials((2, -1), (m, 1))
+            q = times([1, -2, 1], monomials((0, -1), (1, 3), (m, -3), (m + 1, 1)))
+            assert ilpk_one_ogf(m, order) == product_with_inverse(p, q), m
 
 
 class TestKernelsAtHighOrder:
