@@ -169,8 +169,8 @@ def permutation_to_tiling_triple(p: Permutation) -> TilingTriple:
     """Compose encoding, suffix split, and tiling construction.
 
     >>> triple = permutation_to_tiling_triple(Permutation.from_text("21"))
-    >>> (triple.j, triple.k, triple.tiling.serialize())
-    (0, 1, '1\\n1')
+    >>> triple
+    TilingTriple(j=0, k=1, tiling=Tiling(top=(1,), bottom=(1,)))
     """
     word = block_word(p)
     if not is_avoiding_block_word(word, 3):

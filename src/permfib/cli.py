@@ -33,7 +33,7 @@ from . import bijections, claims, oracle, regex, series, tilings
 from .compositions import Composition, fib
 from .errors import NotInDomainError, PermfibError, ResourceLimitError, UsageError
 from .permutations import Permutation, descent_composition, statistics
-from .words import check_word, forbidden_factors, is_avoiding_block_word, is_block_word
+from .words import check_word, forbidden_factors, is_block_word
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -381,16 +381,17 @@ def _biject_permutation(p: Permutation) -> Output:
         ("gamma", " ".join(map(str, split.gamma))),
         ("word", word),
     ]
-    if not is_avoiding_block_word(word, 3):
+    try:
+        triple = bijections.permutation_to_tiling_triple(p)
+    except NotInDomainError:
         pairs.append((
             "notice",
             "word has a forbidden factor (inverse contains a descending "
             "3-run); no tiling triple",
         ))
         return _pairs("biject-permutation", pairs)
-    j, k, core = regex.split_block_word(word)
-    tiling = tilings.word_to_tiling(core)
-    return _pairs("biject-permutation", pairs + _word_chain_pairs(j, k, core, tiling), tiling)
+    chain = _word_chain_pairs(triple.j, triple.k, word[: triple.k], triple.tiling)
+    return _pairs("biject-permutation", pairs + chain, triple.tiling)
 
 
 def _word_chain_pairs(j, k, core, tiling) -> list[tuple[str, Any]]:

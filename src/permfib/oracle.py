@@ -290,9 +290,10 @@ _N = {
     "peak": (("peak", False, lambda k: 1), ("peak", True, lambda k: 1), ("end", True, lambda k: 1)),
     "end": (("peak", False, lambda k: 2), ("end", True, lambda k: 1)),
 }
-#: The states at n = 1, 2, ... of each automaton's phases and m, as far as
-#: counted: a phase and sigma's trailing run of the banned bit, below m - 1.
-_LEVELS: dict[tuple[tuple[str, ...], int], list[Counter]] = {}
+#: For each automaton's phases and m: its counts at n = 1, 2, ... as far as
+#: counted, and its states at the last n counted only, each a phase and
+#: sigma's trailing run of the banned bit, below m - 1.
+_LEVELS: dict[tuple[tuple[str, ...], int], tuple[list[int], Counter]] = {}
 
 
 def _transfer(n: int, m: int, moves: dict, banned: bool) -> int:
@@ -301,14 +302,18 @@ def _transfer(n: int, m: int, moves: dict, banned: bool) -> int:
         raise InvalidInputError(f"need m >= 3 and n >= 1, got m = {m}, n = {n}")
     if n > AUTOMATON_MAX_N:
         raise ResourceLimitError(f"the insertion automata count n <= {AUTOMATON_MAX_N}, got {n}")
-    levels = _LEVELS.setdefault((tuple(moves), m), [Counter({(next(iter(moves)), 0): 1})])
-    for k in range(len(levels) + 1, n + 1):
-        states: Counter = Counter()
-        for (phase, run), count in levels[-1].items():
-            for target, rise, ways in moves[phase]:
-                states[target, run + 1 if rise == banned else 0] += ways(k) * count
-        levels.append(Counter({state: c for state, c in states.items() if state[1] < m - 1}))
-    return sum(count for (phase, _), count in levels[n - 1].items() if phase != "inc")
+    key = (tuple(moves), m)
+    counts, states = _LEVELS.get(key, ([], Counter({(next(iter(moves)), 0): 1})))
+    for k in range(len(counts) + 1, n + 1):
+        if k > 1:
+            grown: Counter = Counter()
+            for (phase, run), count in states.items():
+                for target, rise, ways in moves[phase]:
+                    grown[target, run + 1 if rise == banned else 0] += ways(k) * count
+            states = Counter({state: c for state, c in grown.items() if state[1] < m - 1})
+        counts.append(sum(count for (phase, _), count in states.items() if phase != "inc"))
+    _LEVELS[key] = counts, states
+    return counts[n - 1]
 
 
 def count_ipk0_avoiders(n: int, m: int) -> int:

@@ -79,17 +79,7 @@ def descents(letters: Sequence[int]) -> tuple[int, ...]:
     return _starts(rise_word(letters), "0", 1)
 
 
-def peaks(letters: Sequence[int]) -> tuple[int, ...]:
-    """Positions i in 2..n-1 where the value rises then falls."""
-    return _starts(rise_word(letters), "10", 2)
-
-
-def left_peaks(letters: Sequence[int]) -> tuple[int, ...]:
-    """Peaks, plus position 1 when the word starts with a fall: pk(0 pi)."""
-    return _starts("1" + rise_word(letters), "10", 1)
-
-
-# "10" and "01" cannot overlap themselves, so str.count finds every one.
+# "10" cannot overlap itself, so str.count finds every one.
 def peak_count(letters: Sequence[int]) -> int:
     return rise_word(letters).count("10")
 
@@ -101,17 +91,6 @@ def left_peak_count(letters: Sequence[int]) -> int:
 def right_peak_count(letters: Sequence[int]) -> int:
     """Peaks, plus position n when the word ends with a rise: pk(pi 0)."""
     return (rise_word(letters) + "0").count("10")
-
-
-def valleys(letters: Sequence[int]) -> tuple[int, ...]:
-    """Positions i in 2..n-1 where the value falls then rises."""
-    return _starts(rise_word(letters), "01", 2)
-
-
-def right_valleys(letters: Sequence[int]) -> tuple[int, ...]:
-    """Valleys, plus position n when the word ends with a fall, as if a
-    larger letter followed."""
-    return _starts(rise_word(letters) + "1", "01", 2)
 
 
 def increasing_run_lengths(letters: Sequence[int]) -> tuple[int, ...]:

@@ -587,11 +587,10 @@ def compile_ast(node: Node) -> Dfa:
     return Dfa(table=table, start=0, accepting=accepting)
 
 
-@lru_cache(maxsize=8)
 def product(dfas: tuple[Dfa, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple]:
     """The reachable part of the automata read in lockstep: its table, with
     state 0 the tuple of their start states, and each state's verdicts, one
-    per automaton.  The last few are kept, as prop7 reads one per length."""
+    per automaton."""
     # zip turns the rows of the component states into one target per letter
     order, table = _reachable(
         tuple(dfa.start for dfa in dfas),

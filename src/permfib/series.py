@@ -90,22 +90,8 @@ class TruncatedSeries(Value):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, index: int) -> Fraction:
-        """The coefficient of the index-th power; errors beyond the order."""
-        if not 0 <= index <= self.order:
-            raise InvalidInputError(f"coefficient {index} beyond order {self.order}")
-        return self.coeffs[index]
-
-    def zero_like(self) -> "TruncatedSeries":
-        return from_coeffs([], self.order)
-
     def one_like(self) -> "TruncatedSeries":
         return one_series(self.order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise InvalidInputError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations ----------------------------------------------------
 
@@ -214,17 +200,6 @@ class TruncatedSeries(Value):
             out.append(acc * Fraction(1, 2 * n))
         return TruncatedSeries(tuple(out))
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` (zero constant term) into this series."""
-        if inner.coeffs[0]:
-            raise SingularSeriesError("composition requires inner constant term 0")
-        order = min(self.order, inner.order)
-        inner_t = inner.truncate(order)
-        result = inner_t.zero_like().add_constant(self.coeffs[order])
-        for k in range(order - 1, -1, -1):
-            result = (result * inner_t).add_constant(self.coeffs[k])
-        return result
-
 
 def _divide(p: Sequence, q: Sequence, order: int) -> TruncatedSeries:
     """P/Q to the given order, for coefficient sequences p and q of ints or
@@ -307,7 +282,7 @@ def one_series(order: int) -> TruncatedSeries:
 
 def evaluate_polynomial(coefficients: Sequence, point: TruncatedSeries) -> TruncatedSeries:
     """Horner evaluation of an exact polynomial at a series."""
-    result = point.zero_like()
+    result = from_coeffs([], point.order)
     for c in reversed(tuple(coefficients)):
         result = result * point + c
     return result
@@ -352,15 +327,14 @@ def rational_series(numerator: Sequence, denominator: Sequence, order: int) -> T
 
 def t_substitution(order: int) -> TruncatedSeries:
     """The series 4t/(1+t)^2."""
-    t = variable(order)
-    return (t * 4) * ((t + 1) ** 2).invert()
+    return rational_series([0, 4], [1, 2, 1], order)
 
 
 def t_substitution_inverse(order: int) -> TruncatedSeries:
     """The series v with 4v/(1+v)^2 = t, i.e. 2(1 - sqrt(1-t))/t - 1.
 
     The division by t is a coefficient shift: 1 - sqrt(1-t) has no constant
-    term, so no Laurent machinery is needed.
+    term, so v_n = -2 root_(n+1) for the root of 1 - t, less 1 at n = 0.
 
     >>> t_substitution_inverse(3).coeffs
     (Fraction(0, 1), Fraction(1, 4), Fraction(1, 8), Fraction(5, 64))
@@ -368,10 +342,8 @@ def t_substitution_inverse(order: int) -> TruncatedSeries:
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     _check_order_cap(order)
-    root = (one_series(order + 1) - variable(order + 1)).sqrt()
-    numerator = one_series(order + 1) - root
-    assert numerator.coeffs[0] == 0
-    shifted = [2 * numerator.coeffs[i + 1] for i in range(order + 1)]
+    root = from_coeffs([1, -1], order + 1).sqrt().coeffs
+    shifted = [-2 * c for c in root[1:]]
     shifted[0] -= 1
     return TruncatedSeries(tuple(shifted))
 
@@ -551,13 +523,11 @@ def _gf_sides(
     coeff_prime x^(jm+1)), whose sum is empty at k = 0.
     """
     _check_orders(m, x_order, t_order)
-    t = variable(t_order)
-    inv_one_minus_t = (one_series(t_order) - t).invert()
-    ratio = (one_series(t_order) + t) * inv_one_minus_t
+    ratio = rational_series([1, 1], [1, -1], t_order)
     u = t_substitution(t_order)
 
-    lhs = [inv_one_minus_t]
-    factor = from_coeffs(lead, t_order) * inv_one_minus_t
+    lhs = [rational_series([1], [1, -1], t_order)]
+    factor = rational_series(lead, [1, -1], t_order)
     for n in range(1, x_order + 1):
         factor = factor * ratio
         lhs.append(evaluate_polynomial(polynomial(m, n), u) * factor)
@@ -567,8 +537,7 @@ def _gf_sides(
         terms = [(0, 1), (1, -(2 * k + slope))]
         for j in range(1, x_order // m + 1) if k else ():
             terms += [(j * m, coeff(m, j, k)), (j * m + 1, -coeff_prime(m, j, k))]
-        bracket = from_coeffs(_truncated_terms(terms, x_order), x_order)
-        columns.append(bracket.invert().coeffs)
+        columns.append(rational_series([1], _truncated_terms(terms, x_order), x_order).coeffs)
     return tuple(lhs), tuple(TruncatedSeries(row) for row in zip(*columns))
 
 

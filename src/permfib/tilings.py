@@ -54,27 +54,6 @@ class Tiling(Value):
     def width(self) -> int:
         return sum(self.top)
 
-    def serialize(self) -> str:
-        """Two lines of block codes, top row first."""
-        return (
-            " ".join(str(b) for b in self.top)
-            + "\n"
-            + " ".join(str(b) for b in self.bottom)
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "Tiling":
-        lines = [line for line in text.strip().splitlines() if line.strip()]
-        if len(lines) != 2:
-            raise InvalidInputError("tiling text needs exactly two lines")
-        rows = []
-        for line in lines:
-            try:
-                rows.append(tuple(int(tok) for tok in line.split()))
-            except ValueError as exc:
-                raise InvalidInputError(f"bad tiling row: {line!r}") from exc
-        return cls(rows[0], rows[1])
-
 
 def enumerate_tilings(k: int) -> Iterator[Tiling]:
     """All width-k tilings with a top-left monomino, (top, bottom) lex order.
@@ -82,7 +61,7 @@ def enumerate_tilings(k: int) -> Iterator[Tiling]:
     The rows are the compositions of k into parts 1 and 2, as tuples, and
     a top row is used only when it starts with 1, so every tiling is built
     valid: it is made without rerunning ``Tiling.__init__``, whose
-    checks still guard ``Tiling(...)`` and ``Tiling.from_text``.
+    checks still guard ``Tiling(...)``.
     """
     if k < 1:
         raise InvalidInputError(f"width must be >= 1, got {k}")
@@ -126,8 +105,8 @@ def segment_rows(segment: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def word_to_tiling(word: str) -> Tiling:
     """Map a core word to its tiling, segment by segment.
 
-    >>> word_to_tiling("c").serialize()
-    '1\\n1'
+    >>> word_to_tiling("c")
+    Tiling(top=(1,), bottom=(1,))
     """
     rows = [segment_rows(segment) for segment in regex.core_segments(word)]
     return Tiling(

@@ -40,12 +40,12 @@ def is_block_word(word: str) -> bool:
     return middle[:1] == "c" and middle[-1:] == "a"
 
 
-@functools.lru_cache(maxsize=32)
+@functools.cache
 def forbidden_factors(m: int = 3) -> tuple[str, str, str, str]:
     """The four factors whose absence marks an inverse m...21 avoider.
 
-    The tuples of the last 32 values of m are cached; an m below 3 raises
-    on every call.
+    The tuple of every m asked for is cached, as ``regex.block_word_dfa``
+    caches its DFA; an m below 3 raises on every call.
 
     >>> forbidden_factors(3)
     ('bba', 'bbb', 'cba', 'cbb')

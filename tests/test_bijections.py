@@ -277,14 +277,6 @@ class TestTilings:
         for top, bottom, message in cases:
             with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 Tiling(top, bottom)
-            text = " ".join(map(str, top)) + "\n" + " ".join(map(str, bottom))
-            with pytest.raises(InvalidInputError, match=f"^{message}$"):
-                Tiling.from_text(text)
-
-    def test_serialize_round_trip(self):
-        tiling = word_to_tiling("aacbcccaaabbcac")
-        assert Tiling.from_text(tiling.serialize()) == tiling
-        assert tiling.serialize().splitlines()[0] == "1 2 2 1 1 2 2 2 1 1"
 
 
 class TestTilingTriple:

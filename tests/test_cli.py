@@ -10,11 +10,12 @@ import jsonschema
 import pytest
 
 import permfib
-from permfib import claims, oracle, permutations
+from permfib import bijections, claims, oracle, permutations
+from permfib.bijections import TilingTriple
 from permfib.compositions import fib
 from permfib.cli import TABLE_SCHEMA, main, render_tiling
-from permfib.errors import ResourceLimitError
-from permfib.tilings import word_to_tiling
+from permfib.errors import NotInDomainError, ResourceLimitError
+from permfib.tilings import Tiling, word_to_tiling
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +312,27 @@ class TestBiject:
         assert code == 0
         assert "aacbabcbcaca" in out
         assert "notice" in out
+
+    def test_permutation_follows_the_composite_map(self, capsys, monkeypatch):
+        """--perm reports what bijections.permutation_to_tiling_triple
+        returns, and its refusal as the notice."""
+        argv = ("biject", "--perm", "21", "--format", "json", "--no-timestamp")
+        triple = TilingTriple(j=5, k=1, tiling=Tiling((1, 2), (2, 1)))
+        monkeypatch.setattr(bijections, "permutation_to_tiling_triple", lambda p: triple)
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and "notice" not in payload
+        assert (payload["split_j"], payload["split_k"], payload["core"]) == (5, 1, "c")
+        assert (payload["tiling_top"], payload["tiling_bottom"]) == ("1 2", "2 1")
+
+        def refuse(p):
+            raise NotInDomainError("refused")
+
+        monkeypatch.setattr(bijections, "permutation_to_tiling_triple", refuse)
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and "split_j" not in payload
+        assert payload["notice"].startswith("word has a forbidden factor")
 
     def test_not_n_shaped_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "biject", "--perm", "1 2 3")

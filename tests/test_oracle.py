@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from permfib import oracle, permutations, series
+from permfib import claims, oracle, permutations, series
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError, ResourceLimitError
 
@@ -60,6 +61,22 @@ class TestAutomata:
             expansion = series.ilpk_one_ogf(m, oracle.AUTOMATON_MAX_N)
             for n in range(1, oracle.AUTOMATON_MAX_N + 1):
                 assert oracle.count_ilpk1_avoiders(n, m) == expansion.coeffs[n], (n, m)
+
+    def test_counting_keeps_the_last_level_only(self, monkeypatch):
+        """Theorem 1 to the cap over 20 pattern lengths keeps, per m, the
+        counts and the last level of states, not every level, which peaked
+        at about 10 MB under tracemalloc."""
+        monkeypatch.setattr(oracle, "_LEVELS", {})
+        tracemalloc.start()
+        try:
+            ms = tuple(range(3, 23))
+            reports = claims.run(("theorem1",), n_max=oracle.AUTOMATON_MAX_N, ms=ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report.passed for report in reports)
+        assert peak < 4_000_000
+        assert oracle.count_ipk0_avoiders(5, 22) == 2**4
 
 
 _PAST_S_N = permutations.ENUMERATION_CAP + 1

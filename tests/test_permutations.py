@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from permfib.errors import InvalidInputError, ResourceLimitError
 from permfib.permutations import (
     Permutation,
+    StatReport,
     contains_ascending_run,
     contains_consecutive_letters,
     contains_descending_run,
@@ -16,16 +17,12 @@ from permfib.permutations import (
     increasing_run_lengths,
     inverse,
     left_peak_count,
-    left_peaks,
     peak_count,
-    peaks,
     reverse,
     right_peak_count,
-    right_valleys,
     rise_word,
     standardize_letters,
     statistics,
-    valleys,
 )
 
 
@@ -194,12 +191,24 @@ class TestRiseWordReadings:
             assert rise_word(letters) == bits
 
     def test_positions(self):
+        """Every field of the statistics report, and the descents."""
         for letters in letter_tuples_up_to(7):
-            assert descents(letters) == oracles.descent_positions(letters)
-            assert peaks(letters) == oracles.peak_positions(letters)
-            assert left_peaks(letters) == oracles.left_peak_positions(letters)
-            assert valleys(letters) == oracles.valley_positions(letters)
-            assert right_valleys(letters) == oracles.right_valley_positions(letters)
+            inv = oracles.inverse(letters)
+            positions = (
+                oracles.descent_positions(letters),
+                oracles.peak_positions(letters),
+                oracles.left_peak_positions(letters),
+                oracles.valley_positions(letters),
+                oracles.right_valley_positions(letters),
+            )
+            des, _, _, valleys, right_valleys = map(len, positions)
+            expected = StatReport(
+                des, oracles.peaks(letters), oracles.left_peaks(letters),
+                oracles.right_peaks(letters), valleys, right_valleys,
+                oracles.peaks(inv), oracles.left_peaks(inv), *positions,
+            )
+            assert statistics(Permutation(letters)) == expected, letters
+            assert descents(letters) == expected.descent_positions
 
     def test_counts_and_runs(self):
         for letters in letter_tuples_up_to(7):

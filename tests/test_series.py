@@ -58,7 +58,7 @@ class TestRingLaws:
     @given(series_strategy(), series_strategy(), series_strategy())
     def test_add_mul_laws(self, a, b, c):
         order = min(a.order, b.order, c.order)
-        a, b, c = a.truncate(order), b.truncate(order), c.truncate(order)
+        a, b, c = (from_coeffs(s.coeffs, order) for s in (a, b, c))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
@@ -283,18 +283,11 @@ class TestBasicOperations:
             Fraction(-1, 16),
         )
 
-    def test_compose_example(self):
-        outer = from_coeffs([0, 0, 1], 4)
-        inner = from_coeffs([0, 1, 1], 4)
-        assert outer.compose(inner) == from_coeffs([0, 0, 1, 2, 1])
-
     def test_singularities(self):
         with pytest.raises(SingularSeriesError):
             from_coeffs([0, 1]).invert()
         with pytest.raises(SingularSeriesError):
             from_coeffs([2, 1]).sqrt()
-        with pytest.raises(SingularSeriesError):
-            from_coeffs([1, 1]).compose(from_coeffs([1, 1]))
 
     @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
     def test_division_by_zero_is_singular(self, zero):
@@ -302,12 +295,6 @@ class TestBasicOperations:
             from_coeffs([1, 2]) / zero
         with pytest.raises(SingularSeriesError):
             from_coeffs([1, 2]) / from_coeffs([zero, 1])
-
-    def test_coefficient_accessor(self):
-        s = from_coeffs([3, 1, 4])
-        assert s.coefficient(1) == 1
-        with pytest.raises(InvalidInputError):
-            s.coefficient(7)
 
     def test_format(self):
         assert (
@@ -336,6 +323,12 @@ class TestBasicOperations:
 
 
 class TestSubstitution:
+    @pytest.mark.parametrize("order", [0, 1, 8, 400])
+    def test_substitution_coefficients(self, order):
+        """4t/(1+t)^2 = sum over n >= 1 of 4 (-1)^(n-1) n t^n."""
+        expected = [0] + [4 * (-1) ** (n - 1) * n for n in range(1, order + 1)]
+        assert t_substitution(order) == from_coeffs(expected)
+
     def test_inverse_coefficients(self):
         v = t_substitution_inverse(3)
         assert v.coeffs == (
@@ -374,12 +367,6 @@ class TestSubstitution:
             Fraction(-1, 8),
             Fraction(-1, 16),
         )
-
-    def test_substitution_composes_with_inverse(self):
-        order = 8
-        u = t_substitution(order)
-        v = t_substitution_inverse(order)
-        assert u.compose(v) == variable(order)
 
 
 class TestBracketCoefficients:
@@ -495,7 +482,7 @@ class TestMasterIdentities:
         lhs, rhs = ipk_gf_sides(3, 5, 3)
         fewer_x = lhs[:3]
         assert first_mismatch(fewer_x, rhs) == (3, 0, None, rhs[3].coeffs[0])
-        fewer_t = (lhs[0].truncate(2), *lhs[1:])
+        fewer_t = (from_coeffs(lhs[0].coeffs, 2), *lhs[1:])
         assert first_mismatch(fewer_t, rhs) == (0, 3, None, rhs[0].coeffs[3])
         assert first_mismatch(rhs, fewer_t) == (0, 3, rhs[0].coeffs[3], None)
 
@@ -506,9 +493,8 @@ class TestMasterIdentities:
             verify_ilpk_gf(3, 5, 6)
 
 
-def test_evaluate_polynomial_matches_compose():
+def test_evaluate_polynomial_matches_powers():
     point = from_coeffs([0, 1, 1], 5)
     poly = (2, 0, 1, 3)
     direct = evaluate_polynomial(poly, point)
-    lifted = from_coeffs(list(poly), 5)
-    assert direct == lifted.compose(point)
+    assert direct == sum((point**i * c for i, c in enumerate(poly)), from_coeffs([], 5))

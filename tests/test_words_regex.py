@@ -1,7 +1,7 @@
 import pytest
 from oracles import brute_force_segmentations, forward_word_count
 
-from permfib import regex
+from permfib import claims, regex
 from permfib.errors import InvalidInputError, NotInLanguageError
 from permfib.words import (
     ALPHABET,
@@ -47,6 +47,14 @@ class TestBlockWordForm:
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="m must be >= 3, got 2"):
                 forbidden_factors(2)
+
+    def test_prop7_builds_the_factors_of_each_m_once(self):
+        """prop7 over 40 pattern lengths reads each m's factors from the
+        cache after the first build, however many m it checks."""
+        forbidden_factors.cache_clear()
+        reports = claims.run(("prop7",), n_max=10, ms=tuple(range(3, 43)))
+        assert all(report.passed for report in reports)
+        assert forbidden_factors.cache_info().misses == 40
 
     def test_avoiding_examples(self):
         assert is_avoiding_block_word("aacbcccaaabbcacaaccc", 3)
