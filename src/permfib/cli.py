@@ -246,15 +246,15 @@ def _pairs(kind: str, pairs: list[tuple[str, Any]], tiling: tilings.Tiling | Non
     return Output({"kind": kind, **dict(pairs)}, ["field", "value"], pairs, text)
 
 
-def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
+def _parse_int_list(raw: str | None, option: str) -> tuple[int, ...] | None:
     if raw is None:
         return None
     try:
         values = tuple(int(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
-        raise UsageError(f"expected a comma list of integers, got {raw!r}")
+        raise UsageError(f"{option} must be a comma list of integers, got {raw!r}")
     if not values:
-        raise UsageError("empty list")
+        raise UsageError(f"{option} must not be an empty list")
     return values
 
 
@@ -265,7 +265,7 @@ def _parse_int_list(raw: str | None) -> tuple[int, ...] | None:
 def _cmd_verify(args) -> Output:
     reports = claims.run(
         _selected_claims(args.claim), n_max=args.n_max, k_max=args.k_max,
-        ms=_parse_int_list(args.m),
+        ms=_parse_int_list(args.m, "--m"),
     )
     all_pass = all(r.passed for r in reports)
     timed = not args.no_timestamp
@@ -470,7 +470,7 @@ def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
             raise UsageError(f"--kind {kind} does not read {option}")
     for option, value in given.items():
         if isinstance(value, str):
-            given[option] = value = _parse_int_list(value)
+            given[option] = value = _parse_int_list(value, option)
             claims.reject_repeats(option, value)
         least = reads[option]
         lowest = min(value) if isinstance(value, tuple) else value
@@ -552,7 +552,8 @@ def _cmd_series(args) -> Output:
             **params,
             "order": expansion.order,
             "label": label,
-            "coefficients": expansion.coeffs,
+            # the Fractions as JSON strings, with no default=str call for each
+            "coefficients": [str(c) for c in expansion.coeffs],
         },
         ["n", "coefficient"],
         list(enumerate(expansion.coeffs)),

@@ -87,7 +87,7 @@ def first_disagreement(cases: Iterable[dict[str, Any]], *index: str) -> Optional
     """
     for case in cases:
         values = [value for key, value in case.items() if key not in index]
-        if any(value != values[0] for value in values[1:]):
+        if values.count(values[0]) < len(values):
             return case
     return None
 
@@ -442,14 +442,22 @@ def verify_identity_sums(n_max: int) -> VerificationReport:
     products = [fib(2, k - 1) * fib(2, k) for k in range(n_max + 1)]
 
     def cases() -> Iterator[dict[str, Any]]:
+        # The sums over i < n and j < n grow by one term per n: prefix is
+        # the sum of products[1..n-1], double the sum of those prefixes, and
+        # hockey[k] the sum of comb(j, 2k) over j < n.  The reindexed form
+        # is summed afresh at each n, so it stays a check of the double sum.
+        prefix = double = 0
+        hockey = [0]
         for n in range(1, n_max + 1):
-            double = sum(products[k] for i in range(1, n) for k in range(1, i + 1))
             closed = products[n] - (n + 1) // 2
             reindexed = sum((n - k) * products[k] for k in range(1, n))
             yield {"n": n, "double_sum": double, "closed_form": closed, "reindexed": reindexed}
+            prefix += products[n]
+            double += prefix
+            hockey.append(0)
             for k in range(n + 1):
-                hockey = sum(math.comb(j, 2 * k) for j in range(n))
-                yield {"n": n, "k": k, "sum": hockey, "binomial": math.comb(n, 2 * k + 1)}
+                hockey[k] += math.comb(n - 1, 2 * k)
+                yield {"n": n, "k": k, "sum": hockey[k], "binomial": math.comb(n, 2 * k + 1)}
 
     return report("identity-sums", {"n_max": n_max}, first_disagreement(cases(), "n", "k"))
 

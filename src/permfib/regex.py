@@ -8,10 +8,14 @@ exact parse counter serve as independent cross-checks: they never build an
 automaton, but evaluate the syntax tree forward on the set of positions
 reached so far, in one pass over the tree per word.  The matcher carries
 the set as an int bitset, through one kernel per root syntax tree,
-generated as Python source on first use and cached on the node: a
-function per star, plus or bounded repetition of more than one letter, and
-straight-line int code between them.  The counter runs a strict variant of
-the same kernel, which gives up where two derivations end at one position;
+generated as Python source on first use and cached on the node, and called
+once per word: an entry function ``kernel(word, s=1)`` that checks the
+alphabet, builds one bitset per letter and runs straight-line int code,
+and a function per star, plus or bounded repetition of more than one
+letter.  A repetition of one letter is closed-form carry arithmetic, the
+bounded one included, and each such node, or letter, is computed once per
+start set within a function.  The counter runs a strict variant of the
+same kernel, which gives up where two derivations end at one position;
 if it finishes, every count is 0 or 1.  Otherwise the counter runs again
 on weighted ends, a {position: derivations} dict, with the ends of each
 star, plus or bounded repetition from each start computed once per word.
@@ -32,11 +36,6 @@ from .words import ALPHABET, check_word
 
 # ---------------------------------------------------------------------------
 # Syntax trees
-
-#: One bitset per letter of ALPHABET, in its order: bit i of the mask of x
-#: is set when letter i of the word is x.
-Masks = tuple[int, ...]
-
 
 class _Node(Value):
     """The two evaluation kernels every node class shares, each compiled on
@@ -190,56 +189,53 @@ def ast_matches(node: Node, word: str) -> bool:
     int bitset, and each node maps the set of its start positions to the set
     of its end positions in one visit.  The first call on a node object
     compiles the tree under it into one kernel, in O(|AST|) once (see
-    :func:`_build_kernel`).  After that a word of length n is straight-line
-    int code, with one function call per visit of a star, plus or bounded
-    repetition whose body is not a single letter.  Such a visit runs its
-    body at most n + 1 times, so the cost is O(|AST| · (n + 1)^d) big-int
-    operations for a nesting depth d of those loops (d = 1 for the
-    expressions of this package); a star or plus of one letter needs no
-    loop.
+    :func:`_build_kernel`).  After that a word of length n is one call of
+    the kernel, which checks the alphabet, builds the letter masks and runs
+    straight-line int code, with one function call per visit of a star,
+    plus or bounded repetition whose body is not a single letter.  Such a
+    visit runs its body at most n + 1 times, so the cost is
+    O(|AST| · (n + 1)^d) big-int operations for a nesting depth d of those
+    loops (d = 1 for the expressions of this package); a repetition of one
+    letter needs no loop.
 
     >>> ast_matches(core_regex(), "aacbc"), ast_matches(core_regex(), "aab")
     (True, False)
     """
-    check_word(word)
-    return bool(node._kernel(1, *_symbol_masks(word)) >> len(word) & 1)
-
-
-#: ``bytes.translate`` tables that write 1 for one letter and 0 for the others.
-_MASK_TABLES = tuple(
-    bytes.maketrans(ALPHABET.encode(), bytes(b"01"[x == y] for x in ALPHABET))
-    for y in ALPHABET
-)
-
-
-def _symbol_masks(word: str) -> Masks:
-    """Bit i of the mask of letter x is set when ``word[i] == x``: the
-    reversed word read in binary, with 1 for x and 0 for the other letters."""
-    digits = word[::-1].encode() or b"0"
-    a, b, c = _MASK_TABLES
-    return int(digits.translate(a), 2), int(digits.translate(b), 2), int(digits.translate(c), 2)
+    return bool(node._kernel(word) >> len(word) & 1)
 
 
 class _Overlap(Exception):
     """Two derivations end at one position, so some count is at least 2."""
 
 
-#: The parameters of every generated function: the start set, then the masks.
+#: The masks, one per letter of ALPHABET, named by their letters: bit i of
+#: the mask of x is set when letter i of the word is x.  Every generated
+#: function but the entry takes the start set ``s`` and then the masks.
 _MASK_NAMES = ", ".join(ALPHABET)
 _PARAMETERS = "s, " + _MASK_NAMES
+
+#: ``bytes.translate`` tables that write 1 for one letter and 0 for the
+#: others, under the names the entry function reads: one for each letter
+#: but the last, whose mask is the complement of the others.
+_MASK_TABLES = {
+    f"_{x}": bytes.maketrans(ALPHABET.encode(), bytes(b"01"[x == y] for y in ALPHABET))
+    for x in ALPHABET[:-1]
+}
 
 
 def _build_kernel(node: Node, strict: bool) -> Callable[..., int]:
     """Compile the tree under ``node`` into one function
-    ``kernel(starts, *masks) -> ends`` on int bitsets.
+    ``kernel(word, s=1) -> ends`` on int bitsets: the ends of the matches of
+    ``node`` in ``word`` from the start set ``s``.
 
-    The function is generated as Python source: one function for the root
-    and one for each star, plus or bounded repetition whose body is not a
+    The function is generated as Python source.  Its entry checks the
+    alphabet, raising :func:`check_word`'s error only for a word outside
+    it, and builds the masks: the reversed word read in binary, with 1 for
+    the letter and 0 for the others, and for the last letter the
+    complement of the others.  Then it maps ``s`` forward through the tree
+    (see :class:`_KernelWriter`) in straight-line int code, with one more
+    function for each star, plus or bounded repetition whose body is not a
     single letter, each calling the next one down, so any depth compiles.
-    Everything between loops is straight-line int code.  A star or plus of
-    one letter x needs no loop: with ``h = starts & x``, the carry of
-    ``h + x`` runs to the end of each run of x's that h enters, so
-    ``(h + x) ^ x ^ h`` is the set of ends of one or more x's.
 
     The strict variant raises :class:`_Overlap` wherever a union, a
     repetition or a star iteration adds two position sets that intersect.
@@ -247,10 +243,10 @@ def _build_kernel(node: Node, strict: bool) -> Callable[..., int]:
     kernel that returns gives the exact counts of a 0/1 start set.
     """
     writer = _KernelWriter(strict)
-    entry = writer.function(node)
-    namespace = {"_Overlap": _Overlap}
+    writer.entry(node)
+    namespace = {"_Overlap": _Overlap, "check_word": check_word, **_MASK_TABLES}
     exec(compile("\n".join(writer.lines), "<regex kernel>", "exec"), namespace)
-    return namespace[entry]
+    return namespace["kernel"]
 
 
 def _loops(node: Node) -> bool:
@@ -258,33 +254,87 @@ def _loops(node: Node) -> bool:
     return isinstance(node, (Star, Plus, Repeat)) and not isinstance(node.inner, Lit)
 
 
+def _within(starts: str, most: int, name: str) -> list[str]:
+    """The lines that set ``name`` to the positions 1..``most`` to the right
+    of the set named ``starts``, in O(log most) shifts: from a reach of 1,
+    each further binary digit of ``most`` doubles the reach, and a digit 1
+    then adds one."""
+    lines = [f"{name} = {starts} << 1"]
+    reach = 1
+    for digit in bin(most)[3:]:
+        lines.append(f"{name} |= {name} << {reach}")
+        reach *= 2
+        if digit == "1":
+            reach += 1
+            lines.append(f"{name} |= {starts} << {reach}")
+    return lines
+
+
 class _KernelWriter:
-    """The source lines of one tree's kernel, a function per loop node."""
+    """The source lines of one tree's kernel: the entry function, and a
+    function per loop node.
+
+    A letter-only node (a letter, or a star, plus or bounded repetition of
+    one letter) is written once per function for each start set: its ends
+    are kept by the structural node and the name of the start set, and a
+    second visit, as of the a⁺ in a⁺b ∪ a⁺c, reads them back.  This is sound
+    because no name is rebound once the node that computes it is written:
+    each node's ends get a fresh name, and a loop rebinds its frontier
+    ``f`` only after its whole body.
+
+    A letter-only node needs no loop.  With ``h = starts & x``, the carry
+    of ``h + x`` runs to the end of each run of x's that h enters, so
+    ``(h + x) ^ x ^ h`` is the set of ends of one or more x's.  For x^{≤k},
+    ``starts | (((h + x) ^ x ^ h) & within_k(starts))`` keeps those at most
+    k letters right of a start (:func:`_within`); a star adds the starts,
+    and a plus keeps the ends as they are.
+    """
 
     def __init__(self, strict: bool) -> None:
         self.strict = strict
         self.lines: list[str] = []
         self.functions: dict[int, str] = {}
+        self.letters: dict[tuple[Node, str], str] = {}
         self.variables = 0
 
     def fresh(self) -> str:
         self.variables += 1
         return f"v{self.variables}"
 
+    def entry(self, node: Node) -> None:
+        """Write ``kernel(word, s=1)``: the alphabet check, the masks, and
+        the ends of ``node`` from ``s``."""
+        *head, last = ALPHABET
+
+        def write(body: list[str]) -> None:
+            body += [
+                f"if word.strip({ALPHABET!r}): check_word(word)",
+                'digits = word[::-1].encode() or b"0"',
+                *(f"{x} = int(digits.translate(_{x}), 2)" for x in head),
+                f"{last} = ((1 << len(word)) - 1) ^ {' ^ '.join(head)}",
+            ]
+            body.append(f"return {self._emit(node, 's', body)}")
+
+        self._define("kernel(word, s=1)", write)
+
     def function(self, node: Node) -> str:
-        """The name of the function mapping the start set ``s`` of ``node``
-        to its ends, written on first request (once for a shared loop)."""
+        """The name of the function mapping the start set ``s`` of the loop
+        node ``node`` to its ends, written on first request (once for a
+        shared loop)."""
         name = self.functions.get(id(node))
         if name is None:
             name = self.functions[id(node)] = f"k{len(self.functions)}"
-            body: list[str] = []
-            if _loops(node):
-                self._loop(node, body)
-            else:
-                ends = self._emit(node, "s", body, "")
-                body.append(f"return {ends}")
-            self.lines += [f"def {name}({_PARAMETERS}):", *("    " + line for line in body)]
+            self._define(f"{name}({_PARAMETERS})", lambda body: self._loop(node, body))
         return name
+
+    def _define(self, signature: str, write: Callable[[list[str]], None]) -> None:
+        """Write the function ``signature`` with the body lines that
+        ``write`` appends, sharing letter-only nodes within it only."""
+        outer, self.letters = self.letters, {}
+        body: list[str] = []
+        write(body)
+        self.letters = outer
+        self.lines += [f"def {signature}:", *("    " + line for line in body)]
 
     def _loop(self, node: Node, body: list[str]) -> None:
         # r: the ends reached so far; f: the starts of the next iteration
@@ -292,58 +342,72 @@ class _KernelWriter:
             body += ["r = f = s", f"for _ in range({node.most}):"]
         else:
             body += ["r = 0" if isinstance(node, Plus) else "r = s", "f = s", "while f:"]
-        ends = self._emit(node.inner, "f", body, "    ")
+        inner: list[str] = []
+        ends = self._emit(node.inner, "f", inner)
         if self.strict:
-            step = [f"if {ends} & r: raise _Overlap", f"r |= {ends}", f"f = {ends}"]
+            inner += [f"if {ends} & r: raise _Overlap", f"r |= {ends}", f"f = {ends}"]
         else:
             # a start already reached needs no second run: its ends are in r
-            step = [f"f = {ends} & ~r", "r |= f"]
+            inner += [f"f = {ends} & ~r", "r |= f"]
         if isinstance(node, Repeat):
-            step.append("if not f: break")
-        body += ["    " + line for line in step]
+            inner.append("if not f: break")
+        body += ["    " + line for line in inner]
         body.append("return r")
 
-    def _emit(self, node: Node, starts: str, body: list[str], pad: str) -> str:
+    def _emit(self, node: Node, starts: str, body: list[str]) -> str:
         """Append the lines computing the ends of ``node`` from the set named
         ``starts``, and return the name that holds them."""
         if isinstance(node, Concat):
             for part in node.parts:
-                starts = self._emit(part, starts, body, pad)
+                starts = self._emit(part, starts, body)
             return starts
-        strict = self.strict
-        ends = self.fresh()
-        if isinstance(node, Lit):
-            body.append(f"{pad}{ends} = ({starts} & {node.symbol}) << 1")
-        elif isinstance(node, Union):
-            options = [self._emit(option, starts, body, pad) for option in node.options]
-            body.append(f"{pad}{ends} = {options[0] if options else 0}")
+        if isinstance(node, Union):
+            options = [self._emit(option, starts, body) for option in node.options]
+            ends = self.fresh()
+            body.append(f"{ends} = {options[0] if options else 0}")
             for option in options[1:]:
-                if strict:
-                    body.append(f"{pad}if {ends} & {option}: raise _Overlap")
-                body.append(f"{pad}{ends} |= {option}")
-        elif _loops(node):
-            body.append(f"{pad}{ends} = {self.function(node)}({starts}, {_MASK_NAMES})")
-        elif isinstance(node, (Star, Plus)):
-            x, entered = node.inner.symbol, self.fresh()
-            body.append(f"{pad}{entered} = {starts} & {x}")
-            body.append(f"{pad}{ends} = ({entered} + {x}) ^ {x} ^ {entered}")
-            star = isinstance(node, Star)
-            if strict:
-                # a start that one or more x's reach from an earlier start
-                body.append(f"{pad}if {ends} & {starts if star else entered}: raise _Overlap")
-            if star:
-                body.append(f"{pad}{ends} |= {starts}")
-        elif isinstance(node, Repeat):
-            x, step = node.inner.symbol, self.fresh()
-            body.append(f"{pad}{ends} = {step} = {starts}")
-            body.append(f"{pad}for _ in range({node.most}):")
-            body.append(f"{pad}    {step} = ({step} & {x}) << 1")
-            body.append(f"{pad}    if not {step}: break")
-            if strict:
-                body.append(f"{pad}    if {step} & {ends}: raise _Overlap")
-            body.append(f"{pad}    {ends} |= {step}")
-        else:
+                if self.strict:
+                    body.append(f"if {ends} & {option}: raise _Overlap")
+                body.append(f"{ends} |= {option}")
+            return ends
+        if _loops(node):
+            ends = self.fresh()
+            body.append(f"{ends} = {self.function(node)}({starts}, {_MASK_NAMES})")
+            return ends
+        if not isinstance(node, (Lit, Star, Plus, Repeat)):
             raise TypeError(f"not a regex node: {node!r}")
+        key = (node, starts)
+        if key not in self.letters:
+            self.letters[key] = self._letters(node, starts, body)
+        return self.letters[key]
+
+    def _letters(self, node: Lit | Star | Plus | Repeat, starts: str, body: list[str]) -> str:
+        """:meth:`_emit` for a letter-only node."""
+        if isinstance(node, Lit):
+            ends = self.fresh()
+            body.append(f"{ends} = ({starts} & {node.symbol}) << 1")
+            return ends
+        if isinstance(node, Repeat) and node.most == 0:
+            return starts
+        x, entered, ends = node.inner.symbol, self.fresh(), self.fresh()
+        body.append(f"{entered} = {starts} & {x}")
+        more = f"(({entered} + {x}) ^ {x} ^ {entered})"
+        if isinstance(node, Repeat):
+            within = self.fresh()
+            body += _within(starts, node.most, within)
+            more = f"({more} & {within})"
+        if isinstance(node, Plus):
+            body.append(f"{ends} = {more}")
+            if self.strict:
+                # a start that one or more x's reach from an earlier start
+                body.append(f"if {ends} & {entered}: raise _Overlap")
+        elif self.strict:
+            # a star or bounded repetition also ends at its starts, on no x
+            body.append(f"{ends} = {more}")
+            body.append(f"if {ends} & {starts}: raise _Overlap")
+            body.append(f"{ends} |= {starts}")
+        else:
+            body.append(f"{ends} = {more} | {starts}")
         return ends
 
 
@@ -352,9 +416,10 @@ def count_parses(node: Node, word: str) -> int:
 
     Forward position-set evaluation, as in :func:`ast_matches`, in two
     tiers.  The strict kernel (see :func:`_build_kernel`) runs first, at the
-    matcher's cost: it stops at the first union, repetition or star
-    iteration that adds two intersecting position sets.  If there is none,
-    every derivation count is 0 or 1, and the answer is bit n of its ends.
+    matcher's cost of one call per word: it stops at the first union,
+    repetition or star iteration that adds two intersecting position sets.
+    If there is none, every derivation count is 0 or 1, and the answer is
+    bit n of its ends.
 
     Otherwise the count runs again on weighted ends, a {position:
     derivations} dict that each node maps forward: a literal by a shift, a
@@ -370,14 +435,11 @@ def count_parses(node: Node, word: str) -> int:
     plus with a nullable body raises :class:`InvalidInputError` when the
     evaluation reaches it.
     """
-    check_word(word)
-    n = len(word)
-    masks = _symbol_masks(word)
     try:
-        return node._strict_kernel(1, *masks) >> n & 1
+        return node._strict_kernel(word) >> len(word) & 1
     except _Overlap:
         pass
-    return _weighted_ends(node, {0: 1}, word, {}).get(n, 0)
+    return _weighted_ends(node, {0: 1}, word, {}).get(len(word), 0)
 
 
 def _weighted_ends(

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 import signal
 from collections import Counter
 from fractions import Fraction
@@ -296,6 +297,27 @@ def _dense_rational(numerator: list, denominator: list, order: int) -> Truncated
     return dense_mul(padded(numerator), dense_invert(padded(denominator)))
 
 
+def identity_sum_cases(n_max: int) -> list[dict]:
+    """The cases of ``oracle.verify_identity_sums(n_max)``, in its order,
+    with every sum taken afresh at each n: O(n_max³) in all."""
+    f = [0, 1]  # f[i + 1] = f(i) with f(-1) = 0 and f(0) = 1
+    while len(f) <= n_max + 1:
+        f.append(f[-1] + f[-2])
+    product = [f[k] * f[k + 1] for k in range(n_max + 1)]  # f(k-1) f(k)
+    cases = []
+    for n in range(1, n_max + 1):
+        cases.append({
+            "n": n,
+            "double_sum": sum(product[k] for i in range(1, n) for k in range(1, i + 1)),
+            "closed_form": product[n] - (n + 1) // 2,
+            "reindexed": sum((n - k) * product[k] for k in range(1, n)),
+        })
+        for k in range(n + 1):
+            hockey = sum(math.comb(j, 2 * k) for j in range(n))
+            cases.append({"n": n, "k": k, "sum": hockey, "binomial": math.comb(n, 2 * k + 1)})
+    return cases
+
+
 # ---------------------------------------------------------------------------
 # Top-down memoised regex references: one start position at a time, memo
 # keyed by (node, start).  They stand as a reference for the forward
@@ -338,6 +360,8 @@ def memo_match_ends(node, word: str, start: int, memo=None) -> frozenset[int]:
         current = {start}
         reached = {start}
         for _ in range(node.most):
+            if not current:
+                break  # no copy is left to extend
             current = {e for s in current for e in memo_match_ends(node.inner, word, s, memo)}
             reached |= current
         ends = frozenset(reached)
@@ -390,6 +414,8 @@ def _memo_parse_ways(node, word: str, start: int, memo) -> dict[int, int]:
         current = {start: 1}
         out = {start: 1}
         for _ in range(node.most):
+            if not current:
+                break  # no copy is left to extend
             step = {}
             for s, ways in current.items():
                 for e, inner_ways in _memo_parse_ways(node.inner, word, s, memo).items():
@@ -475,6 +501,8 @@ def _plane_ways(node, starts: tuple[int, ...], masks: dict[str, int]) -> tuple[i
     if isinstance(node, regex.Repeat):
         out = current = starts
         for _ in range(node.most):
+            if not current:
+                break  # no copy is left to extend
             current = _plane_ways(node.inner, current, masks)
             out = _plane_add(out, current)
         return out

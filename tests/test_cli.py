@@ -160,6 +160,28 @@ class TestVerify:
         assert "--k-max must be in 1..12" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--claim", "prop7"],
+            ["table", "--kind", "gf-coeffs"],
+            ["table", "--kind", "counts-thm1"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("", "--m must not be an empty list"),
+            (" , ", "--m must not be an empty list"),
+            ("x", "--m must be a comma list of integers, got 'x'"),
+            ("3,x", "--m must be a comma list of integers, got '3,x'"),
+        ],
+    )
+    def test_a_malformed_m_list_names_the_option(self, capsys, argv, raw, message):
+        code, out, err = run_cli(capsys, *argv, "--m", raw)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv, claim",
         [
             (["verify", "--claim", "theorem1"], "theorem1"),

@@ -5,6 +5,8 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from oracles import identity_sum_cases
+
 from permfib import claims, oracle, permutations, series
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError, ResourceLimitError
@@ -196,6 +198,17 @@ class TestIdentitySums:
         assert report.passed
         with pytest.raises(InvalidInputError):
             oracle.verify_identity_sums(61)
+
+    def test_case_stream_matches_the_direct_sums(self, monkeypatch):
+        # a passing report shows no values, so read the cases it compares
+        streams = []
+        monkeypatch.setattr(
+            oracle, "first_disagreement", lambda cases, *index: streams.append(list(cases))
+        )
+        reference = identity_sum_cases(60)
+        for n_max in range(1, 61):
+            oracle.verify_identity_sums(n_max)
+            assert streams.pop() == [case for case in reference if case["n"] <= n_max], n_max
 
     @pytest.mark.parametrize("n_max", [0, -5])
     def test_no_vacuous_pass(self, n_max):

@@ -11,11 +11,18 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import memo_count_parses, memo_match_ends, plane_count_parses, time_limit
+from oracles import (
+    _memo_parse_ways,
+    memo_count_parses,
+    memo_match_ends,
+    plane_count_parses,
+    time_limit,
+)
 
 from permfib import regex
 from permfib.compositions import fib
 from permfib.errors import InvalidInputError
+from permfib.words import check_word
 
 
 def _extend(children):
@@ -36,8 +43,11 @@ def _extend(children):
 def kernel_ends(node, word: str, start: int) -> frozenset[int]:
     """The positions where a match of ``node`` from ``start`` may end, read
     from the bitset of its compiled matcher kernel."""
-    ends = node._kernel(1 << start, *regex._symbol_masks(word))
-    return frozenset(i for i in range(ends.bit_length()) if ends >> i & 1)
+    return _bit_positions(node._kernel(word, 1 << start))
+
+
+def _bit_positions(bits: int) -> frozenset[int]:
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 syntax_trees = st.recursive(st.sampled_from("abc").map(regex.Lit), _extend, max_leaves=8)
@@ -209,6 +219,61 @@ def test_deep_nests_and_long_repetitions_evaluate(node, sample):
             assert regex.count_parses(node, word) == memo_count_parses(node, word), word
 
 
+WORDS_UP_TO_7 = [
+    "".join(letters) for n in range(8) for letters in itertools.product("abc", repeat=n)
+]
+
+
+def _long_b_runs():
+    """b-runs of 70 and 1000 letters, whole and broken in the middle by a or c."""
+    for length in (70, 1000):
+        half = length // 2
+        yield "b" * length
+        for breaker in "ac":
+            yield "b" * half + breaker + "b" * (length - half - 1)
+
+
+def strict_kernel_ends(node, word: str) -> frozenset[int] | None:
+    """The ends from position 0 of the strict kernel, or None where it finds
+    two derivations that end at one position."""
+    try:
+        return _bit_positions(node._strict_kernel(word))
+    except regex._Overlap:
+        return None
+
+
+@pytest.mark.parametrize("most", [*range(10), 63, 64, 65, 997])
+def test_a_bounded_repetition_of_one_letter_evaluates_in_closed_form(most):
+    repeat = regex.Repeat(regex.Lit("b"), most)
+    nodes = (repeat, regex.Star(repeat), regex.Concat((repeat, repeat)))
+    # The kernels only move forward, so the ends from a start s are those of
+    # the word's suffix from s, shifted by s: position 0 of every short word
+    # covers every start of every shorter one.  The long runs add the shift.
+    for word in [*WORDS_UP_TO_7, *_long_b_runs()]:
+        # the memos, keyed by node object and start, serve all three trees
+        ends_memo: dict = {}
+        ways_memo: dict = {}
+        starts = (0,) if len(word) <= 7 else (0, 1, len(word) // 2, len(word))
+        for node in nodes:
+            for start in starts:
+                expected = memo_match_ends(node, word, start, ends_memo)
+                assert kernel_ends(node, word, start) == expected
+            try:
+                ways = _memo_parse_ways(node, word, 0, ways_memo)
+            except InvalidInputError:
+                # a nullable star body: infinitely many derivations
+                assert strict_kernel_ends(node, word) is None
+                with pytest.raises(InvalidInputError, match="non-nullable"):
+                    regex.count_parses(node, word)
+                continue
+            assert regex.count_parses(node, word) == ways.get(len(word), 0)
+            # in these trees every overlap of two derivations lasts to the ends
+            if any(count > 1 for count in ways.values()):
+                assert strict_kernel_ends(node, word) is None
+            else:
+                assert strict_kernel_ends(node, word) == frozenset(ways)
+
+
 WORDS_UP_TO_8 = [
     "".join(letters) for n in range(9) for letters in itertools.product("abc", repeat=n)
 ]
@@ -308,6 +373,18 @@ def test_a_literal_is_one_letter_of_the_alphabet(symbol):
     message = f"literal must be one letter of 'abc', got {symbol!r}"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         regex.Lit(symbol)
+
+
+@pytest.mark.parametrize("word", ["abd", "A", "é", "\ud800"])
+@pytest.mark.parametrize("reference", [regex.ast_matches, regex.count_parses])
+def test_a_word_outside_the_alphabet_gets_the_word_check_message(reference, word):
+    # the kernel checks the alphabet itself, so the message must stay check_word's
+    with pytest.raises(InvalidInputError) as expected:
+        check_word(word)
+    for node in (regex.core_regex(), A, regex.Star(regex.Concat((A, A)))):
+        with pytest.raises(InvalidInputError) as raised:
+            reference(node, word)
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("most", [-1, 1.5, True, "2"])
