@@ -65,7 +65,6 @@ from .series import (
     ipk_polynomial,
     t_substitution,
     t_substitution_inverse,
-    variable,
     verify_ilpk_gf,
     verify_ipk_gf,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "t_substitution_inverse",
     "tiling_to_word",
     "tiling_triple_to_permutation",
-    "variable",
     "verify_ilpk_gf",
     "verify_ipk_gf",
     "word_to_permutation",

@@ -12,8 +12,9 @@ more than one --m for table --kind gf-coeffs, a negative --n-max, a
 descent matrix past n = 8, an --n-max or --k-max past the fixed cap of a
 selected claim (see claims.CLAIMS: 300 for theorem1, theorem2, gf-general
 and table --kind counts-thm1|counts-thm2, 14 for theorem4 and corollaries)
-or a --m past claims.MAX_M (1,000), a series order or table --kind fib
---n-max above series.MAX_SERIES_ORDER (5,000), or an --output path that
+or a --m past claims.MAX_M (1,000), an --order or --n-max that sets a
+series order or table --kind fib length above series.MAX_SERIES_ORDER
+(5,000) (see _check_series_cap), or an --output path that
 cannot be written (the report is then not written anywhere).  No cap has
 an override.
 Output is deterministic; the timestamp (and timing fields) disappear under
@@ -479,6 +480,15 @@ def _read_options(kind: str, given: dict[str, Any]) -> dict[str, Any]:
     return given
 
 
+def _check_series_cap(kind: str, option: str, value: int) -> None:
+    """Refuse an expansion order above series.MAX_SERIES_ORDER, naming the
+    option that set it, before any work starts."""
+    if value > series.MAX_SERIES_ORDER:
+        raise UsageError(
+            f"--kind {kind}: {option} must be <= {series.MAX_SERIES_ORDER}, got {value}"
+        )
+
+
 def _cmd_table(args) -> Output:
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
@@ -493,10 +503,7 @@ def _cmd_table(args) -> Output:
 
     note = None
     if args.kind == "fib":
-        if args.n_max > series.MAX_SERIES_ORDER:
-            raise UsageError(
-                f"--kind fib: --n-max must be <= {series.MAX_SERIES_ORDER}, got {args.n_max}"
-            )
+        _check_series_cap(args.kind, "--n-max", args.n_max)
         order = args.order if args.order is not None else 2
         params, columns = {"order": order, "n_max": args.n_max}, ["n", "value"]
         rows = [[n, fib(order, n)] for n in range(args.n_max + 1)]
@@ -515,6 +522,7 @@ def _cmd_table(args) -> Output:
     elif args.kind == "gf-coeffs":
         m = ms[0] if ms else 3
         truncation = args.order if args.order is not None else args.n_max
+        _check_series_cap(args.kind, "--n-max" if args.order is None else "--order", truncation)
         expansion = series.ilpk_one_ogf(m, truncation)
         params, columns = {"m": m, "order": expansion.order}, ["n", "coefficient"]
         rows = [[n, str(expansion.coeffs[n])] for n in range(expansion.order + 1)]
@@ -533,6 +541,7 @@ def _cmd_table(args) -> Output:
 
 def _cmd_series(args) -> Output:
     _read_options(args.kind, {"--m": args.m, "--order": args.order})
+    _check_series_cap(args.kind, "--order", args.order)
     params = {} if args.kind == "substitution-inverse" else {"m": 3 if args.m is None else args.m}
     if args.kind == "substitution-inverse":
         expansion = series.t_substitution_inverse(args.order)

@@ -470,7 +470,7 @@ def triangulated_counts(n: int, m: int = 3) -> dict[str, int]:
     check_enumeration_size(n)  # the word definition's walk grows exponentially in n
     by_permutations = count_ilpk1_avoiders(n, m)
     by_definition = sum(1 for _ in iter_avoiding_block_words(n, m))
-    by_dfa = regex.block_word_dfa(m).count_words(n)
+    by_dfa = regex.block_word_dfa(m).counts(n)[n]
     out = {
         "permutations": by_permutations,
         "word_definition": by_definition,

@@ -570,10 +570,6 @@ class Dfa(Value):
             raise
         return state in self.accepting
 
-    def count_words(self, n: int) -> int:
-        """Number of accepted words of length exactly n, by path counting."""
-        return self.counts(n)[n]
-
     def counts(self, n: int) -> list[int]:
         """The numbers of accepted words of each length 0..n, from one path
         table."""

@@ -2,14 +2,12 @@
 
 Coefficients are rationals (stdlib :class:`~fractions.Fraction`).  All
 arithmetic is exact; floating point is deliberately absent from this module.
-The two quadratic kernels, the product and the quotient, run on ints: each
-operand is read once as integer numerators over one common denominator, and
-one Fraction is built per output coefficient.  The quotient kernel
-:func:`_divide` serves ``/``, ``invert`` and :func:`rational_series` alike.
-Every denominator polynomial of the closed forms has integer coefficients
-and constant term 1 or -1, so their expansions are integer recurrences
-(Knuth, TAOCP Vol. 2, §4.7) whose coefficients need no reduction.  The
-square root stays on Fractions.
+Every rational function here is one :func:`rational_series` expansion of an
+integer numerator over an integer denominator with constant term 1 or -1,
+which is an integer recurrence (Knuth, TAOCP Vol. 2, §4.7) building one
+Fraction per output coefficient.  The product runs on ints too: each operand
+is read once as integer numerators over one common denominator.  The square
+root stays on Fractions.
 Operations on series of different orders truncate to the smaller order.  A
 bivariate series in x and t is held as rows: a tuple whose entry n is the
 coefficient of x^n, a series in t.
@@ -64,18 +62,15 @@ class TruncatedSeries(Value):
     The kernels loop over nonzero coefficients only.  With nnz(s) the number
     of nonzero coefficients of s and N the order of the result, ``a * b``
     costs at most min(nnz(a) * nnz(b), min(nnz(a), nnz(b)) * (N + 1))
-    coefficient products, ``a / b`` at most N * nnz(b) beyond reading a, and
-    ``invert`` and ``sqrt`` at most N * nnz(self).  The rational generating
-    functions have at most seven nonzero terms in any operand, so their
-    expansions are linear in N.
+    coefficient products and ``sqrt`` at most N * nnz(self).  The rational
+    generating functions have at most seven nonzero terms in any operand, so
+    their expansions are linear in N.
 
-    ``a * b``, ``a / b`` and ``invert`` multiply and add integer numerators
-    and reduce once per output coefficient: ``a * b`` scales each operand to
-    the lcm of its denominators, and :func:`_divide` scales the dividend the
-    same way and each term b_i / b_0 of the divisor by δ^i for one scale δ;
-    for integral operands every scale is 1.  ``sqrt``, ``+``, ``-`` and scalar
-    products stay on Fractions: the 1/(2n) factor of each root coefficient
-    would make unreduced denominators grow factorially.
+    ``a * b`` scales each operand to the lcm of its denominators, multiplies
+    and adds integer numerators, and reduces once per output coefficient.
+    ``sqrt``, ``+`` and scalar products stay on Fractions: the 1/(2n) factor
+    of each root coefficient would make unreduced denominators grow
+    factorially.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -90,9 +85,6 @@ class TruncatedSeries(Value):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def one_like(self) -> "TruncatedSeries":
-        return one_series(self.order)
-
     # -- ring operations ----------------------------------------------------
 
     def _paired(self, other: "TruncatedSeries") -> tuple[tuple, tuple]:
@@ -104,24 +96,10 @@ class TruncatedSeries(Value):
             a, b = self._paired(other)
             return TruncatedSeries(tuple(x + y for x, y in zip(a, b)))
         if isinstance(other, (int, Fraction)):
-            return self.add_constant(Fraction(other))
+            return TruncatedSeries((self.coeffs[0] + other, *self.coeffs[1:]))
         return NotImplemented
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            a, b = self._paired(other)
-            return TruncatedSeries(tuple(x - y for x, y in zip(a, b)))
-        if isinstance(other, (int, Fraction)):
-            return self.add_constant(Fraction(-other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
@@ -145,39 +123,7 @@ class TruncatedSeries(Value):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return _divide(self.coeffs, other.coeffs, min(self.order, other.order))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise SingularSeriesError("cannot divide a series by zero")
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise InvalidInputError("negative powers go through invert()")
-        result = self.one_like()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def add_constant(self, value: Fraction) -> "TruncatedSeries":
-        """Add a rational constant onto the constant term."""
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + value
-        return TruncatedSeries(tuple(coeffs))
-
     # -- the interesting operations ------------------------------------------
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero.
-
-        >>> geometric = from_coeffs([1, -1], order=4).invert()
-        >>> geometric == from_coeffs([1, 1, 1, 1, 1])
-        True
-        """
-        return _divide((1,), self.coeffs, self.order)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root of a series with constant term 1.
@@ -201,36 +147,19 @@ class TruncatedSeries(Value):
         return TruncatedSeries(tuple(out))
 
 
-def _divide(p: Sequence, q: Sequence, order: int) -> TruncatedSeries:
-    """P/Q to the given order, for coefficient sequences p and q of ints or
-    Fractions of any length; q_0 must be nonzero.
+def _divide(p: Sequence[int], q: Sequence[int], order: int) -> TruncatedSeries:
+    """P/Q to the given order, for integer coefficient lists p and q with
+    q_0 = 1 or -1.
 
-    Coefficient n of the quotient solves q_0 out_n = p_n - sum over i >= 1
-    of q_i out_(n-i) (Knuth, TAOCP Vol. 2, §4.7), and the recurrence runs on
-    ints.  With S the lcm of P's denominators, r_i = q_i / q_0 and a scale δ
-    such that every denominator of r_i divides δ^i, y_n = S q_0 δ^n out_n is
-    an integer: y_n = S p_n δ^n - sum over i >= 1 of r_i δ^i y_(n-i).  δ
-    grows only by the factors some r_i needs, so for an integral P over an
-    integral Q with constant term 1 or -1, as every closed form here, S = 1,
-    δ = 1 and y_n is the coefficient itself up to sign, which Fraction's int
-    constructor takes without a gcd; for 1/sqrt(1 - t), δ = 4 and y_n =
-    binomial(2n, n).
+    Coefficient n of the quotient is q_0 (p_n - sum over i >= 1 of
+    q_i out_(n-i)) (Knuth, TAOCP Vol. 2, §4.7), as 1/q_0 = q_0.  The sign
+    q_0 is folded into p and the weights once, so the recurrence runs on
+    ints and builds one Fraction per coefficient, without a gcd.
     """
-    divisor = _terms(q[: order + 1])
-    if not divisor or divisor[0][0]:
-        raise SingularSeriesError("cannot divide by a series with zero constant term")
-    lead = Fraction(divisor[0][1])
-    ratios = [(i, c / lead) for i, c in divisor[1:]]
-    delta = 1
-    for i, r in ratios:
-        d = r.denominator
-        # afterwards d divides delta^i, and each earlier d_j still divides delta^j
-        delta *= d // math.gcd(d, pow(delta, i, d))
-    tail = [(i, r.numerator * (delta**i // r.denominator)) for i, r in ratios]
-    dividend, scale = _numerators(p[: order + 1])
-    out = [0] * (order + 1)
-    for n, a in dividend:
-        out[n] = a * delta**n
+    lead = q[0]
+    tail = [(i, lead * c) for i, c in _terms(q[: order + 1])[1:]]
+    out = [lead * c for c in p[: order + 1]]
+    out += [0] * (order + 1 - len(out))
     for n in range(1, order + 1):
         acc = out[n]
         for i, w in tail:
@@ -238,15 +167,7 @@ def _divide(p: Sequence, q: Sequence, order: int) -> TruncatedSeries:
                 break
             acc -= w * out[n - i]
         out[n] = acc
-    unit = scale * lead.numerator
-    if delta == 1 and unit in (1, -1):
-        factor = unit * lead.denominator
-        return TruncatedSeries(tuple(Fraction(y * factor) for y in out))
-    power = 1
-    for n, y in enumerate(out):
-        out[n] = Fraction(y * lead.denominator, unit * power)
-        power *= delta
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(map(Fraction, out)))
 
 
 #: A bivariate series in x and t as rows: entry n is the coefficient of x^n.
@@ -267,17 +188,6 @@ def from_coeffs(values: Sequence, order: int | None = None) -> TruncatedSeries:
     if len(coeffs) < order + 1:
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return TruncatedSeries(tuple(coeffs[: order + 1]))
-
-
-def variable(order: int) -> TruncatedSeries:
-    """The series t, truncated at the given order >= 1."""
-    if order < 1:
-        raise InvalidInputError("the variable needs order >= 1")
-    return from_coeffs([0, 1], order)
-
-
-def one_series(order: int) -> TruncatedSeries:
-    return from_coeffs([1], order)
 
 
 def evaluate_polynomial(coefficients: Sequence, point: TruncatedSeries) -> TruncatedSeries:
@@ -305,10 +215,12 @@ def format_series(s: TruncatedSeries, var: str = "t") -> str:
     return " + ".join(parts)
 
 
-def rational_series(numerator: Sequence, denominator: Sequence, order: int) -> TruncatedSeries:
-    """Expand numerator/denominator to the given order.  Both are coefficient
-    lists of ints or Fractions, of any length; the denominator's constant
-    term must be nonzero.
+def rational_series(
+    numerator: Sequence[int], denominator: Sequence[int], order: int
+) -> TruncatedSeries:
+    """Expand numerator/denominator to the given order.  Both are lists of
+    int coefficients, of any length; the denominator's constant term must be
+    1 or -1, which every closed form here has.
 
     >>> [int(c) for c in rational_series([1], [1, -1, -1], 9).coeffs]
     [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -316,8 +228,15 @@ def rational_series(numerator: Sequence, denominator: Sequence, order: int) -> T
     if order < 0:
         raise InvalidInputError(f"order must be >= 0, got {order}")
     for c in itertools.chain(numerator, denominator):
-        if not isinstance(c, Fraction):
-            _rational(c)  # refuses what TruncatedSeries refuses
+        if not isinstance(c, int):
+            raise InvalidInputError(
+                f"rational_series coefficients are ints, got {type(c).__name__}"
+            )
+    if not denominator or denominator[0] not in (1, -1):
+        got = denominator[0] if denominator else "an empty denominator"
+        raise SingularSeriesError(
+            f"rational_series needs a denominator with constant term 1 or -1, got {got}"
+        )
     return _divide(numerator, denominator, order)
 
 
@@ -492,7 +411,7 @@ def ipk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[Rows, Rows]:
     1 - 2kx + sum_j (c_(m,j,k) x^(jm) - c'_(m,j,k) x^(jm+1)).
     """
     return _gf_sides(
-        m, x_order, t_order, polynomial=ipk_polynomial, lead=(Fraction(1, 2), Fraction(1, 2)),
+        m, x_order, t_order, polynomial=ipk_polynomial, lead=(1, 1), scale=Fraction(1, 2),
         slope=0, coeff=ipk_gf_coeff, coeff_prime=ipk_gf_coeff_prime,
     )
 
@@ -505,29 +424,30 @@ def ilpk_gf_sides(m: int, x_order: int, t_order: int) -> tuple[Rows, Rows]:
     inverse of 1 - (2k+1)x + sum_j (e_(m,j,k) x^(jm) - e'_(m,j,k) x^(jm+1)).
     """
     return _gf_sides(
-        m, x_order, t_order, polynomial=ilpk_polynomial, lead=(1,),
+        m, x_order, t_order, polynomial=ilpk_polynomial, lead=(1,), scale=1,
         slope=1, coeff=ilpk_gf_coeff, coeff_prime=ilpk_gf_coeff_prime,
     )
 
 
 def _gf_sides(
     m: int, x_order: int, t_order: int, *, polynomial: Callable[[int, int], tuple[int, ...]],
-    lead: Sequence, slope: int, coeff: Callable[[int, int, int], int],
+    lead: Sequence[int], scale: Fraction | int, slope: int, coeff: Callable[[int, int, int], int],
     coeff_prime: Callable[[int, int, int], int],
 ) -> tuple[Rows, Rows]:
     """Both sides of a master identity.
 
     Left side: 1/(1-t) at x^0, and at x^n for n >= 1 the polynomial at
-    4t/(1+t)^2 times lead(t) (1+t)^n / (1-t)^(n+1).  Right side: at t^k,
-    the inverse of the k-th bracket 1 - (2k+slope)x + sum_j (coeff x^(jm) -
-    coeff_prime x^(jm+1)), whose sum is empty at k = 0.
+    4t/(1+t)^2 times scale lead(t) (1+t)^n / (1-t)^(n+1), for an integer
+    polynomial lead(t): ipk's (1+t)/2 is scale 1/2 times lead 1 + t.  Right
+    side: at t^k, the inverse of the k-th bracket 1 - (2k+slope)x + sum_j
+    (coeff x^(jm) - coeff_prime x^(jm+1)), whose sum is empty at k = 0.
     """
     _check_orders(m, x_order, t_order)
     ratio = rational_series([1, 1], [1, -1], t_order)
     u = t_substitution(t_order)
 
     lhs = [rational_series([1], [1, -1], t_order)]
-    factor = rational_series(lead, [1, -1], t_order)
+    factor = rational_series(lead, [1, -1], t_order) * scale
     for n in range(1, x_order + 1):
         factor = factor * ratio
         lhs.append(evaluate_polynomial(polynomial(m, n), u) * factor)

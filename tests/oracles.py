@@ -199,7 +199,7 @@ def per_word_prop7_mismatches(dfas: dict, n: int) -> dict[int, dict]:
         if not checking:
             break
     for m, dfa in checking:
-        if accepted[m] != dfa.count_words(n):
+        if accepted[m] != dfa.counts(n)[n]:
             stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
             mismatches[m] = {"word": stray, "dfa": True}
     return mismatches
@@ -209,7 +209,7 @@ def per_word_prop7_mismatches(dfas: dict, n: int) -> dict[int, dict]:
 # Forward path counting: the number of ways to reach each state, pushed one
 # letter at a time from the start state.  It reads only the automaton's
 # table, start and accepting states, and stands as a reference for
-# regex.Dfa.count_words, which counts backward from acceptance.
+# regex.Dfa.counts, which counts backward from acceptance.
 
 
 def forward_word_count(dfa, n: int) -> int:
@@ -226,8 +226,8 @@ def forward_word_count(dfa, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Schoolbook series kernels: O(order^2) loops that touch every coefficient,
-# zero or not.  They stand as a reference for TruncatedSeries.__mul__, invert
-# and sqrt.
+# zero or not.  They stand as a reference for TruncatedSeries.__mul__ and
+# sqrt, and, as a product with an inverse, for series.rational_series.
 
 
 def dense_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -601,7 +601,19 @@ class TestSeriesCommand:
     def test_order_above_the_cap_is_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--order", "5001")
         assert (code, out) == (2, "")
-        assert err == "error: series order 5001 exceeds the cap 5000\n"
+        assert err == f"usage error: --kind {argv[2]}: --order must be <= 5000, got 5001\n"
+
+    def test_gf_coeffs_n_max_above_the_cap_names_n_max(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--kind", "gf-coeffs", "--n-max", "5001")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --kind gf-coeffs: --n-max must be <= 5000, got 5001\n"
+        # an --order sets the expansion, and --n-max is then not an order
+        code, out, err = run_cli(
+            capsys, "table", "--kind", "gf-coeffs", "--n-max", "5001", "--order", "3",
+            "--format", "csv", "--no-timestamp",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "3,4"
 
     @pytest.mark.parametrize(
         "argv, low",

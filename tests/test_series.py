@@ -16,6 +16,7 @@ from permfib.compositions import fib
 from permfib.permutations import contains_ascending_run, letter_tuples
 from permfib.errors import InvalidInputError, ResourceLimitError, SingularSeriesError
 from permfib.series import (
+    MAX_SERIES_ORDER,
     TruncatedSeries,
     evaluate_polynomial,
     fibonacci_ogf,
@@ -30,11 +31,9 @@ from permfib.series import (
     ipk_gf_coeff_prime,
     ipk_gf_sides,
     ipk_polynomial,
-    one_series,
     rational_series,
     t_substitution,
     t_substitution_inverse,
-    variable,
     verify_ilpk_gf,
     verify_ipk_gf,
 )
@@ -67,10 +66,24 @@ class TestRingLaws:
 
     @settings(max_examples=60, deadline=None)
     @given(series_strategy(constant=1))
-    def test_invert_and_sqrt(self, s):
-        assert s.invert() * s == s.one_like()
+    def test_sqrt_squares_back(self, s):
         root = s.sqrt()
         assert root * root == s
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=15),
+        st.lists(st.integers(-9, 9), max_size=15),
+        st.sampled_from([1, -1]),
+        st.integers(0, 20),
+    )
+    def test_rational_series_times_its_denominator_is_its_numerator(
+        self, numerator, denominator, constant, order
+    ):
+        denominator = [constant] + denominator
+        quotient = rational_series(numerator, denominator, order)
+        assert quotient.order == order
+        assert quotient * from_coeffs(denominator, order) == from_coeffs(numerator, order)
 
     def test_mismatched_orders_truncate(self):
         a = from_coeffs([1, 2, 3, 4])
@@ -116,14 +129,6 @@ class TestKernelsAgainstDenseReference:
         assert a * b == dense_mul(a, b)
 
     @settings(max_examples=150, deadline=None)
-    @given(sparse_series(), nonzero_rationals)
-    @example(from_coeffs([0]), Fraction(2))
-    @example(from_coeffs([0, 3]), Fraction(-1))
-    def test_invert(self, s, constant):
-        s = with_constant(s, constant)
-        assert s.invert() == dense_invert(s)
-
-    @settings(max_examples=150, deadline=None)
     @given(sparse_series())
     @example(from_coeffs([0]))
     @example(from_coeffs([0, Fraction(-3, 7)]))
@@ -132,32 +137,23 @@ class TestKernelsAgainstDenseReference:
         assert s.sqrt() == dense_sqrt(s)
 
 
-class TestDivisionKernel:
-    """``/`` and ``rational_series`` share the quotient kernel with
-    ``invert`` (checked above); each is checked against the schoolbook
-    inverse and product."""
+integers = st.integers(-4, 4)
 
-    @settings(max_examples=150, deadline=None)
-    @given(sparse_series(), sparse_series(), nonzero_rationals)
-    @example(from_coeffs([1, 2, 3]), from_coeffs([3, 1]), Fraction(3))
-    @example(from_coeffs([Fraction(1, 2), 0, Fraction(-2, 3)]), from_coeffs([0, 5]), Fraction(-2))
-    @example(from_coeffs([Fraction(5, 7)]), from_coeffs([0, Fraction(1, 3), 1]), Fraction(2, 3))
-    def test_quotient(self, a, b, constant):
-        b = with_constant(b, constant)
-        quotient = a / b
-        assert quotient == dense_mul(a, dense_invert(b))
-        assert quotient.order == min(a.order, b.order)
+
+class TestDivisionKernel:
+    """``rational_series``, the one quotient kernel, against the schoolbook
+    product and inverse, and its refusals of what it does not expand."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(rationals, max_size=12),
-        st.lists(rationals, max_size=12),
-        nonzero_rationals,
+        st.lists(integers, max_size=12),
+        st.lists(integers, max_size=12),
+        st.sampled_from([1, -1]),
         st.integers(0, 10),
     )
-    @example([1, -1], [-2, 0, 1], Fraction(1), 6)
-    @example([Fraction(1, 3), 2, Fraction(-5, 4), 1, 1, 1, 1, 1], [0, 4], Fraction(3), 3)
-    @example([], [0, 1], Fraction(-1, 2), 4)
+    @example([1, -1], [-2, 0, 1], 1, 6)
+    @example([3, 2, -5, 1, 1, 1, 1, 1], [0, 4], -1, 3)
+    @example([], [0, 1], -1, 4)
     def test_rational_series(self, numerator, denominator, constant, order):
         denominator = [constant] + denominator
         p, q = from_coeffs(numerator, order), from_coeffs(denominator, order)
@@ -165,35 +161,36 @@ class TestDivisionKernel:
 
     def test_numerator_longer_than_the_order_is_truncated(self):
         assert rational_series([1, 2, 3, 4, 5], [1, -1], 2) == from_coeffs([1, 3, 6])
-        assert rational_series([0, 0, 0, 7], [2], 2) == from_coeffs([0, 0, 0])
+        assert rational_series([0, 0, 0, 7], [-1], 2) == from_coeffs([0, 0, 0])
 
-    def test_unit_free_constant_terms(self):
-        # q_0 = 2 and q_0 = -3/2 scale every coefficient; P = 1/3 - t/4 is rational
-        assert rational_series([1], [2, -1], 3) == from_coeffs(
-            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
-        )
-        assert rational_series([Fraction(1, 3), Fraction(-1, 4)], [Fraction(-3, 2)], 2) == (
-            from_coeffs([Fraction(-2, 9), Fraction(1, 6), 0])
-        )
+    def test_denominator_longer_than_the_order_is_truncated(self):
+        # terms of Q past the order cannot reach a coefficient up to it
+        assert rational_series([1, 2], [1, 0, 0, 5, 7], 2) == from_coeffs([1, 2, 0])
+        assert rational_series([1], [-1, 1, 0, 0, 9], 3) == from_coeffs([-1, -1, -1, -1])
+        assert rational_series([], [1, 2, 3], 0) == from_coeffs([0])
 
-    def test_zero_constant_term_is_singular(self):
-        with pytest.raises(SingularSeriesError, match="zero constant term"):
-            rational_series([1], [0, 1], 3)
-        with pytest.raises(SingularSeriesError, match="zero constant term"):
-            rational_series([1], [], 3)
-        with pytest.raises(SingularSeriesError, match="zero constant term"):
-            from_coeffs([1, 2, 3]) / from_coeffs([0, 0, 1])
-        with pytest.raises(SingularSeriesError, match="zero constant term"):
-            from_coeffs([Fraction(0), 1]).invert()
+    @pytest.mark.parametrize(
+        "denominator, got", [([0, 1], "0"), ([2, -1], "2"), ([], "an empty denominator")]
+    )
+    def test_a_denominator_without_a_unit_constant_term_is_refused(self, denominator, got):
+        expected = f"^rational_series needs a denominator with constant term 1 or -1, got {got}$"
+        with pytest.raises(SingularSeriesError, match=expected):
+            rational_series([1], denominator, 3)
 
     def test_order_and_coefficient_checks(self):
         with pytest.raises(InvalidInputError, match="order must be >= 0, got -1"):
             rational_series([1], [1], -1)
-        for bad in (1.5, "x", one_series(2)):
-            with pytest.raises(InvalidInputError, match="ints or Fractions"):
+        for bad in (Fraction(1, 2), Fraction(1), 1.5, "x", from_coeffs([1], 2)):
+            refusal = f"^rational_series coefficients are ints, got {type(bad).__name__}$"
+            with pytest.raises(InvalidInputError, match=refusal):
                 rational_series([1, bad], [1], 3)
-            with pytest.raises(InvalidInputError, match="ints or Fractions"):
+            with pytest.raises(InvalidInputError, match=refusal):
                 rational_series([1], [1, bad], 3)
+        # sum of t^k/(k+1), refused at once: an integer recurrence for it would
+        # carry the product of every prime up to the order
+        harmonic = [Fraction(1, k + 1) for k in range(MAX_SERIES_ORDER + 1)]
+        with pytest.raises(InvalidInputError, match="ints, got Fraction$"):
+            rational_series([1], harmonic, MAX_SERIES_ORDER)
 
     @pytest.mark.parametrize("order", [*range(13), 300])
     def test_closed_forms_match_product_with_inverse(self, order):
@@ -211,7 +208,7 @@ class TestDivisionKernel:
             return out
 
         def product_with_inverse(p, q):
-            return from_coeffs(p, order) * from_coeffs(q, order).invert()
+            return from_coeffs(p, order) * dense_invert(from_coeffs(q, order))
 
         for m in range(2, 7):
             q = monomials((0, 1), (1, -2), (m, 1))
@@ -223,45 +220,18 @@ class TestDivisionKernel:
 
 
 class TestKernelsAtHighOrder:
-    """Unreduced numerators grow with the order, through the powers of
-    invert's scale and the lcm of an operand's denominators, so the integer
-    kernels are checked well past the orders the property tests reach."""
+    """Unreduced numerators grow with the order, through the lcm of an
+    operand's denominators, so the integer product kernel is checked well
+    past the orders the property tests reach."""
 
     ORDER = 300
     HARMONIC = from_coeffs([Fraction(1, k + 1) for k in range(ORDER + 1)])
 
     @pytest.mark.parametrize(
-        "s",
-        [
-            from_coeffs([3, 1, 2], ORDER),
-            from_coeffs([Fraction(-5, 3), Fraction(1, 2), 0, Fraction(-7, 4)], ORDER),
-            from_coeffs(
-                [1, Fraction(1, 2), Fraction(1, 3), 0, Fraction(-1, 5), Fraction(1, 7)], ORDER
-            ),
-            from_coeffs([1, -1], ORDER).sqrt(),
-            from_coeffs([Fraction(2, 3), Fraction(1, 6), Fraction(-1, 27)], ORDER),
-        ],
-        ids=[
-            "integer-lead-3", "negative-rational-lead", "denominators-differ",
-            "root-of-one-minus-t", "denominator-powers",
-        ],
-    )
-    def test_invert(self, s):
-        assert s.invert() == dense_invert(s)
-
-    def test_inverse_root_is_central_binomials_over_powers_of_four(self):
-        # coefficient i >= 1 of sqrt(1 - t) has a denominator dividing
-        # 2^(2i - 1), so invert's scale is 4 and its integers are binomial(2n, n)
-        inverse = from_coeffs([1, -1], self.ORDER).sqrt().invert()
-        assert inverse.coeffs == tuple(
-            Fraction(math.comb(2 * n, n), 4**n) for n in range(self.ORDER + 1)
-        )
-
-    @pytest.mark.parametrize(
         "a, b",
         [
             (HARMONIC, HARMONIC),
-            (HARMONIC, from_coeffs([3, 1, 2], ORDER).invert()),
+            (HARMONIC, dense_invert(from_coeffs([3, 1, 2], ORDER))),
             (from_coeffs([Fraction(-5, 3), 0, Fraction(2, 9)], ORDER), HARMONIC),
         ],
         ids=["harmonic-squared", "harmonic-times-inverse", "negative-rational-lead"],
@@ -269,10 +239,38 @@ class TestKernelsAtHighOrder:
     def test_mul(self, a, b):
         assert a * b == dense_mul(a, b)
 
+    @pytest.mark.parametrize(
+        "numerator, denominator",
+        [
+            ([1], [1, -1, -1]),
+            ([2, -3, 5], [-1, 3, 0, -2]),
+            ([1], [1, -6, 15, -20, 15, -6, 1]),
+            ([3, 0, 0, 7, -1], [1] + [(-1) ** k * k for k in range(1, 40)]),
+            ([1, 0, 0, 7], [1] + [0] * 149 + [5]),
+        ],
+        ids=[
+            "fibonacci", "negative-lead", "denominator-powers", "long-denominator",
+            "term-past-half-the-order",
+        ],
+    )
+    def test_rational_series(self, numerator, denominator):
+        p, q = from_coeffs(numerator, self.ORDER), from_coeffs(denominator, self.ORDER)
+        assert rational_series(numerator, denominator, self.ORDER) == dense_mul(
+            p, dense_invert(q)
+        )
+
+    def test_inverse_root_is_central_binomials(self):
+        # sqrt(1 - 4t) = 1 - 2 sum Catalan(n-1) t^n has integer coefficients,
+        # and its inverse is sum binomial(2n, n) t^n
+        root = from_coeffs([1, -4], self.ORDER).sqrt()
+        assert all(c.denominator == 1 for c in root.coeffs)
+        inverse = rational_series([1], [c.numerator for c in root.coeffs], self.ORDER)
+        assert inverse.coeffs == tuple(math.comb(2 * n, n) for n in range(self.ORDER + 1))
+
 
 class TestBasicOperations:
     def test_geometric_series(self):
-        assert from_coeffs([1, -1], 5).invert() == from_coeffs([1] * 6)
+        assert rational_series([1], [1, -1], 5) == from_coeffs([1] * 6)
 
     def test_sqrt_expansion(self):
         root = from_coeffs([1, -1], 3).sqrt()
@@ -285,16 +283,7 @@ class TestBasicOperations:
 
     def test_singularities(self):
         with pytest.raises(SingularSeriesError):
-            from_coeffs([0, 1]).invert()
-        with pytest.raises(SingularSeriesError):
             from_coeffs([2, 1]).sqrt()
-
-    @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
-    def test_division_by_zero_is_singular(self, zero):
-        with pytest.raises(SingularSeriesError, match="divide a series by zero"):
-            from_coeffs([1, 2]) / zero
-        with pytest.raises(SingularSeriesError):
-            from_coeffs([1, 2]) / from_coeffs([zero, 1])
 
     def test_format(self):
         assert (
@@ -315,7 +304,7 @@ class TestBasicOperations:
             InvalidInputError, match="^a series needs at least the constant coefficient$"
         ):
             TruncatedSeries(())
-        for bad in (1.5, "x", one_series(2)):
+        for bad in (1.5, "x", from_coeffs([1], 2)):
             with pytest.raises(InvalidInputError, match="ints or Fractions"):
                 TruncatedSeries((1, bad))
             with pytest.raises(InvalidInputError, match="ints or Fractions"):
@@ -345,28 +334,18 @@ class TestSubstitution:
             assert v.coeffs[n] == Fraction(math.comb(2 * n, n) // (n + 1), 4**n)
 
     def test_defining_property(self):
+        # 4v/(1+v)^2 = t, multiplied through by the unit (1+v)^2
         for order in (1, 3, 6, 10):
             v = t_substitution_inverse(order)
-            one = one_series(order)
-            assert (v * 4) * ((one + v) ** 2).invert() == variable(order)
+            assert v * 4 == from_coeffs([0, 1], order) * (1 + v) * (1 + v)
 
     def test_displayed_expansions(self):
+        # 2/(1+v) and (1-v)/(1+v), each multiplied through by the unit 1+v
         v = t_substitution_inverse(3)
-        one = one_series(3)
-        two_over = (one + v).invert() * 2
-        assert two_over.coeffs == (
-            Fraction(2),
-            Fraction(-1, 2),
-            Fraction(-1, 8),
-            Fraction(-1, 16),
-        )
-        ratio = (one - v) * (one + v).invert()
-        assert ratio.coeffs == (
-            Fraction(1),
-            Fraction(-1, 2),
-            Fraction(-1, 8),
-            Fraction(-1, 16),
-        )
+        two_over = from_coeffs([2, Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 16)])
+        assert two_over * (1 + v) == from_coeffs([2], 3)
+        ratio = from_coeffs([1, Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 16)])
+        assert ratio * (1 + v) == v * -1 + 1
 
 
 class TestBracketCoefficients:
@@ -444,7 +423,7 @@ class TestClosedFormExpansions:
             expansion = ilpk_one_ogf(m, 10)
             dfa = regex.block_word_dfa(m)
             for n in range(11):
-                assert expansion.coeffs[n] == dfa.count_words(n)
+                assert expansion.coeffs[n] == dfa.counts(n)[n]
 
     def test_fibonacci_ogf_matches_enumeration(self):
         for m in (3, 4, 5):
@@ -467,6 +446,20 @@ class TestMasterIdentities:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_ilpk_identity_small(self, m):
         assert verify_ilpk_gf(m, 5, 3)
+
+    def test_ipk_left_side_times_its_denominator(self):
+        # row n >= 1 is P_n(4t/(1+t)^2) (1+t)^(n+1) / (2 (1-t)^(n+1)), with
+        # the half applied after the integer quotient
+        order = 6
+        lhs, _ = ipk_gf_sides(3, 7, order)
+        one_plus, one_minus = from_coeffs([1, 1], order), from_coeffs([1, -1], order)
+        u = t_substitution(order)
+        for n in range(1, 8):
+            expected = evaluate_polynomial(ipk_polynomial(3, n), u)
+            row = lhs[n] * 2
+            for _ in range(n + 1):
+                expected, row = expected * one_plus, row * one_minus
+            assert row == expected, n
 
     def test_mismatch_reporting(self):
         lhs, rhs = ipk_gf_sides(3, 5, 3)
@@ -497,4 +490,7 @@ def test_evaluate_polynomial_matches_powers():
     point = from_coeffs([0, 1, 1], 5)
     poly = (2, 0, 1, 3)
     direct = evaluate_polynomial(poly, point)
-    assert direct == sum((point**i * c for i, c in enumerate(poly)), from_coeffs([], 5))
+    powers = [from_coeffs([1], 5)]
+    for _ in poly[1:]:
+        powers.append(powers[-1] * point)
+    assert direct == sum((p * c for p, c in zip(powers, poly)), from_coeffs([], 5))

@@ -184,7 +184,7 @@ class TestCompile:
         dfa = regex.core_dfa()
         for n in range(1, 9):
             words = list(dfa.language(n))
-            assert len(words) == dfa.count_words(n)
+            assert len(words) == dfa.counts(n)[n]
             assert words == sorted(words)
             assert all(dfa.accepts(w) for w in words)
 
@@ -193,18 +193,18 @@ class TestCompile:
         for n in range(9):
             language = list(dfa.language(n))
             assert language == sorted(w for w in iter_words(n) if dfa.accepts(w))
-            assert dfa.count_words(n) == len(language)
+            assert dfa.counts(n)[n] == len(language)
 
     @pytest.mark.parametrize("dfa", AUTOMATA)
-    def test_count_words_matches_forward_path_counting(self, dfa):
+    def test_counts_match_forward_path_counting(self, dfa):
         expected = [forward_word_count(dfa, n) for n in range(61)]
         for n in range(61):
-            assert dfa.count_words(n) == expected[n], n
+            assert dfa.counts(n)[n] == expected[n], n
             assert dfa.counts(n) == expected[: n + 1], n
 
-    def test_count_words_refuses_a_negative_length(self):
+    def test_counts_refuses_a_negative_length(self):
         with pytest.raises(InvalidInputError, match="n must be nonnegative"):
-            regex.core_dfa().count_words(-1)
+            regex.core_dfa().counts(-1)
 
     def test_language_refuses_a_negative_length_when_read(self):
         walk = regex.core_dfa().language(-1)
