@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import chain, product, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import bijections, compositions, oracle, permutations, regex, series, tilings, words
 from .errors import UsageError
@@ -45,30 +46,50 @@ class Claim(NamedTuple):
     max_k: Optional[int] = None
 
 
-def theorem1_counts(n: int, m: int) -> dict[str, int]:
-    """At n: the counted peakless-inverse m-run avoiders, and the
-    order-(m-1) Fibonacci number they should equal."""
-    count = oracle.count_ipk0_avoiders(n, m)
-    return {"n": n, "count": count, "fibonacci": compositions.fib(m - 1, n)}
+def column_rows(columns: dict[str, Any], last: int) -> Iterator[list[Any]]:
+    """Each row i in 1..last, computed only when it is read: i, then each
+    column's value at i.  A column is a list indexed by i or, where a value
+    costs work, a function of i."""
+    reads = [column if callable(column) else column.__getitem__ for column in columns.values()]
+    return ([i, *(read(i) for read in reads)] for i in range(1, last + 1))
 
 
-def theorem2_counts(n: int) -> dict[str, int]:
-    """At n: the counted ilpk-one 3-run avoiders, and
-    f(n-1) f(n) - floor((n+1)/2)."""
-    count = oracle.count_ilpk1_avoiders(n, 3)
-    expected = compositions.fib(2, n - 1) * compositions.fib(2, n) - (n + 1) // 2
-    return {"n": n, "count": count, "closed_form": expected}
+def columns_agree(
+    claim: str, params: dict[str, Any], index: str, columns: dict[str, Any]
+) -> VerificationReport:
+    """The report that ``columns`` agree at each index 1..``params[index +
+    "_max"]``.  Its counterexample is the first row where they do not, keyed
+    by ``index`` and the column names, with a Fraction spelled as a string."""
+    for i, *values in column_rows(columns, params[f"{index}_max"]):
+        if values.count(values[0]) < len(values):
+            cells = (str(v) if isinstance(v, Fraction) else v for v in values)
+            return report(claim, params, {index: i, **dict(zip(columns, cells))})
+    return report(claim, params, None)
+
+
+def theorem1_columns(m: int) -> dict[str, Any]:
+    """The counted peakless-inverse m-run avoiders, and order-(m-1) Fibonacci."""
+    return {
+        "count": lambda n: oracle.count_ipk0_avoiders(n, m),
+        "fibonacci": lambda n: compositions.fib(m - 1, n),
+    }
+
+
+def theorem2_columns() -> dict[str, Any]:
+    """The counted ilpk-one 3-run avoiders, and f(n-1) f(n) - floor((n+1)/2)."""
+    return {
+        "count": lambda n: oracle.count_ilpk1_avoiders(n, 3),
+        "closed_form": lambda n: compositions.fib(2, n - 1) * compositions.fib(2, n) - (n + 1) // 2,
+    }
 
 
 def _theorem1(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     for m in ms:
-        cases = (theorem1_counts(n, m) for n in range(1, n_max + 1))
-        yield report("theorem1", {"m": m, "n_max": n_max}, first_disagreement(cases, "n"))
+        yield columns_agree("theorem1", {"m": m, "n_max": n_max}, "n", theorem1_columns(m))
 
 
 def _theorem2(*, n_max, **_) -> Iterator[VerificationReport]:
-    cases = (theorem2_counts(n) for n in range(1, n_max + 1))
-    yield report("theorem2", {"n_max": n_max}, first_disagreement(cases, "n"))
+    yield columns_agree("theorem2", {"n_max": n_max}, "n", theorem2_columns())
 
 
 def _theorem4(*, n_max, **_) -> Iterator[VerificationReport]:
@@ -217,34 +238,23 @@ def _prop7_mismatches(
 
 
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:
-    by_dfa = regex.core_dfa().counts(k_max)
-    cases = (
-        {
-            "k": k,
-            "dfa": by_dfa[k],
-            "tilings": sum(1 for _ in tilings.enumerate_tilings(k)),
-            "fibonacci_product": compositions.fib(2, k - 1) * compositions.fib(2, k),
-        }
-        for k in range(1, k_max + 1)
-    )
-    counterexample = first_disagreement(cases, "k")
-    expression = regex.format_ast(regex.core_regex())
-    yield report("prop8", {"k_max": k_max, "expression": expression}, counterexample)
+    columns = {
+        "dfa": regex.core_dfa().counts(k_max),
+        "tilings": lambda k: sum(1 for _ in tilings.enumerate_tilings(k)),
+        "fibonacci_product": lambda k: compositions.fib(2, k - 1) * compositions.fib(2, k),
+    }
+    params = {"k_max": k_max, "expression": regex.format_ast(regex.core_regex())}
+    yield columns_agree("prop8", params, "k", columns)
 
 
 def _eq1(*, n_max, **_) -> Iterator[VerificationReport]:
-    word_counts = regex.block_word_dfa(3).counts(n_max)
-    cases = (
-        {
-            "n": n,
-            "word_count": word_counts[n],
-            "double_sum": sum(
-                (n - k) * compositions.fib(2, k - 1) * compositions.fib(2, k) for k in range(1, n)
-            ),
-        }
-        for n in range(1, n_max + 1)
-    )
-    yield report("eq1", {"n_max": n_max}, first_disagreement(cases, "n"))
+    columns = {
+        "word_count": regex.block_word_dfa(3).counts(n_max),
+        "double_sum": lambda n: sum(
+            (n - k) * compositions.fib(2, k - 1) * compositions.fib(2, k) for k in range(1, n)
+        ),
+    }
+    yield columns_agree("eq1", {"n_max": n_max}, "n", columns)
     yield oracle.verify_identity_sums(n_max * 4)
 
 
@@ -271,21 +281,12 @@ def _gf5(**_) -> Iterator[VerificationReport]:
 
 def _gf_general(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     for m in ms:
-        expansion = series.ilpk_one_ogf(m, n_max)
-        by_dfa = regex.block_word_dfa(m).counts(n_max)
-        cases = (
-            {
-                "n": n,
-                "coefficient": expansion.coeffs[n],
-                "dfa": by_dfa[n],
-                "oracle": oracle.count_ilpk1_avoiders(n, m),
-            }
-            for n in range(1, n_max + 1)
-        )
-        counterexample = first_disagreement(cases, "n")
-        if counterexample is not None:
-            counterexample["coefficient"] = str(counterexample["coefficient"])
-        yield report("gf-general", {"m": m, "n_max": n_max}, counterexample)
+        columns = {
+            "coefficient": series.ilpk_one_ogf(m, n_max).coeffs,
+            "dfa": regex.block_word_dfa(m).counts(n_max),
+            "oracle": lambda n: oracle.count_ilpk1_avoiders(n, m),
+        }
+        yield columns_agree("gf-general", {"m": m, "n_max": n_max}, "n", columns)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -318,12 +319,12 @@ def reject_repeats(option: str, values: Iterable) -> None:
 def validate(
     names: Iterable[str], *, n_max: Optional[int] = None, k_max: Optional[int] = None,
     ms: Optional[tuple[int, ...]] = None,
-) -> None:
+) -> tuple[int, int]:
     """Raise UsageError unless every named claim accepts these parameters.
 
-    A parameter of None was not given: ``n_max`` and ``k_max`` then take
-    DEFAULT_N_MAX and DEFAULT_K_MAX, and ``ms`` each claim's default pattern
-    lengths.  A parameter given to claims none of which reads it is
+    A parameter of None was not given: the ``n_max`` and ``k_max`` returned
+    are then DEFAULT_N_MAX and DEFAULT_K_MAX, and ``ms`` each claim's default
+    pattern lengths.  A parameter given to claims none of which reads it is
     rejected, not ignored, and so is a claim or a pattern length given
     twice, which would run twice.
     """
@@ -352,6 +353,7 @@ def validate(
         for option, value, high in ("--n-max", n_max, claim.max_n), ("--k-max", k_max, claim.max_k):
             if high is not None and not 1 <= value <= high:
                 raise UsageError(f"{name}: {option} must be in 1..{high}, got {value}")
+    return n_max, k_max
 
 
 def run(
@@ -369,9 +371,7 @@ def run(
     first to read it.
     """
     names = tuple(names)
-    validate(names, n_max=n_max, k_max=k_max, ms=ms)
-    n_max = DEFAULT_N_MAX if n_max is None else n_max
-    k_max = DEFAULT_K_MAX if k_max is None else k_max
+    n_max, k_max = validate(names, n_max=n_max, k_max=k_max, ms=ms)
     reports = []
     started = time.monotonic()
     for name in names:

@@ -493,9 +493,6 @@ def _cmd_table(args) -> Output:
     if args.n_max < 0:
         raise UsageError(f"--n-max must be >= 0, got {args.n_max}")
     ms = _read_options(args.kind, {"--m": args.m, "--order": args.order}).get("--m")
-    counted_claim = {"counts-thm1": "theorem1", "counts-thm2": "theorem2"}.get(args.kind)
-    if counted_claim is not None:
-        claims.validate((counted_claim,), n_max=args.n_max, ms=ms)
     if args.kind == "descent-matrix" and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     if args.kind == "gf-coeffs" and ms is not None and len(ms) > 1:
@@ -509,16 +506,18 @@ def _cmd_table(args) -> Output:
         rows = [[n, fib(order, n)] for n in range(args.n_max + 1)]
         note = FIB_INDEXING_NOTE
     elif args.kind == "counts-thm1":
+        claims.validate(("theorem1",), n_max=args.n_max, ms=ms)
         ms = ms or claims.CLAIMS["theorem1"].default_ms
         params, columns = {"m": list(ms), "n_max": args.n_max}, ["m", "n", "count", "fibonacci"]
         rows = [
-            [m, *claims.theorem1_counts(n, m).values()]
+            [m, *row]
             for m in ms
-            for n in range(1, args.n_max + 1)
+            for row in claims.column_rows(claims.theorem1_columns(m), args.n_max)
         ]
     elif args.kind == "counts-thm2":
+        claims.validate(("theorem2",), n_max=args.n_max)
         params, columns = {"n_max": args.n_max}, ["n", "count", "closed_form"]
-        rows = [list(claims.theorem2_counts(n).values()) for n in range(1, args.n_max + 1)]
+        rows = list(claims.column_rows(claims.theorem2_columns(), args.n_max))
     elif args.kind == "gf-coeffs":
         m = ms[0] if ms else 3
         truncation = args.order if args.order is not None else args.n_max

@@ -1,6 +1,7 @@
 """Parameter checks of the claim registry."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from oracles import per_word_prop7_mismatches
@@ -28,6 +29,29 @@ def test_a_claim_or_pattern_length_given_twice_is_rejected(names, ms, message):
         claims.validate(names, n_max=3, ms=ms)
     with pytest.raises(claims.UsageError, match=f"^{message}$"):
         claims.run(names, n_max=3, ms=ms)
+
+
+def test_columns_agree_reports_the_first_disagreeing_row_and_reads_no_further():
+    read = []
+
+    def doubled_halves(n):
+        read.append(n)
+        return Fraction(n, 2) * 2 + (n == 3)
+
+    columns = {"listed": list(range(7)), "computed": doubled_halves}
+    report = claims.columns_agree("c", {"n_max": 6}, "n", columns)
+    assert report.counterexample == {"n": 3, "listed": 3, "computed": "4"}
+    assert list(report.counterexample) == ["n", "listed", "computed"]
+    assert read == [1, 2, 3]
+
+
+def test_columns_agree_reads_every_index_up_to_its_max_when_they_agree():
+    read = []
+    columns = {"listed": range(9), "computed": lambda k: read.append(k) or k}
+    report = claims.columns_agree("c", {"k_max": 8, "x": 1}, "k", columns)
+    assert report.passed and report.counterexample is None
+    assert report.params == {"k_max": 8, "x": 1}
+    assert read == list(range(1, 9))
 
 
 def _prop7(monkeypatch, dfa, m):
@@ -129,6 +153,17 @@ def walk(dfas, n):
 )
 def test_prop7_walk_matches_the_per_word_reference(dfas):
     for n in range(1, 11):
+        assert walk(dfas, n) == per_word_prop7_mismatches(dfas, n), n
+
+
+def test_prop7_walk_matches_the_per_word_reference_on_list_packed_levels():
+    # 18 DFAs make a product of more than 0x100 states, whose levels the walk
+    # keeps as lists, not bytes; m = 4 reads the DFA of m = 3 and fails.
+    dfas = {m: B(m) for m in range(3, 21)}
+    dfas[4] = B(3)
+    table, _ = regex.product(tuple(dfas.values()))
+    assert len(table) > 0x100
+    for n in range(1, 8):
         assert walk(dfas, n) == per_word_prop7_mismatches(dfas, n), n
 
 

@@ -22,9 +22,11 @@ EXPORTS = [
     "word_to_permutation", "word_to_tiling", "zero_ipk_permutation",
 ]
 
-#: Functions that nothing but their own tests read, and the constructor
-#: aliases of the regex node classes, by module: deleted, not moved.
+#: Functions that nothing but their own tests read, the constructor aliases
+#: of the regex node classes, and the per-n count dicts that the claims'
+#: column builders replaced, by module: deleted, not moved.
 REMOVED = {
+    "claims": ["theorem1_counts", "theorem2_counts"],
     "permutations": [
         "standardize", "contains_consecutive", "avoids_consecutive", "is_alternating",
         "is_reverse_alternating", "monotone_pattern", "peaks", "left_peaks", "valleys",

@@ -42,6 +42,14 @@ class TestBlockWordForm:
         with pytest.raises(InvalidInputError):
             forbidden_factors(2)
 
+    def test_forbidden_factors_are_nested_in_m(self):
+        """Each factor of m + 1 contains one of m, so a word that avoids the
+        factors of m avoids those of every larger m."""
+        for m in range(3, claims.MAX_M):
+            smaller = forbidden_factors(m)
+            for factor in forbidden_factors(m + 1):
+                assert any(inner in factor for inner in smaller), (m, factor)
+
     def test_forbidden_factors_are_built_once_per_m(self):
         assert forbidden_factors(5) is forbidden_factors(5)
         for _ in range(2):
