@@ -14,9 +14,9 @@ outright by end insertion.  Only gf3 and gf5 sweep S_n, up to
 from __future__ import annotations
 
 import time
-from collections import Counter
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, cycle, product, repeat
+from operator import and_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import bijections, compositions, oracle, permutations, regex, series, tilings, words
@@ -162,75 +162,113 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     on the product of their DFAs, so the first report carries the time of
     the whole walk.  The product is stepped through each head a^i c once,
     then level by level through every middle u, once per shared prefix
-    a^i c u, and each word's verdicts for every m are read from a table of
-    its state and tail a c^j.  The walk builds each word itself, in
-    ``iter_block_words`` order, and tests its block form once, with
-    ``words.is_block_word``, and then, for each m,
-    ``words.avoids_forbidden_factors``; the built form is never taken on
-    trust.
+    a^i c u, and the verdicts of each word a^i c u a c^j, one byte per word
+    and m, are read from a table of its state and tail a c^j.
+
+    The definition is read once per unpadded word c u a, not once per word:
+    every forbidden factor of every m starts with b or c and ends with a or
+    b, so none can start in the head a^i or end in the tail c^j, and
+    a^i c u a c^j is an avoiding block word exactly when c u a is.  The
+    walk builds each text c u a itself, tests its block form with
+    ``words.is_block_word`` and, for each m, its factors with
+    ``words.avoids_forbidden_factors``, and keeps the verdicts of each
+    middle length for every later length; the built form is never taken on
+    trust.  Each (i, j, m) then compares two byte strings.
     """
     dfas = {m: regex.block_word_dfa(m) for m in ms}
     path_counts = {m: dfa.counts(n_max) for m, dfa in dfas.items()}
+    definitions: dict[int, dict[int, bytes]] = {}
     counterexamples: dict[int, dict] = {}
     for n in range(1, n_max + 1):
         pending = {m: dfa for m, dfa in dfas.items() if m not in counterexamples}
         if not pending:
             break
-        counterexamples.update(_prop7_mismatches(pending, n, path_counts))
+        counterexamples.update(_prop7_mismatches(pending, n, path_counts, definitions))
     for m in ms:
         expression = regex.format_ast(regex.block_word_regex(m))
         params = {"m": m, "n_max": n_max, "expression": expression}
         yield report("prop7", params, counterexamples.get(m))
 
 
+def _prop7_definitions(ms: Iterable[int], length: int) -> dict[int, bytes]:
+    """For each m, the definition's verdict on each word c u a with a middle
+    u of ``length`` letters, in the lexicographic order of u: one byte, 1
+    for an avoiding block word.  The texts are built once for the form test
+    and once for the factor tests, so no list of them is kept."""
+
+    def texts() -> Iterator[str]:
+        return map("".join, product("c", *repeat(words.ALPHABET, length), "a"))
+
+    ms = tuple(ms)
+    blocks = bytes(map(words.is_block_word, texts()))
+    # one verdict per text and m, text by text: m's are every len(ms)-th byte
+    each_m = chain.from_iterable(map(repeat, texts(), repeat(len(ms))))
+    tests = bytes(map(words.avoids_forbidden_factors, each_m, cycle(ms)))
+    return {m: bytes(map(and_, blocks, tests[k :: len(ms)])) for k, m in enumerate(ms)}
+
+
 def _prop7_mismatches(
-    dfas: dict[int, regex.Dfa], n: int, path_counts: dict[int, list[int]]
+    dfas: dict[int, regex.Dfa], n: int, path_counts: dict[int, list[int]],
+    definitions: dict[int, dict[int, bytes]],
 ) -> dict[int, dict]:
     """The counterexample of length n of each m whose DFA has one, from one
     walk of the product automaton over the block words of length n;
-    ``path_counts[m][n]`` is the number of length-n words m's DFA accepts."""
+    ``path_counts[m][n]`` is the number of length-n words m's DFA accepts,
+    and ``definitions`` maps each middle length already read to its
+    :func:`_prop7_definitions` of every m in ``dfas``, and gains the ones
+    this walk reads first."""
     table, verdicts = regex.product(tuple(dfas.values()))
     a, c = words.ALPHABET.index("a"), words.ALPHABET.index("c")
     # levels[h][L]: the states after each middle u of length L, read from
     # the state h after a head a^i c, in the lexicographic order of u.  They
-    # are kept as bytes when the ids fit; a word's text is built only to
-    # check it.
+    # are kept as bytes when the ids fit; no word's text is built.
     pack = bytes if len(table) <= 0x100 else list
     levels: dict[int, list] = {}
-    # tails[j][s]: the verdicts after reading a c^j from state s.
+    # tails[j][s]: the verdicts after reading a c^j from state s, one byte
+    # per automaton.  States share one bytes object per distinct verdicts.
+    interned = {verdict: bytes(verdict) for verdict in set(verdicts)}
+    rows = [interned[verdict] for verdict in verdicts]
     tails, ends = [], [row[a] for row in table]
     for _ in range(n - 1):
-        tails.append([verdicts[end] for end in ends])
+        tails.append([rows[end] for end in ends])
         ends = [table[end][c] for end in ends]
     mismatches: dict[int, dict] = {}
     checking = list(enumerate(dfas))
-    accepted: Counter[tuple[bool, ...]] = Counter()
-    is_block_word, avoids_forbidden_factors = words.is_block_word, words.avoids_forbidden_factors
+    accepted = [0] * len(dfas)
     state = 0  # the product's state after a^i
     for i in range(n - 1):
-        head = "a" * i + "c"
         after_head = table[state][c]
         grown = levels.setdefault(after_head, [pack((after_head,))])
         while len(grown) < n - 1 - i:
             grown.append(pack(chain.from_iterable(map(table.__getitem__, grown[-1]))))
         state = table[state][a]
         for j in range(n - 1 - i):
-            tail, verdict_after = "a" + "c" * j, tails[j]
-            level = grown[n - 2 - i - j]
-            for middle_end, count in Counter(level).items():
-                accepted[verdict_after[middle_end]] += count
-            texts = map("".join, product((head,), *repeat(words.ALPHABET, n - 2 - i - j), (tail,)))
-            for word, verdict in zip(texts, map(verdict_after.__getitem__, level)):
-                block = is_block_word(word)
-                for k, m in checking:
-                    if verdict[k] != (block and avoids_forbidden_factors(word, m)):
-                        mismatches[m] = {"word": word, "dfa": verdict[k]}
-                        checking = [entry for entry in checking if entry[1] != m]
-                if not checking:
-                    return mismatches
+            length = n - 2 - i - j
+            if length not in definitions:
+                definitions[length] = _prop7_definitions(dfas, length)
+            # every automaton's verdicts, word by word: automaton k's are
+            # every len(dfas)-th byte from byte k.  bytes.join holds a buffer
+            # view of about 80 bytes per part, so it joins 729 words at a time.
+            level = grown[length]
+            stream = b"".join(
+                b"".join(map(tails[j].__getitem__, level[x : x + 729]))
+                for x in range(0, len(level), 729)
+            )
+            for k, m in checking:
+                got, want = stream[k :: len(dfas)], definitions[length][m]
+                accepted[k] += got.count(1)
+                if got != want:
+                    # the x-th middle in lexicographic order spells x in base 3
+                    x = next(x for x, (g, w) in enumerate(zip(got, want)) if g != w)
+                    u = "".join(words.ALPHABET[x // 3**p % 3] for p in reversed(range(length)))
+                    word = "a" * i + "c" + u + "a" + "c" * j
+                    mismatches[m] = {"word": word, "dfa": bool(got[x])}
+            checking = [entry for entry in checking if entry[1] not in mismatches]
+            if not checking:
+                return mismatches
     for k, m in checking:
         dfa = dfas[m]
-        if sum(count for verdict, count in accepted.items() if verdict[k]) != path_counts[m][n]:
+        if accepted[k] != path_counts[m][n]:
             # The word is None only if the block-word walk or the path count is wrong.
             stray = next((word for word in dfa.language(n) if not words.is_block_word(word)), None)
             mismatches[m] = {"word": stray, "dfa": True}

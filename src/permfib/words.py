@@ -7,7 +7,10 @@ avoiding block words additionally avoid four forbidden factors that depend on
 a pattern length m >= 3.  The definition is the two tests in sequence:
 :func:`is_block_word` (form, and the alphabet) and
 :func:`avoids_forbidden_factors` (the factors of one m), so a walk over
-several m tests the form once per word.  :func:`iter_avoiding_block_words`
+several m tests the form once per word.  Every forbidden factor starts
+with b or c and ends with a or b, so none occurs in the runs a^i and c^j:
+a^i c u a c^j is an avoiding block word exactly when c u a is, and prop7
+tests each c u a once for every i and j.  :func:`iter_avoiding_block_words`
 generates the avoiding block words of one m without walking the others.
 """
 

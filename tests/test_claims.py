@@ -1,7 +1,9 @@
 """Parameter checks of the claim registry."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from oracles import per_word_prop7_mismatches
@@ -104,16 +106,17 @@ def test_prop7_reports_each_m_alone_from_the_shared_walk(monkeypatch):
 
 
 def test_prop7_reports_a_word_whose_factor_test_is_flipped_at_every_m(monkeypatch):
-    # "acbbca" has the order-3 factor cbb and none of order 4 to 6, so the
+    # "cbbca" has the order-3 factor cbb and none of order 4 to 6, so the
     # flipped test disagrees with a DFA that rejects it at m = 3 and with
-    # one that accepts it at every larger m.
+    # one that accepts it at every larger m.  The walk reads the definition
+    # on unpadded words c u a only, so this is the word to flip.
     real = words.avoids_forbidden_factors
     monkeypatch.setattr(
-        words, "avoids_forbidden_factors", lambda word, m: real(word, m) != (word == "acbbca")
+        words, "avoids_forbidden_factors", lambda word, m: real(word, m) != (word == "cbbca")
     )
     reports = list(claims._prop7(ms=(3, 4, 5, 6), n_max=7))
     assert [r.counterexample for r in reports] == [
-        {"word": "acbbca", "dfa": m != 3} for m in (3, 4, 5, 6)
+        {"word": "cbbca", "dfa": m != 3} for m in (3, 4, 5, 6)
     ]
 
 
@@ -125,13 +128,26 @@ def test_prop7_tests_block_form_itself_on_generated_words(monkeypatch):
     assert [r.counterexample for r in reports] == [{"word": first, "dfa": True}] * 4
 
 
+@pytest.mark.parametrize(
+    "cut, word",
+    [
+        (slice(1, None), "aca"),  # no leading a*: rejects every word with a head a^i, i > 0
+        (slice(None, -1), "cac"),  # no trailing c*: rejects every word with a tail c^j, j > 0
+    ],
+)
+def test_prop7_catches_a_dfa_wrong_only_on_padded_words(monkeypatch, cut, word):
+    parts = regex.block_word_regex(3).parts
+    report = _prop7(monkeypatch, regex.compile_ast(regex.Concat(parts[cut])), 3)
+    assert report.counterexample == {"word": word, "dfa": False}
+
+
 B = regex.block_word_dfa
 
 
 def walk(dfas, n):
     """``claims._prop7_mismatches`` at length n, given each DFA's path counts
-    as ``claims._prop7`` gives them."""
-    return claims._prop7_mismatches(dfas, n, {m: dfa.counts(n) for m, dfa in dfas.items()})
+    as ``claims._prop7`` gives them, with no definition verdicts read yet."""
+    return claims._prop7_mismatches(dfas, n, {m: dfa.counts(n) for m, dfa in dfas.items()}, {})
 
 
 @pytest.mark.parametrize(
@@ -167,19 +183,22 @@ def test_prop7_walk_matches_the_per_word_reference_on_list_packed_levels():
         assert walk(dfas, n) == per_word_prop7_mismatches(dfas, n), n
 
 
-def test_prop7_walk_checks_every_block_word_in_generator_order(monkeypatch):
-    real = words.is_block_word
-    seen = []
-
-    def record(word):
-        seen.append(word)
-        return real(word)
-
-    monkeypatch.setattr(words, "is_block_word", record)
-    for n in range(1, 10):
-        seen.clear()
-        assert walk({3: B(3), 5: B(5)}, n) == {}
-        assert seen == list(words.iter_block_words(n)), n
+def test_prop7_reads_the_definition_once_per_unpadded_word_in_order(monkeypatch):
+    # One walk up to n = 9 reads middles u of up to 7 letters; every padded
+    # word a^i c u a c^j takes the verdicts of c u a.
+    form, factors = words.is_block_word, words.avoids_forbidden_factors
+    formed, tested = [], Counter()
+    monkeypatch.setattr(words, "is_block_word", lambda word: formed.append(word) or form(word))
+    monkeypatch.setattr(
+        words, "avoids_forbidden_factors",
+        lambda word, m: tested.update([(word, m)]) or factors(word, m),
+    )
+    reports = list(claims._prop7(ms=(3, 5), n_max=9))
+    assert all(r.passed for r in reports)
+    middles = (product(words.ALPHABET, repeat=length) for length in range(8))
+    unpadded = ["c" + "".join(u) + "a" for u in chain.from_iterable(middles)]
+    assert formed == unpadded
+    assert tested == Counter(product(unpadded, (3, 5)))
 
 
 def test_prop7_walk_keeps_no_word_text_levels():

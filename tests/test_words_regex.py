@@ -64,6 +64,26 @@ class TestBlockWordForm:
         assert all(report.passed for report in reports)
         assert forbidden_factors.cache_info().misses == 40
 
+    def test_no_forbidden_factor_starts_with_a_or_ends_with_c(self):
+        """So no factor occurrence starts in the head a^i of a^i c u a c^j or
+        ends in its tail c^j: the padding lemma prop7 reads."""
+        for m in range(3, claims.MAX_M + 1):
+            for factor in forbidden_factors(m):
+                assert factor[0] in "bc" and factor[-1] in "ab", (m, factor)
+
+    def test_padding_keeps_the_definition(self):
+        unpadded = [
+            w for n in range(11) for w in iter_block_words(n) if w[0] == "c" and w[-1] == "a"
+        ]
+        assert len(unpadded) == sum(3**length for length in range(9))
+        for w in unpadded:
+            for m in range(3, 9):
+                verdict = is_avoiding_block_word(w, m)
+                for i in range(4):
+                    for j in range(4 - i):
+                        padded = "a" * i + w + "c" * j
+                        assert is_avoiding_block_word(padded, m) == verdict, (padded, m)
+
     def test_avoiding_examples(self):
         assert is_avoiding_block_word("aacbcccaaabbcacaaccc", 3)
         assert not is_avoiding_block_word("acba", 3)  # form holds, factor cba present
