@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import chain, cycle, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import and_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -160,7 +160,8 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
 
     Each length is walked once for every m that has no counterexample yet,
     on the product of their DFAs, so the first report carries the time of
-    the whole walk.  The product is stepped through each head a^i c once,
+    the whole walk.  The product is built once, and again only after an m
+    fails.  The product is stepped through each head a^i c once,
     then level by level through every middle u, once per shared prefix
     a^i c u, and the verdicts of each word a^i c u a c^j, one byte per word
     and m, are read from a table of its state and tail a c^j.
@@ -177,47 +178,54 @@ def _prop7(*, ms, n_max, **_) -> Iterator[VerificationReport]:
     """
     dfas = {m: regex.block_word_dfa(m) for m in ms}
     path_counts = {m: dfa.counts(n_max) for m, dfa in dfas.items()}
-    definitions: dict[int, dict[int, bytes]] = {}
+    definitions: dict[int, dict[int, bytearray]] = {}
     counterexamples: dict[int, dict] = {}
+    pending = dfas
+    automaton = regex.product(tuple(pending.values()))
     for n in range(1, n_max + 1):
-        pending = {m: dfa for m, dfa in dfas.items() if m not in counterexamples}
-        if not pending:
-            break
-        counterexamples.update(_prop7_mismatches(pending, n, path_counts, definitions))
+        found = _prop7_mismatches(pending, automaton, n, path_counts, definitions)
+        if found:
+            counterexamples.update(found)
+            pending = {m: dfa for m, dfa in pending.items() if m not in found}
+            if not pending:
+                break
+            automaton = regex.product(tuple(pending.values()))
     for m in ms:
         expression = regex.format_ast(regex.block_word_regex(m))
         params = {"m": m, "n_max": n_max, "expression": expression}
         yield report("prop7", params, counterexamples.get(m))
 
 
-def _prop7_definitions(ms: Iterable[int], length: int) -> dict[int, bytes]:
+def _prop7_definitions(ms: Iterable[int], length: int) -> dict[int, bytearray]:
     """For each m, the definition's verdict on each word c u a with a middle
     u of ``length`` letters, in the lexicographic order of u: one byte, 1
-    for an avoiding block word.  The texts are built once for the form test
-    and once for the factor tests, so no list of them is kept."""
-
-    def texts() -> Iterator[str]:
-        return map("".join, product("c", *repeat(words.ALPHABET, length), "a"))
-
-    ms = tuple(ms)
-    blocks = bytes(map(words.is_block_word, texts()))
-    # one verdict per text and m, text by text: m's are every len(ms)-th byte
-    each_m = chain.from_iterable(map(repeat, texts(), repeat(len(ms))))
-    tests = bytes(map(words.avoids_forbidden_factors, each_m, cycle(ms)))
-    return {m: bytes(map(and_, blocks, tests[k :: len(ms)])) for k, m in enumerate(ms)}
+    for an avoiding block word.  The texts are read 729 at a time; each
+    chunk is tested once for block form, then once per m for forbidden
+    factors, and each m's verdicts are copied into its place in one buffer
+    made at its full size, so no more than one chunk of texts is kept and
+    no buffer grows or is copied whole."""
+    texts = map("".join, product("c", *repeat(words.ALPHABET, length), "a"))
+    verdicts = {m: bytearray(3**length) for m in ms}
+    for x in range(0, 3**length, 729):
+        chunk = list(islice(texts, 729))
+        blocks = bytes(map(words.is_block_word, chunk))
+        for m, verdict in verdicts.items():
+            tests = map(words.avoids_forbidden_factors, chunk, repeat(m))
+            verdict[x : x + 729] = bytes(map(and_, blocks, tests))
+    return verdicts
 
 
 def _prop7_mismatches(
-    dfas: dict[int, regex.Dfa], n: int, path_counts: dict[int, list[int]],
-    definitions: dict[int, dict[int, bytes]],
+    dfas: dict[int, regex.Dfa], automaton: tuple, n: int, path_counts: dict[int, list[int]],
+    definitions: dict[int, dict[int, bytearray]],
 ) -> dict[int, dict]:
     """The counterexample of length n of each m whose DFA has one, from one
-    walk of the product automaton over the block words of length n;
-    ``path_counts[m][n]`` is the number of length-n words m's DFA accepts,
-    and ``definitions`` maps each middle length already read to its
-    :func:`_prop7_definitions` of every m in ``dfas``, and gains the ones
-    this walk reads first."""
-    table, verdicts = regex.product(tuple(dfas.values()))
+    walk of ``automaton``, the ``regex.product`` of ``dfas`` in their
+    order, over the block words of length n; ``path_counts[m][n]`` is the
+    number of length-n words m's DFA accepts, and ``definitions`` maps each
+    middle length already read to its :func:`_prop7_definitions` of every m
+    in ``dfas``, and gains the ones this walk reads first."""
+    table, verdicts = automaton
     a, c = words.ALPHABET.index("a"), words.ALPHABET.index("c")
     # levels[h][L]: the states after each middle u of length L, read from
     # the state h after a head a^i c, in the lexicographic order of u.  They
@@ -278,7 +286,7 @@ def _prop7_mismatches(
 def _prop8(*, k_max, **_) -> Iterator[VerificationReport]:
     columns = {
         "dfa": regex.core_dfa().counts(k_max),
-        "tilings": lambda k: sum(1 for _ in tilings.enumerate_tilings(k)),
+        "tilings": lambda k: sum(1 for _ in tilings._row_pairs(k)),
         "fibonacci_product": lambda k: compositions.fib(2, k - 1) * compositions.fib(2, k),
     }
     params = {"k_max": k_max, "expression": regex.format_ast(regex.core_regex())}

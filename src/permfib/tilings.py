@@ -24,8 +24,7 @@ from typing import Iterable, Iterator
 
 from ._value import Value
 from .errors import InvalidInputError
-from . import regex
-from .compositions import enumerate_compositions
+from . import compositions, regex
 
 #: The block lengths: a monomino and a horizontal domino.
 _BLOCKS = frozenset((1, 2))
@@ -58,22 +57,30 @@ class Tiling(Value):
 def enumerate_tilings(k: int) -> Iterator[Tiling]:
     """All width-k tilings with a top-left monomino, (top, bottom) lex order.
 
-    The rows are the compositions of k into parts 1 and 2, as tuples, and
-    a top row is used only when it starts with 1, so every tiling is built
-    valid: it is made without rerunning ``Tiling.__init__``, whose
-    checks still guard ``Tiling(...)``.
+    The rows are the pairs of :func:`_row_pairs`, each built valid, so a
+    tiling is made without rerunning ``Tiling.__init__``, whose checks
+    still guard ``Tiling(...)``.
     """
+    new, put = object.__new__, object.__setattr__
+    for top, bottom in _row_pairs(k):
+        tiling = new(Tiling)
+        put(tiling, "top", top)
+        put(tiling, "bottom", bottom)
+        yield tiling
+
+
+def _row_pairs(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (top, bottom) rows of every width-k tiling, in lex order, with no
+    ``Tiling`` built: each row a composition of k into parts 1 and 2, as a
+    tuple, and a top row only when it starts with 1.  A count of tilings
+    counts these pairs."""
     if k < 1:
         raise InvalidInputError(f"width must be >= 1, got {k}")
-    rows = [composition.parts for composition in enumerate_compositions(k, max_part=2)]
-    new, put = object.__new__, object.__setattr__
+    rows = list(compositions._part_tuples(k, 2))
     for top in rows:
         if top[0] == 1:
             for bottom in rows:
-                tiling = new(Tiling)
-                put(tiling, "top", top)
-                put(tiling, "bottom", bottom)
-                yield tiling
+                yield top, bottom
 
 
 def _brick_row(first: int, width: int) -> tuple[int, ...]:

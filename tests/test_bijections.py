@@ -1,7 +1,7 @@
 import pytest
 from oracles import time_limit
 
-from permfib import bijections, regex
+from permfib import bijections, regex, tilings
 from permfib.bijections import (
     TilingTriple,
     block_word,
@@ -238,6 +238,18 @@ class TestTilings:
         assert sum(1 for _ in enumerate_tilings(5)) == 40
         for k in range(1, 11):
             assert sum(1 for _ in enumerate_tilings(k)) == fib(2, k - 1) * fib(2, k)
+
+    def test_enumeration_wraps_the_row_pairs_in_order(self):
+        for k in range(1, 11):
+            pairs = [(tiling.top, tiling.bottom) for tiling in enumerate_tilings(k)]
+            assert pairs == list(tilings._row_pairs(k))
+
+    @pytest.mark.parametrize("k", (0, -1))
+    def test_a_width_below_one_is_refused_when_first_read(self, k):
+        for enumerate_rows in enumerate_tilings, tilings._row_pairs:
+            rows = enumerate_rows(k)
+            with pytest.raises(InvalidInputError, match=f"^width must be >= 1, got {k}$"):
+                next(rows)
 
     def test_enumeration_is_lexicographic_by_top_then_bottom(self):
         for k in range(1, 8):

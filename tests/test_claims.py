@@ -8,7 +8,7 @@ from itertools import chain, product
 import pytest
 from oracles import per_word_prop7_mismatches
 
-from permfib import claims, oracle, regex, words
+from permfib import claims, oracle, regex, tilings, words
 
 
 def test_pattern_lengths_no_named_claim_reads_are_rejected():
@@ -145,9 +145,12 @@ B = regex.block_word_dfa
 
 
 def walk(dfas, n):
-    """``claims._prop7_mismatches`` at length n, given each DFA's path counts
-    as ``claims._prop7`` gives them, with no definition verdicts read yet."""
-    return claims._prop7_mismatches(dfas, n, {m: dfa.counts(n) for m, dfa in dfas.items()}, {})
+    """``claims._prop7_mismatches`` at length n, given the DFAs' product and
+    each DFA's path counts as ``claims._prop7`` gives them, with no
+    definition verdicts read yet."""
+    automaton = regex.product(tuple(dfas.values()))
+    path_counts = {m: dfa.counts(n) for m, dfa in dfas.items()}
+    return claims._prop7_mismatches(dfas, automaton, n, path_counts, {})
 
 
 @pytest.mark.parametrize(
@@ -211,6 +214,55 @@ def test_prop7_walk_keeps_no_word_text_levels():
         tracemalloc.stop()
     assert all(r.passed for r in reports)
     assert peak < 512 * 1024, peak
+
+
+def test_prop7_builds_the_product_again_only_after_an_m_fails(monkeypatch):
+    real, built = regex.product, []
+    monkeypatch.setattr(regex, "product", lambda dfas: built.append(dfas) or real(dfas))
+    assert all(r.passed for r in claims._prop7(ms=(3, 4, 5), n_max=8))
+    assert built == [(B(3), B(4), B(5))]
+    # m = 3 reads the DFA of m = 4 and fails at n = 3
+    stand_ins = {3: B(4), 4: B(4), 5: B(5)}
+    monkeypatch.setattr(regex, "block_word_dfa", stand_ins.__getitem__)
+    built.clear()
+    reports = list(claims._prop7(ms=(3, 4, 5), n_max=8))
+    assert [r.passed for r in reports] == [False, True, True]
+    assert built == [(B(4), B(4), B(5)), (B(4), B(5))]
+
+
+def test_prop7_definitions_across_chunk_boundaries_match_the_definition():
+    # 3^7 = 2,187 texts: three chunks of 729
+    ms = (3, 4, 5, 9)
+    definitions = claims._prop7_definitions(ms, 7)
+    texts = ["c" + "".join(u) + "a" for u in product(words.ALPHABET, repeat=7)]
+    assert list(definitions) == list(ms)
+    for m in ms:
+        assert definitions[m] == bytes(words.is_avoiding_block_word(text, m) for text in texts), m
+
+
+def test_prop7_tests_each_text_once_and_each_text_and_m_once(monkeypatch):
+    form, factors = words.is_block_word, words.avoids_forbidden_factors
+    calls = Counter()
+    monkeypatch.setattr(
+        words, "is_block_word", lambda word: calls.update(["form"]) or form(word)
+    )
+    monkeypatch.setattr(
+        words, "avoids_forbidden_factors",
+        lambda word, m: calls.update(["factors"]) or factors(word, m),
+    )
+    reports = list(claims._prop7(ms=(3, 4, 5), n_max=11))
+    assert all(r.passed for r in reports)
+    # one text c u a per middle u of 0..9 letters
+    assert calls == {"form": 29_524, "factors": 3 * 29_524}
+
+
+def test_prop8_builds_no_tiling(monkeypatch):
+    def refuse(k):
+        raise AssertionError("prop8 built a Tiling")
+
+    monkeypatch.setattr(tilings, "enumerate_tilings", refuse)
+    (report,) = claims.run(("prop8",), k_max=12)
+    assert report.passed and report.params["k_max"] == 12
 
 
 def test_prop6_builds_no_s_n_level(monkeypatch):

@@ -9,10 +9,11 @@ check.
 
 import types
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from permfib import bijections, claims, compositions, oracle, series
+from permfib import bijections, claims, compositions, oracle, series, tilings
 from permfib.compositions import Composition
 from permfib.permutations import Permutation
 
@@ -99,6 +100,14 @@ def test_prop8(monkeypatch):
     _off_at(monkeypatch, compositions, "fib", 3)
     report = _failed(("prop8",))
     assert report.counterexample == {"k": 3, "dfa": 6, "tilings": 6, "fibonacci_product": 8}
+    assert list(report.counterexample) == ["k", "dfa", "tilings", "fibonacci_product"]
+
+
+def test_prop8_tilings(monkeypatch):
+    real = tilings._row_pairs
+    monkeypatch.setattr(tilings, "_row_pairs", lambda k: islice(real(k), int(k == 3), None))
+    report = _failed(("prop8",))
+    assert report.counterexample == {"k": 3, "dfa": 6, "tilings": 5, "fibonacci_product": 6}
     assert list(report.counterexample) == ["k", "dfa", "tilings", "fibonacci_product"]
 
 
